@@ -8,8 +8,10 @@
 //!   gate covers the round-trip configuration, not just the bare
 //!   engine). Since the sender-majorized measurement phase (PR 9) the
 //!   engine scores once per distinct template per sender and judges
-//!   once per `(receiver, sender, template)` via the zero-clone
-//!   `filter_fast_ref` path. Gate: ≥ 8 M simulated post-deliveries/sec.
+//!   once per `(receiver, sender, template)` via
+//!   `MrfPipeline::filter_inbound` on the borrowed template (cloned only
+//!   by a stage that rewrites it). Gate: ≥ 8 M simulated
+//!   post-deliveries/sec.
 //! * **scaling** — the same bridged storm re-timed at 1, 2 and 4
 //!   workers when the host has ≥ 2 cores. Gate: ≥ 1.6× speedup at 4
 //!   workers over 1 (`scaling_acceptance_met`); on single-core hosts

@@ -10,7 +10,7 @@ use fediscope_core::config::InstanceModerationConfig;
 use fediscope_core::id::{ActivityId, Domain, PostId, UserId, UserRef};
 use fediscope_core::model::{Activity, Post};
 use fediscope_core::mrf::policies::{SimpleAction, SimplePolicy};
-use fediscope_core::mrf::{NullActorDirectory, PolicyContext};
+use fediscope_core::mrf::{Inbound, NullActorDirectory, PolicyContext};
 use fediscope_core::time::SimTime;
 
 fn sample_activity(i: u64) -> Activity {
@@ -73,6 +73,17 @@ fn bench_pipelines(c: &mut Criterion) {
             i += 1;
             let ctx = PolicyContext::new(&local, SimTime(1_608_080_000), &dir);
             black_box(heavy_pipeline.filter(&ctx, sample_activity(i)))
+        })
+    });
+
+    // The engine's verdict path: one template judged by borrow (no stage
+    // rewrites it, so nothing is cloned).
+    group.bench_function("heavy_pipeline_borrowed_pass", |b| {
+        let template = sample_activity(1);
+        b.iter(|| {
+            let ctx = PolicyContext::new(&local, SimTime(1_608_080_000), &dir);
+            let mut activity = Inbound::borrowed(&template, SimTime(1_608_076_800));
+            black_box(heavy_pipeline.filter_inbound(&ctx, &mut activity).is_ok())
         })
     });
 

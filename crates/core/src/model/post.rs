@@ -127,6 +127,12 @@ impl Post {
         self.media.clear();
     }
 
+    /// True if the post and every attachment are already sensitive
+    /// ([`force_sensitive`](Self::force_sensitive) would change nothing).
+    pub fn is_fully_sensitive(&self) -> bool {
+        self.sensitive && self.media.iter().all(|m| m.sensitive)
+    }
+
     /// Marks the post (and all attachments) sensitive (the `media_nsfw`
     /// action / `HashtagPolicy` outcome).
     pub fn force_sensitive(&mut self) {

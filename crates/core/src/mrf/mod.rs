@@ -8,19 +8,34 @@
 //! point them at target instances; the paper measures exactly this
 //! configuration surface.
 //!
+//! # One decision function per policy
+//!
+//! A policy implements exactly one [`MrfPolicy::filter`]: it reads the
+//! activity through an [`Inbound`], rewrites it only through
+//! [`Inbound::to_mut`] (or [`Inbound::note_mut_if`]), and returns
+//! `Ok(())` to pass it on or `Err(reason)` to reject. An `Inbound` is
+//! copy-on-write: bulk simulation hands the chain a *borrowed* template
+//! plus its receive-time stamp, and the template is cloned (and stamped)
+//! only at the first stage that actually rewrites it; later stages see the
+//! rewrite. Policies read the stamp through [`Inbound::published`], never
+//! from the borrowed template's own fields.
+//!
 //! This module defines:
 //!
 //! * [`MrfPolicy`] — the policy trait;
+//! * [`Inbound`] — the copy-on-write activity a policy judges;
 //! * [`PolicyContext`] — read-only environment (local domain, simulated
 //!   clock, actor directory) plus a side-effect sink;
 //! * [`PolicyVerdict`] / [`RejectReason`] — the filter result;
-//! * [`MrfPipeline`] — ordered composition with short-circuit on reject and
-//!   a per-policy decision trace.
+//! * [`MrfPipeline`] — ordered composition with short-circuit on reject:
+//!   the traced owning [`MrfPipeline::filter`] and the untraced
+//!   [`MrfPipeline::filter_inbound`], one loop behind both.
 //!
 //! Policy implementations live in the sibling modules, one file per policy
 //! family, each carrying its configuration knobs and unit tests.
 
 mod context;
+mod inbound;
 mod pipeline;
 #[cfg(test)]
 mod proptests;
@@ -31,28 +46,11 @@ pub mod policies;
 pub use context::{
     ActorDirectory, EffectSink, NullActorDirectory, PolicyContext, ProfileImage, SideEffect,
 };
+pub use inbound::Inbound;
 pub use pipeline::{FilterOutcome, MrfPipeline, PolicyDecision, PolicyTrace};
 pub use verdict::{PolicyVerdict, RejectReason};
 
 use crate::catalog::PolicyKind;
-use crate::model::Activity;
-use crate::time::SimTime;
-
-/// Verdict of the borrow-based fast path ([`MrfPolicy::judge_ref`]).
-///
-/// Unlike [`PolicyVerdict`], a rejection carries only the rejecting
-/// policy's [`PolicyKind`] — no allocated reason string — so bulk
-/// simulation can tally millions of verdicts without touching the heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RefVerdict {
-    /// The activity would flow through this policy unchanged.
-    Pass,
-    /// The activity would be rejected by the named policy.
-    Reject(PolicyKind),
-    /// This policy would (or might) rewrite the activity; the caller
-    /// must fall back to the owning [`MrfPolicy::filter`] path.
-    NeedsClone,
-}
 
 /// A single MRF policy.
 ///
@@ -63,51 +61,9 @@ pub trait MrfPolicy: Send + Sync {
     /// Which catalog entry this policy implements.
     fn kind(&self) -> PolicyKind;
 
-    /// Filter one activity: pass it through (possibly rewritten) or reject.
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict;
-
-    /// Whether this policy may *rewrite* activities it passes through.
-    ///
-    /// `false` promises that every `Pass` verdict returns the activity
-    /// byte-identical to its input (rejections and side effects are still
-    /// allowed). The default is the conservative `true`; pure policies
-    /// override it so [`MrfPipeline::filter_fast_ref`] can judge borrowed
-    /// activities without cloning.
-    fn rewrites_content(&self) -> bool {
-        true
-    }
-
-    /// Judge a borrowed activity as if its `published` stamp (and the
-    /// enclosed post's `created` stamp) were `published`, without taking
-    /// ownership.
-    ///
-    /// Must decide exactly as [`filter`](Self::filter) would on a clone
-    /// stamped with `published`: `Pass` iff the clone would pass
-    /// *unmodified*, `Reject` iff it would be rejected, and `NeedsClone`
-    /// whenever this policy would rewrite this particular activity. The
-    /// default delegates to `filter` on a stamped clone when
-    /// [`rewrites_content`](Self::rewrites_content) is `false` (sound:
-    /// such a policy never rewrites), and returns `NeedsClone` otherwise.
-    /// Hot policies override this with a true borrow-based judgement.
-    fn judge_ref(
-        &self,
-        ctx: &PolicyContext<'_>,
-        activity: &Activity,
-        published: SimTime,
-    ) -> RefVerdict {
-        if self.rewrites_content() {
-            return RefVerdict::NeedsClone;
-        }
-        let mut stamped = activity.clone();
-        stamped.published = published;
-        if let Some(post) = stamped.note_mut() {
-            post.created = published;
-        }
-        match self.filter(ctx, stamped) {
-            PolicyVerdict::Pass(_) => RefVerdict::Pass,
-            PolicyVerdict::Reject(reason) => RefVerdict::Reject(reason.policy),
-        }
-    }
+    /// Filter one activity: pass it on (`Ok`, possibly rewritten in place
+    /// through [`Inbound::to_mut`]) or reject it.
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason>;
 
     /// Human-readable one-line summary of this policy's configuration,
     /// rendered into the instance metadata the crawler scrapes.
@@ -128,5 +84,19 @@ pub trait MrfPolicy: Send + Sync {
     /// through a uniquely-owned stage (`Arc::get_mut`).
     fn as_simple_mut(&mut self) -> Option<&mut policies::SimplePolicy> {
         None
+    }
+}
+
+/// Runs one policy on an owned activity (policy unit tests).
+#[cfg(test)]
+pub(crate) fn filter_owned(
+    policy: &dyn MrfPolicy,
+    ctx: &PolicyContext<'_>,
+    activity: crate::model::Activity,
+) -> PolicyVerdict {
+    let mut inbound = Inbound::owned(activity);
+    match policy.filter(ctx, &mut inbound) {
+        Ok(()) => PolicyVerdict::Pass(inbound.into_owned()),
+        Err(reason) => PolicyVerdict::Reject(reason),
     }
 }

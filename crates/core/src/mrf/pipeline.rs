@@ -22,7 +22,7 @@
 //! proptests in [`super::proptests`] pin against the reference path:
 //!
 //! 1. **Verdict equivalence.** After any sequence of deltas, `filter`
-//!    and `filter_fast` return the same verdicts (surviving activity
+//!    and `filter_inbound` return the same verdicts (surviving activity
 //!    included) as a pipeline freshly compiled from the equivalently
 //!    mutated configuration.
 //! 2. **Skip-mask consistency.** The precomputed anti-hellthread skip
@@ -38,13 +38,13 @@
 //!    the `Arc` is shared, never touching the other stages.
 
 use super::context::PolicyContext;
+use super::inbound::Inbound;
 use super::policies::{SimpleAction, SimplePolicy};
 use super::verdict::{PolicyVerdict, RejectReason};
-use super::{MrfPolicy, RefVerdict};
+use super::MrfPolicy;
 use crate::catalog::PolicyKind;
 use crate::id::Domain;
 use crate::model::Activity;
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -217,94 +217,65 @@ impl MrfPipeline {
         self.policies.is_empty()
     }
 
-    /// Runs `activity` through the chain.
+    /// Runs `activity` through the chain, recording each stage's decision.
     ///
     /// Each policy sees the output of the previous one; the first rejection
     /// stops the chain (`AntiHellthreadPolicy` is the one exception — its
     /// presence disables any `HellthreadPolicy` later in the chain, which
     /// the pipeline implements by skipping those policies).
     pub fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> FilterOutcome {
-        let mut current = activity;
         let mut trace = Vec::with_capacity(self.policies.len());
-        for (policy, &skip) in self.policies.iter().zip(&self.skip) {
-            if skip {
-                continue;
-            }
-            match policy.filter(ctx, current) {
-                PolicyVerdict::Pass(a) => {
-                    trace.push(PolicyTrace {
-                        policy: policy.kind(),
-                        decision: PolicyDecision::Passed,
-                    });
-                    current = a;
-                }
-                PolicyVerdict::Reject(reason) => {
-                    trace.push(PolicyTrace {
-                        policy: policy.kind(),
-                        decision: PolicyDecision::Rejected(reason.clone()),
-                    });
-                    return FilterOutcome {
-                        verdict: PolicyVerdict::Reject(reason),
-                        trace,
-                    };
-                }
-            }
-        }
-        FilterOutcome {
-            verdict: PolicyVerdict::Pass(current),
-            trace,
-        }
+        let mut inbound = Inbound::owned(activity);
+        let verdict = match self.run(ctx, &mut inbound, Some(&mut trace)) {
+            Ok(()) => PolicyVerdict::Pass(inbound.into_owned()),
+            Err(reason) => PolicyVerdict::Reject(reason),
+        };
+        FilterOutcome { verdict, trace }
     }
 
     /// Runs `activity` through the chain without recording a trace.
     ///
     /// Identical decision semantics to [`filter`](Self::filter) — same
     /// skip mask, same short-circuit on first rejection — but allocation
-    /// free, for bulk simulation where only the verdict matters (e.g.
-    /// materialising millions of posts). The traced path stays available
-    /// for explainability. The `filter_fast_agrees_with_filter` proptest
-    /// in [`super::proptests`] pins the equivalence across the catalog.
-    pub fn filter_fast(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        let mut current = activity;
-        for (policy, &skip) in self.policies.iter().zip(&self.skip) {
-            if skip {
-                continue;
-            }
-            match policy.filter(ctx, current) {
-                PolicyVerdict::Pass(a) => current = a,
-                reject @ PolicyVerdict::Reject(_) => return reject,
-            }
-        }
-        PolicyVerdict::Pass(current)
-    }
-
-    /// Judges a *borrowed* activity through the chain, clone free.
-    ///
-    /// Decision semantics are identical to [`filter_fast`](Self::filter_fast)
-    /// run on a clone stamped with `published` (activity `published` and
-    /// post `created` overridden) — same skip mask, same short-circuit on
-    /// first rejection — as long as every stage judges by borrow. The
-    /// first stage that would rewrite this particular activity returns
-    /// [`RefVerdict::NeedsClone`], which aborts the walk: the caller must
-    /// re-run the owning path so downstream stages see the rewrite. The
-    /// `filter_fast_ref_agrees_with_filter_fast` proptest in
-    /// [`super::proptests`] pins the equivalence across the catalog.
-    pub fn filter_fast_ref(
+    /// free as long as no stage rewrites: a borrowed [`Inbound`] is cloned
+    /// only at the first stage that changes it, and the walk continues
+    /// from there. Bulk simulation judges millions of borrowed templates
+    /// this way; the surviving (possibly rewritten) activity stays in
+    /// `activity`. The proptests in [`super::proptests`] pin verdict,
+    /// surviving activity and side effects against `filter` across the
+    /// catalog.
+    pub fn filter_inbound(
         &self,
         ctx: &PolicyContext<'_>,
-        activity: &Activity,
-        published: SimTime,
-    ) -> RefVerdict {
+        activity: &mut Inbound<'_>,
+    ) -> Result<(), RejectReason> {
+        self.run(ctx, activity, None)
+    }
+
+    /// The one chain walk behind both entry points.
+    fn run(
+        &self,
+        ctx: &PolicyContext<'_>,
+        activity: &mut Inbound<'_>,
+        mut trace: Option<&mut Vec<PolicyTrace>>,
+    ) -> Result<(), RejectReason> {
         for (policy, &skip) in self.policies.iter().zip(&self.skip) {
             if skip {
                 continue;
             }
-            match policy.judge_ref(ctx, activity, published) {
-                RefVerdict::Pass => {}
-                decided => return decided,
+            let result = policy.filter(ctx, activity);
+            if let Some(trace) = trace.as_deref_mut() {
+                trace.push(PolicyTrace {
+                    policy: policy.kind(),
+                    decision: match &result {
+                        Ok(()) => PolicyDecision::Passed,
+                        Err(reason) => PolicyDecision::Rejected(reason.clone()),
+                    },
+                });
             }
+            result?;
         }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -328,11 +299,11 @@ mod tests {
         fn kind(&self) -> PolicyKind {
             PolicyKind::NoOp
         }
-        fn filter(&self, _ctx: &PolicyContext<'_>, mut a: Activity) -> PolicyVerdict {
-            if let Some(p) = a.note_mut() {
+        fn filter(&self, _: &PolicyContext<'_>, a: &mut Inbound<'_>) -> Result<(), RejectReason> {
+            if let Some(p) = a.note_mut_if(|_| true) {
                 p.content = format!("{}{}", p.content, self.0).into();
             }
-            PolicyVerdict::Pass(a)
+            Ok(())
         }
     }
 
@@ -342,8 +313,8 @@ mod tests {
         fn kind(&self) -> PolicyKind {
             PolicyKind::Drop
         }
-        fn filter(&self, _ctx: &PolicyContext<'_>, _a: Activity) -> PolicyVerdict {
-            PolicyVerdict::Reject(RejectReason::new(PolicyKind::Drop, "drop", "everything"))
+        fn filter(&self, _: &PolicyContext<'_>, _: &mut Inbound<'_>) -> Result<(), RejectReason> {
+            Err(RejectReason::new(PolicyKind::Drop, "drop", "everything"))
         }
     }
 
@@ -400,23 +371,24 @@ mod tests {
     }
 
     #[test]
-    fn filter_fast_matches_filter() {
+    fn filter_inbound_matches_filter() {
         let (d, dir) = ctx_parts();
         let pipe = MrfPipeline::new()
             .with(Arc::new(Tagger("a")))
             .with(Arc::new(Tagger("b")));
         let ctx = PolicyContext::new(&d, SimTime(0), &dir);
         let slow = pipe.filter(&ctx, act());
-        let ctx = PolicyContext::new(&d, SimTime(0), &dir);
-        let fast = pipe.filter_fast(&ctx, act());
+        let template = act();
+        let mut fast = Inbound::borrowed(&template, SimTime(0));
+        assert!(pipe.filter_inbound(&ctx, &mut fast).is_ok());
         assert_eq!(
             slow.verdict.expect_pass().note().unwrap().content,
-            fast.expect_pass().note().unwrap().content
+            fast.note().unwrap().content
         );
 
         let rejecting = MrfPipeline::new().with(Arc::new(Rejector));
-        let ctx = PolicyContext::new(&d, SimTime(0), &dir);
-        assert!(!rejecting.filter_fast(&ctx, act()).is_pass());
+        let mut fast = Inbound::borrowed(&template, SimTime(0));
+        assert!(rejecting.filter_inbound(&ctx, &mut fast).is_err());
     }
 
     #[test]
@@ -472,7 +444,7 @@ mod tests {
                 "x",
             ),
         );
-        !pipe.filter_fast(&ctx, act).is_pass()
+        pipe.filter_inbound(&ctx, &mut Inbound::owned(act)).is_err()
     }
 
     #[test]

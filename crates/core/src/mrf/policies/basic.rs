@@ -3,11 +3,9 @@
 
 use crate::catalog::PolicyKind;
 use crate::id::{Domain, UserId};
-use crate::model::Activity;
 use crate::mrf::context::PolicyContext;
-use crate::mrf::verdict::{PolicyVerdict, RejectReason};
-use crate::mrf::{MrfPolicy, RefVerdict};
-use crate::time::SimTime;
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -21,16 +19,8 @@ impl MrfPolicy for NoOpPolicy {
         PolicyKind::NoOp
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, _: &Activity, _: SimTime) -> RefVerdict {
-        RefVerdict::Pass
+    fn filter(&self, _: &PolicyContext<'_>, _: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        Ok(())
     }
 }
 
@@ -44,20 +34,12 @@ impl MrfPolicy for DropPolicy {
         PolicyKind::Drop
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, _activity: Activity) -> PolicyVerdict {
-        PolicyVerdict::Reject(RejectReason::new(
+    fn filter(&self, _: &PolicyContext<'_>, _: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        Err(RejectReason::new(
             PolicyKind::Drop,
             "drop_all",
             "DropPolicy drops every activity",
         ))
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, _: &Activity, _: SimTime) -> RefVerdict {
-        RefVerdict::Reject(PolicyKind::Drop)
     }
 }
 
@@ -80,29 +62,16 @@ impl MrfPolicy for BlockPolicy {
         PolicyKind::Block
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        let origin = activity.origin();
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let origin = act.origin();
         if self.blocked.iter().any(|b| origin.matches(b)) {
-            return PolicyVerdict::Reject(RejectReason::new(
+            return Err(RejectReason::new(
                 PolicyKind::Block,
                 "blocked",
                 format!("{origin} is blocked"),
             ));
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        let origin = activity.origin();
-        if self.blocked.iter().any(|b| origin.matches(b)) {
-            RefVerdict::Reject(PolicyKind::Block)
-        } else {
-            RefVerdict::Pass
-        }
+        Ok(())
     }
 }
 
@@ -136,30 +105,17 @@ impl MrfPolicy for UserAllowListPolicy {
         PolicyKind::UserAllowList
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if let Some(users) = self.allowed.get(activity.origin()) {
-            if !users.contains(&activity.actor.user) {
-                return PolicyVerdict::Reject(RejectReason::new(
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(users) = self.allowed.get(act.origin()) {
+            if !users.contains(&act.actor.user) {
+                return Err(RejectReason::new(
                     PolicyKind::UserAllowList,
                     "user_not_allowed",
-                    format!("{} not on the allow list", activity.actor),
+                    format!("{} not on the allow list", act.actor),
                 ));
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        match self.allowed.get(activity.origin()) {
-            Some(users) if !users.contains(&activity.actor.user) => {
-                RefVerdict::Reject(PolicyKind::UserAllowList)
-            }
-            _ => RefVerdict::Pass,
-        }
+        Ok(())
     }
 }
 
@@ -167,8 +123,9 @@ impl MrfPolicy for UserAllowListPolicy {
 mod tests {
     use super::*;
     use crate::id::{ActivityId, PostId, UserRef};
-    use crate::model::Post;
+    use crate::model::{Activity, Post};
     use crate::mrf::context::NullActorDirectory;
+    use crate::mrf::{filter_owned, PolicyVerdict};
     use crate::time::SimTime;
 
     fn act_from(domain: &str, user: u64) -> Activity {
@@ -183,7 +140,7 @@ mod tests {
         let local = Domain::new("home.example");
         let dir = NullActorDirectory;
         let ctx = PolicyContext::new(&local, SimTime(0), &dir);
-        p.filter(&ctx, act)
+        filter_owned(p, &ctx, act)
     }
 
     #[test]

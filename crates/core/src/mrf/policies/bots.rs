@@ -3,11 +3,10 @@
 
 use crate::catalog::PolicyKind;
 use crate::id::UserRef;
-use crate::model::{Activity, ActivityKind, Visibility};
+use crate::model::{ActivityKind, Visibility};
 use crate::mrf::context::{PolicyContext, SideEffect};
-use crate::mrf::verdict::{PolicyVerdict, RejectReason};
-use crate::mrf::{MrfPolicy, RefVerdict};
-use crate::time::SimTime;
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -23,27 +22,15 @@ impl MrfPolicy for AntiFollowbotPolicy {
         PolicyKind::AntiFollowbot
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if activity.kind == ActivityKind::Follow && ctx.actors.is_bot(&activity.actor) {
-            return PolicyVerdict::Reject(RejectReason::new(
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if act.kind == ActivityKind::Follow && ctx.actors.is_bot(&act.actor) {
+            return Err(RejectReason::new(
                 PolicyKind::AntiFollowbot,
                 "followbot",
-                format!("{} is a follow bot", activity.actor),
+                format!("{} is a follow bot", act.actor),
             ));
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if activity.kind == ActivityKind::Follow && ctx.actors.is_bot(&activity.actor) {
-            RefVerdict::Reject(PolicyKind::AntiFollowbot)
-        } else {
-            RefVerdict::Pass
-        }
+        Ok(())
     }
 }
 
@@ -57,27 +44,13 @@ impl MrfPolicy for ForceBotUnlistedPolicy {
         PolicyKind::ForceBotUnlisted
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        if ctx.actors.is_bot(&activity.actor) {
-            if let Some(post) = activity.note_mut() {
-                if post.visibility == Visibility::Public {
-                    post.visibility = Visibility::Unlisted;
-                }
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if ctx.actors.is_bot(&act.actor) {
+            if let Some(post) = act.note_mut_if(|p| p.visibility == Visibility::Public) {
+                post.visibility = Visibility::Unlisted;
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if ctx.actors.is_bot(&activity.actor)
-            && activity
-                .note()
-                .is_some_and(|post| post.visibility == Visibility::Public)
-        {
-            RefVerdict::NeedsClone
-        } else {
-            RefVerdict::Pass
-        }
+        Ok(())
     }
 }
 
@@ -95,30 +68,17 @@ impl MrfPolicy for AntiLinkSpamPolicy {
         PolicyKind::AntiLinkSpam
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note() {
-            if post.has_links && ctx.actors.followers(&activity.actor) == Some(0) {
-                return PolicyVerdict::Reject(RejectReason::new(
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(post) = act.note() {
+            if post.has_links && ctx.actors.followers(&act.actor) == Some(0) {
+                return Err(RejectReason::new(
                     PolicyKind::AntiLinkSpam,
                     "link_spam",
-                    format!("new user {} posted links", activity.actor),
+                    format!("new user {} posted links", act.actor),
                 ));
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if let Some(post) = activity.note() {
-            if post.has_links && ctx.actors.followers(&activity.actor) == Some(0) {
-                return RefVerdict::Reject(PolicyKind::AntiLinkSpam);
-            }
-        }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -154,32 +114,16 @@ impl MrfPolicy for FollowBotPolicy {
         PolicyKind::FollowBot
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if activity.kind == ActivityKind::Create && !ctx.is_local(&activity.actor.domain) {
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if act.kind == ActivityKind::Create && !ctx.is_local(&act.actor.domain) {
             let mut seen = self.seen.lock();
-            if seen.insert(activity.actor.clone()) {
+            if seen.insert(act.actor.clone()) {
                 ctx.emit(SideEffect::AutoFollowed {
-                    target: activity.actor.clone(),
+                    target: act.actor.clone(),
                 });
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if activity.kind == ActivityKind::Create && !ctx.is_local(&activity.actor.domain) {
-            let mut seen = self.seen.lock();
-            if seen.insert(activity.actor.clone()) {
-                ctx.emit(SideEffect::AutoFollowed {
-                    target: activity.actor.clone(),
-                });
-            }
-        }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -187,8 +131,9 @@ impl MrfPolicy for FollowBotPolicy {
 mod tests {
     use super::*;
     use crate::id::{ActivityId, Domain, PostId, UserId};
-    use crate::model::Post;
+    use crate::model::{Activity, Post};
     use crate::mrf::context::ActorDirectory;
+    use crate::mrf::{filter_owned, PolicyVerdict};
     use crate::time::SimTime;
 
     /// Directory where user 1 is a bot and user 2 has zero followers.
@@ -219,7 +164,7 @@ mod tests {
         let local = Domain::new("home.example");
         let dir = BotDir;
         let ctx = PolicyContext::new(&local, SimTime(0), &dir);
-        let v = p.filter(&ctx, act);
+        let v = filter_owned(p, &ctx, act);
         (v, ctx.take_effects())
     }
 

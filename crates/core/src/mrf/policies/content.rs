@@ -3,11 +3,10 @@
 //! `RejectNonPublic`.
 
 use crate::catalog::PolicyKind;
-use crate::model::{Activity, ActivityKind, Visibility};
+use crate::model::{ActivityKind, Post, Visibility};
 use crate::mrf::context::PolicyContext;
-use crate::mrf::verdict::{PolicyVerdict, RejectReason};
-use crate::mrf::{MrfPolicy, RefVerdict};
-use crate::time::SimTime;
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
 use serde::{Deserialize, Serialize};
 
 /// What a [`KeywordRule`] does when it matches.
@@ -65,11 +64,11 @@ impl MrfPolicy for KeywordPolicy {
         PolicyKind::Keyword
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        let Some(post) = activity.note_mut() else {
-            return PolicyVerdict::Pass(activity);
-        };
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
         for rule in &self.rules {
+            let Some(post) = act.note() else {
+                return Ok(());
+            };
             let subject_hit = post
                 .subject
                 .as_deref()
@@ -80,52 +79,28 @@ impl MrfPolicy for KeywordPolicy {
             }
             match &rule.action {
                 KeywordAction::Reject => {
-                    return PolicyVerdict::Reject(RejectReason::new(
+                    return Err(RejectReason::new(
                         PolicyKind::Keyword,
                         "keyword",
                         format!("matched pattern {:?}", rule.pattern),
                     ));
                 }
                 KeywordAction::FederatedTimelineRemoval => {
-                    if post.visibility == Visibility::Public {
+                    if let Some(post) = act.note_mut_if(|p| p.visibility == Visibility::Public) {
                         post.visibility = Visibility::Unlisted;
                     }
                 }
                 KeywordAction::Replace(with) => {
-                    post.content = replace_ci(&post.content, &rule.pattern, with).into();
-                    if let Some(s) = &post.subject {
-                        post.subject = Some(replace_ci(s, &rule.pattern, with));
+                    if let Some(post) = act.note_mut_if(|_| true) {
+                        post.content = replace_ci(&post.content, &rule.pattern, with).into();
+                        if let Some(s) = &post.subject {
+                            post.subject = Some(replace_ci(s, &rule.pattern, with));
+                        }
                     }
                 }
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        let Some(post) = activity.note() else {
-            return RefVerdict::Pass;
-        };
-        for rule in &self.rules {
-            let subject_hit = post
-                .subject
-                .as_deref()
-                .map(|s| rule.matches(s))
-                .unwrap_or(false);
-            if !rule.matches(&post.content) && !subject_hit {
-                continue;
-            }
-            match &rule.action {
-                KeywordAction::Reject => return RefVerdict::Reject(PolicyKind::Keyword),
-                KeywordAction::FederatedTimelineRemoval => {
-                    if post.visibility == Visibility::Public {
-                        return RefVerdict::NeedsClone;
-                    }
-                }
-                KeywordAction::Replace(_) => return RefVerdict::NeedsClone,
-            }
-        }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -164,36 +139,22 @@ impl MrfPolicy for VocabularyPolicy {
         PolicyKind::Vocabulary
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if self.reject.contains(&activity.kind) {
-            return PolicyVerdict::Reject(RejectReason::new(
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if self.reject.contains(&act.kind) {
+            return Err(RejectReason::new(
                 PolicyKind::Vocabulary,
                 "vocabulary_rejected",
-                format!("{} is on the reject vocabulary", activity.kind.as_str()),
+                format!("{} is on the reject vocabulary", act.kind.as_str()),
             ));
         }
-        if !self.accept.is_empty() && !self.accept.contains(&activity.kind) {
-            return PolicyVerdict::Reject(RejectReason::new(
+        if !self.accept.is_empty() && !self.accept.contains(&act.kind) {
+            return Err(RejectReason::new(
                 PolicyKind::Vocabulary,
                 "vocabulary_not_accepted",
-                format!("{} is not on the accept vocabulary", activity.kind.as_str()),
+                format!("{} is not on the accept vocabulary", act.kind.as_str()),
             ));
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if self.reject.contains(&activity.kind)
-            || (!self.accept.is_empty() && !self.accept.contains(&activity.kind))
-        {
-            RefVerdict::Reject(PolicyKind::Vocabulary)
-        } else {
-            RefVerdict::Pass
-        }
+        Ok(())
     }
 }
 
@@ -222,20 +183,11 @@ impl MrfPolicy for NormalizeMarkupPolicy {
         PolicyKind::NormalizeMarkup
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note_mut() {
-            if post.content.contains('<') {
-                post.content = strip_tags(&post.content).into();
-            }
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(post) = act.note_mut_if(|p| p.content.contains('<')) {
+            post.content = strip_tags(&post.content).into();
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        match activity.note() {
-            Some(post) if post.content.contains('<') => RefVerdict::NeedsClone,
-            _ => RefVerdict::Pass,
-        }
+        Ok(())
     }
 }
 
@@ -249,11 +201,11 @@ impl MrfPolicy for NoEmptyPolicy {
         PolicyKind::NoEmpty
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if ctx.is_local(activity.origin()) {
-            if let Some(post) = activity.note() {
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if ctx.is_local(act.origin()) {
+            if let Some(post) = act.note() {
                 if post.content.trim().is_empty() && !post.has_media() {
-                    return PolicyVerdict::Reject(RejectReason::new(
+                    return Err(RejectReason::new(
                         PolicyKind::NoEmpty,
                         "empty_post",
                         "local post with no text and no attachments",
@@ -261,22 +213,7 @@ impl MrfPolicy for NoEmptyPolicy {
                 }
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if ctx.is_local(activity.origin()) {
-            if let Some(post) = activity.note() {
-                if post.content.trim().is_empty() && !post.has_media() {
-                    return RefVerdict::Reject(PolicyKind::NoEmpty);
-                }
-            }
-        }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -290,24 +227,15 @@ impl MrfPolicy for NoPlaceholderTextPolicy {
         PolicyKind::NoPlaceholderText
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note_mut() {
-            let trimmed = post.content.trim();
-            if post.has_media() && (trimmed == "." || trimmed == "..") {
-                post.content = "".into();
-            }
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let placeholder = |p: &Post| {
+            let trimmed = p.content.trim();
+            p.has_media() && (trimmed == "." || trimmed == "..")
+        };
+        if let Some(post) = act.note_mut_if(placeholder) {
+            post.content = "".into();
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if let Some(post) = activity.note() {
-            let trimmed = post.content.trim();
-            if post.has_media() && (trimmed == "." || trimmed == "..") {
-                return RefVerdict::NeedsClone;
-            }
-        }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -326,40 +254,22 @@ impl MrfPolicy for RejectNonPublicPolicy {
         PolicyKind::RejectNonPublic
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note() {
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(post) = act.note() {
             let verboten = match post.visibility {
                 Visibility::FollowersOnly => !self.allow_followers_only,
                 Visibility::Direct => !self.allow_direct,
                 Visibility::Public | Visibility::Unlisted => false,
             };
             if verboten {
-                return PolicyVerdict::Reject(RejectReason::new(
+                return Err(RejectReason::new(
                     PolicyKind::RejectNonPublic,
                     "non_public",
                     format!("{:?} posts are not allowed", post.visibility),
                 ));
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if let Some(post) = activity.note() {
-            let verboten = match post.visibility {
-                Visibility::FollowersOnly => !self.allow_followers_only,
-                Visibility::Direct => !self.allow_direct,
-                Visibility::Public | Visibility::Unlisted => false,
-            };
-            if verboten {
-                return RefVerdict::Reject(PolicyKind::RejectNonPublic);
-            }
-        }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -367,8 +277,9 @@ impl MrfPolicy for RejectNonPublicPolicy {
 mod tests {
     use super::*;
     use crate::id::{ActivityId, Domain, PostId, UserId, UserRef};
-    use crate::model::{MediaAttachment, MediaKind, Post};
+    use crate::model::{Activity, MediaAttachment, MediaKind};
     use crate::mrf::context::NullActorDirectory;
+    use crate::mrf::{filter_owned, PolicyVerdict};
     use crate::time::SimTime;
 
     fn note(content: &str, domain: &str) -> Activity {
@@ -383,7 +294,7 @@ mod tests {
         let local = Domain::new("home.example");
         let dir = NullActorDirectory;
         let ctx = PolicyContext::new(&local, SimTime(0), &dir);
-        p.filter(&ctx, act)
+        filter_owned(p, &ctx, act)
     }
 
     #[test]

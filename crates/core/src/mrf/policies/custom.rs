@@ -8,10 +8,10 @@
 
 use crate::catalog::PolicyKind;
 use crate::id::{Domain, UserId};
-use crate::model::{Activity, ActivityKind, Visibility};
+use crate::model::{ActivityKind, Post, Visibility};
 use crate::mrf::context::{PolicyContext, SideEffect};
-use crate::mrf::verdict::{PolicyVerdict, RejectReason};
-use crate::mrf::MrfPolicy;
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
 use crate::time::{SimDuration, SimTime};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -37,15 +37,11 @@ impl MrfPolicy for AmqpPolicy {
         PolicyKind::Amqp
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
+    fn filter(&self, ctx: &PolicyContext<'_>, _: &mut Inbound<'_>) -> Result<(), RejectReason> {
         ctx.emit(SideEffect::MirroredToBus {
             routing_key: self.routing_key.clone(),
         });
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -62,15 +58,13 @@ impl MrfPolicy for KanayaBlogProcessPolicy {
         PolicyKind::KanayaBlogProcess
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        if activity.origin().matches(&self.blog_domain) {
-            if let Some(post) = activity.note_mut() {
-                if !post.content.starts_with("[blog] ") {
-                    post.content = format!("[blog] {}", post.content).into();
-                }
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if act.origin().matches(&self.blog_domain) {
+            if let Some(post) = act.note_mut_if(|p| !p.content.starts_with("[blog] ")) {
+                post.content = format!("[blog] {}", post.content).into();
             }
         }
-        PolicyVerdict::Pass(activity)
+        Ok(())
     }
 }
 
@@ -85,16 +79,14 @@ impl MrfPolicy for AntispamSandboxPolicy {
         PolicyKind::AntispamSandbox
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        let suspect = ctx.actors.followers(&activity.actor) == Some(0);
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let suspect = ctx.actors.followers(&act.actor) == Some(0);
         if suspect {
-            if let Some(post) = activity.note_mut() {
-                if post.has_links && post.visibility.is_public_ish() {
-                    post.visibility = Visibility::FollowersOnly;
-                }
+            if let Some(post) = act.note_mut_if(|p| p.has_links && p.visibility.is_public_ish()) {
+                post.visibility = Visibility::FollowersOnly;
             }
         }
-        PolicyVerdict::Pass(activity)
+        Ok(())
     }
 }
 
@@ -131,25 +123,21 @@ impl MrfPolicy for BoardFilterPolicy {
         self.kind
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note() {
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(post) = act.note() {
             if post
                 .hashtags
                 .iter()
                 .any(|h| self.board_tags.iter().any(|t| t == h))
             {
-                return PolicyVerdict::Reject(RejectReason::new(
+                return Err(RejectReason::new(
                     self.kind,
                     "board_filtered",
                     format!("post tagged for filtered board: {:?}", post.hashtags),
                 ));
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -163,17 +151,13 @@ impl MrfPolicy for BlockNotificationPolicy {
         PolicyKind::BlockNotification
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if activity.kind == ActivityKind::Flag {
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if act.kind == ActivityKind::Flag {
             ctx.emit(SideEffect::AdminNotified {
-                message: format!("incoming report from {}", activity.origin()),
+                message: format!("incoming report from {}", act.origin()),
             });
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -186,19 +170,15 @@ impl MrfPolicy for NoIncomingDeletesPolicy {
         PolicyKind::NoIncomingDeletes
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if activity.kind == ActivityKind::Delete && !ctx.is_local(activity.origin()) {
-            return PolicyVerdict::Reject(RejectReason::new(
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if act.kind == ActivityKind::Delete && !ctx.is_local(act.origin()) {
+            return Err(RejectReason::new(
                 PolicyKind::NoIncomingDeletes,
                 "delete_ignored",
-                format!("remote delete from {} ignored", activity.origin()),
+                format!("remote delete from {} ignored", act.origin()),
             ));
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -214,15 +194,20 @@ impl MrfPolicy for RewritePolicy {
         PolicyKind::Rewrite
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note_mut() {
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let applies = |p: &Post| {
+            self.rules
+                .iter()
+                .any(|(from, _)| !from.is_empty() && p.content.contains(from.as_str()))
+        };
+        if let Some(post) = act.note_mut_if(applies) {
             for (from, to) in &self.rules {
                 if !from.is_empty() {
                     post.content = post.content.replace(from, to).into();
                 }
             }
         }
-        PolicyVerdict::Pass(activity)
+        Ok(())
     }
 }
 
@@ -239,23 +224,15 @@ impl MrfPolicy for RejectCloudflarePolicy {
         PolicyKind::RejectCloudflare
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if self
-            .fronted_domains
-            .iter()
-            .any(|d| activity.origin().matches(d))
-        {
-            return PolicyVerdict::Reject(RejectReason::new(
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if self.fronted_domains.iter().any(|d| act.origin().matches(d)) {
+            return Err(RejectReason::new(
                 PolicyKind::RejectCloudflare,
                 "cdn_fronted",
-                format!("{} is CDN-fronted", activity.origin()),
+                format!("{} is CDN-fronted", act.origin()),
             ));
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -271,22 +248,18 @@ impl MrfPolicy for RacismRemoverPolicy {
         PolicyKind::RacismRemover
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note() {
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(post) = act.note() {
             let lower = post.content.to_ascii_lowercase();
             if let Some(term) = self.lexicon.iter().find(|t| lower.contains(t.as_str())) {
-                return PolicyVerdict::Reject(RejectReason::new(
+                return Err(RejectReason::new(
                     PolicyKind::RacismRemover,
                     "racist_content",
                     format!("matched lexicon term {term:?}"),
                 ));
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -300,19 +273,15 @@ impl MrfPolicy for CdnWarmingPolicy {
         PolicyKind::CdnWarming
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note() {
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(post) = act.note() {
             for m in &post.media {
                 ctx.emit(SideEffect::MediaPrefetched {
                     host: m.host.clone(),
                 });
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -325,19 +294,15 @@ impl MrfPolicy for SogigiMindWarmingPolicy {
         PolicyKind::SogigiMindWarming
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note() {
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(post) = act.note() {
             if !post.media.is_empty() {
                 ctx.emit(SideEffect::MediaPrefetched {
-                    host: activity.origin().clone(),
+                    host: act.origin().clone(),
                 });
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -354,17 +319,13 @@ impl MrfPolicy for NotifyLocalUsersPolicy {
         PolicyKind::NotifyLocalUsers
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if self.watched.iter().any(|d| activity.origin().matches(d)) {
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if self.watched.iter().any(|d| act.origin().matches(d)) {
             ctx.emit(SideEffect::LocalUsersNotified {
-                about: activity.origin().clone(),
+                about: act.origin().clone(),
             });
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -378,19 +339,15 @@ impl MrfPolicy for BonziEmojiReactionsPolicy {
         PolicyKind::BonziEmojiReactions
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if activity.kind == ActivityKind::EmojiReact {
-            return PolicyVerdict::Reject(RejectReason::new(
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if act.kind == ActivityKind::EmojiReact {
+            return Err(RejectReason::new(
                 PolicyKind::BonziEmojiReactions,
                 "emoji_react_dropped",
                 "EmojiReact activities are dropped",
             ));
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -407,20 +364,16 @@ impl MrfPolicy for AutoRejectPolicy {
         PolicyKind::AutoReject
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        let origin = activity.origin().as_str();
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let origin = act.origin().as_str();
         if let Some(p) = self.patterns.iter().find(|p| origin.contains(p.as_str())) {
-            return PolicyVerdict::Reject(RejectReason::new(
+            return Err(RejectReason::new(
                 PolicyKind::AutoReject,
                 "pattern_matched",
                 format!("origin matches pattern {p:?}"),
             ));
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -438,22 +391,18 @@ impl MrfPolicy for LocalOnlyPolicy {
         PolicyKind::LocalOnly
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if ctx.is_local(activity.origin())
-            && activity.kind == ActivityKind::Create
-            && self.users.contains(&activity.actor.user)
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if ctx.is_local(act.origin())
+            && act.kind == ActivityKind::Create
+            && self.users.contains(&act.actor.user)
         {
-            return PolicyVerdict::Reject(RejectReason::new(
+            return Err(RejectReason::new(
                 PolicyKind::LocalOnly,
                 "local_only",
-                format!("{} posts stay local", activity.actor),
+                format!("{} posts stay local", act.actor),
             ));
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -488,20 +437,22 @@ impl MrfPolicy for SandboxPolicy {
         PolicyKind::SandboxCustom
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        let origin = activity.origin().clone();
-        if ctx.is_local(&origin) {
-            return PolicyVerdict::Pass(activity);
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let origin = act.origin();
+        if ctx.is_local(origin) {
+            return Ok(());
         }
-        let first = *self.first_seen.lock().entry(origin).or_insert(ctx.now);
+        let first = *self
+            .first_seen
+            .lock()
+            .entry(origin.clone())
+            .or_insert(ctx.now);
         if ctx.now.since(first) < self.quarantine {
-            if let Some(post) = activity.note_mut() {
-                if post.visibility.is_public_ish() {
-                    post.visibility = Visibility::FollowersOnly;
-                }
+            if let Some(post) = act.note_mut_if(|p| p.visibility.is_public_ish()) {
+                post.visibility = Visibility::FollowersOnly;
             }
         }
-        PolicyVerdict::Pass(activity)
+        Ok(())
     }
 }
 
@@ -509,8 +460,9 @@ impl MrfPolicy for SandboxPolicy {
 mod tests {
     use super::*;
     use crate::id::{ActivityId, PostId, UserRef};
-    use crate::model::Post;
+    use crate::model::Activity;
     use crate::mrf::context::{ActorDirectory, NullActorDirectory};
+    use crate::mrf::{filter_owned, PolicyVerdict};
 
     fn note(domain: &str, content: &str) -> Activity {
         let author = UserRef::new(UserId(1), Domain::new(domain));
@@ -524,7 +476,7 @@ mod tests {
         let local = Domain::new("home.example");
         let dir = NullActorDirectory;
         let ctx = PolicyContext::new(&local, now, &dir);
-        let v = p.filter(&ctx, act);
+        let v = filter_owned(p, &ctx, act);
         (v, ctx.take_effects())
     }
 
@@ -582,7 +534,7 @@ mod tests {
         let ctx = PolicyContext::new(&local, SimTime(0), &dir);
         let mut act = note("spam.example", "buy stuff");
         act.note_mut().unwrap().has_links = true;
-        let v = AntispamSandboxPolicy.filter(&ctx, act);
+        let v = filter_owned(&AntispamSandboxPolicy, &ctx, act);
         assert_eq!(
             v.expect_pass().note().unwrap().visibility,
             Visibility::FollowersOnly

@@ -3,11 +3,11 @@
 
 use crate::catalog::PolicyKind;
 use crate::id::Domain;
-use crate::model::Activity;
+use crate::model::Post;
 use crate::mrf::context::{PolicyContext, SideEffect};
-use crate::mrf::verdict::PolicyVerdict;
-use crate::mrf::{MrfPolicy, RefVerdict};
-use crate::time::{SimDuration, SimTime};
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
+use crate::time::SimDuration;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
@@ -46,9 +46,9 @@ impl MrfPolicy for StealEmojiPolicy {
         PolicyKind::StealEmoji
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note() {
-            let origin = activity.origin();
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(post) = act.note() {
+            let origin = act.origin();
             if self.hosts.iter().any(|h| origin.matches(h)) {
                 for emoji in &post.emojis {
                     if self.rejected_shortcodes.contains(&emoji.shortcode) {
@@ -64,11 +64,7 @@ impl MrfPolicy for StealEmojiPolicy {
                 }
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -93,31 +89,17 @@ impl MrfPolicy for HashtagPolicy {
         PolicyKind::Hashtag
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note_mut() {
-            if post
-                .hashtags
-                .iter()
-                .any(|h| self.sensitive_tags.iter().any(|s| s == h))
-            {
-                post.force_sensitive();
-            }
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let tagged = |p: &Post| {
+            !p.is_fully_sensitive()
+                && p.hashtags
+                    .iter()
+                    .any(|h| self.sensitive_tags.iter().any(|s| s == h))
+        };
+        if let Some(post) = act.note_mut_if(tagged) {
+            post.force_sensitive();
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if let Some(post) = activity.note() {
-            let tagged = post
-                .hashtags
-                .iter()
-                .any(|h| self.sensitive_tags.iter().any(|s| s == h));
-            let already = post.sensitive && post.media.iter().all(|m| m.sensitive);
-            if tagged && !already {
-                return RefVerdict::NeedsClone;
-            }
-        }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -131,19 +113,15 @@ impl MrfPolicy for MediaProxyWarmingPolicy {
         PolicyKind::MediaProxyWarming
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note() {
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(post) = act.note() {
             for attachment in &post.media {
                 ctx.emit(SideEffect::MediaPrefetched {
                     host: attachment.host.clone(),
                 });
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
+        Ok(())
     }
 }
 
@@ -168,29 +146,15 @@ impl MrfPolicy for ActivityExpirationPolicy {
         PolicyKind::ActivityExpiration
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        let local = ctx.is_local(&activity.actor.domain.clone());
-        if local {
-            let lifetime = self.lifetime;
-            if let Some(post) = activity.note_mut() {
-                if post.expires_at.is_none() {
-                    post.expires_at = Some(post.created + lifetime);
-                }
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if ctx.is_local(&act.actor.domain) {
+            // Reads `created` after the write access, so a borrowed
+            // template's receive-time stamp has been applied.
+            if let Some(post) = act.note_mut_if(|p| p.expires_at.is_none()) {
+                post.expires_at = Some(post.created + self.lifetime);
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn judge_ref(&self, ctx: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if ctx.is_local(&activity.actor.domain)
-            && activity
-                .note()
-                .is_some_and(|post| post.expires_at.is_none())
-        {
-            RefVerdict::NeedsClone
-        } else {
-            RefVerdict::Pass
-        }
+        Ok(())
     }
 }
 
@@ -198,15 +162,16 @@ impl MrfPolicy for ActivityExpirationPolicy {
 mod tests {
     use super::*;
     use crate::id::{ActivityId, PostId, UserId, UserRef};
-    use crate::model::{CustomEmoji, MediaAttachment, MediaKind, Post};
+    use crate::model::{Activity, CustomEmoji, MediaAttachment, MediaKind};
     use crate::mrf::context::NullActorDirectory;
+    use crate::mrf::{filter_owned, PolicyVerdict};
     use crate::time::SimTime;
 
     fn run_with_effects(p: &dyn MrfPolicy, act: Activity) -> (PolicyVerdict, Vec<SideEffect>) {
         let local = Domain::new("home.example");
         let dir = NullActorDirectory;
         let ctx = PolicyContext::new(&local, SimTime(0), &dir);
-        let v = p.filter(&ctx, act);
+        let v = filter_owned(p, &ctx, act);
         (v, ctx.take_effects())
     }
 

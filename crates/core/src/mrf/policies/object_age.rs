@@ -6,11 +6,11 @@
 //! followers, (iii) reject."* Enabled by default since Pleroma 2.1.0.
 
 use crate::catalog::PolicyKind;
-use crate::model::{Activity, Visibility};
+use crate::model::Visibility;
 use crate::mrf::context::PolicyContext;
-use crate::mrf::verdict::{PolicyVerdict, RejectReason};
-use crate::mrf::{MrfPolicy, RefVerdict};
-use crate::time::{SimDuration, SimTime};
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
+use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Actions `ObjectAgePolicy` can take on over-age posts.
@@ -63,58 +63,33 @@ impl MrfPolicy for ObjectAgePolicy {
         PolicyKind::ObjectAge
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        let Some(post) = activity.note_mut() else {
-            return PolicyVerdict::Pass(activity); // only Creates carry an age
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let Some(post) = act.note() else {
+            return Ok(()); // only Creates carry an age
         };
-        let age = post.age_at(ctx.now);
+        let age = ctx.now.since(act.published());
         if age <= self.threshold {
-            return PolicyVerdict::Pass(activity);
+            return Ok(());
         }
         if self.actions.contains(&ObjectAgeAction::Reject) {
-            return PolicyVerdict::Reject(RejectReason::new(
+            return Err(RejectReason::new(
                 PolicyKind::ObjectAge,
                 "too_old",
                 format!("post age {age} exceeds {}", self.threshold),
             ));
         }
-        if self.actions.contains(&ObjectAgeAction::Delist) && post.visibility == Visibility::Public
-        {
-            post.visibility = Visibility::Unlisted;
-        }
-        if self.actions.contains(&ObjectAgeAction::StripFollowers) {
-            post.followers_stripped = true;
-        }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn judge_ref(
-        &self,
-        ctx: &PolicyContext<'_>,
-        activity: &Activity,
-        published: SimTime,
-    ) -> RefVerdict {
-        let Some(post) = activity.note() else {
-            return RefVerdict::Pass; // only Creates carry an age
-        };
-        // The borrowed post's `created` is overridden by `published`, so
-        // age is judged against the override, exactly as `filter` would
-        // see it on a stamped clone.
-        let age = ctx.now.since(published);
-        if age <= self.threshold {
-            return RefVerdict::Pass;
-        }
-        if self.actions.contains(&ObjectAgeAction::Reject) {
-            return RefVerdict::Reject(PolicyKind::ObjectAge);
-        }
-        let would_delist = self.actions.contains(&ObjectAgeAction::Delist)
+        let delist = self.actions.contains(&ObjectAgeAction::Delist)
             && post.visibility == Visibility::Public;
-        let would_strip = self.actions.contains(&ObjectAgeAction::StripFollowers);
-        if would_delist || would_strip {
-            RefVerdict::NeedsClone
-        } else {
-            RefVerdict::Pass
+        let strip = self.actions.contains(&ObjectAgeAction::StripFollowers);
+        if let Some(post) = act.note_mut_if(|p| delist || (strip && !p.followers_stripped)) {
+            if delist {
+                post.visibility = Visibility::Unlisted;
+            }
+            if strip {
+                post.followers_stripped = true;
+            }
         }
+        Ok(())
     }
 
     fn describe(&self) -> String {
@@ -130,8 +105,9 @@ impl MrfPolicy for ObjectAgePolicy {
 mod tests {
     use super::*;
     use crate::id::{ActivityId, Domain, PostId, UserId, UserRef};
-    use crate::model::Post;
+    use crate::model::{Activity, Post};
     use crate::mrf::context::NullActorDirectory;
+    use crate::mrf::{filter_owned, PolicyVerdict};
     use crate::time::SimTime;
 
     fn aged_create(created: SimTime) -> Activity {
@@ -143,7 +119,7 @@ mod tests {
         let local = Domain::new("home.example");
         let dir = NullActorDirectory;
         let ctx = PolicyContext::new(&local, now, &dir);
-        policy.filter(&ctx, act)
+        filter_owned(policy, &ctx, act)
     }
 
     #[test]

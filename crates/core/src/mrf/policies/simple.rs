@@ -9,11 +9,10 @@
 
 use crate::catalog::PolicyKind;
 use crate::id::Domain;
-use crate::model::{Activity, ActivityKind, Visibility};
+use crate::model::{ActivityKind, Post, Visibility};
 use crate::mrf::context::{PolicyContext, ProfileImage, SideEffect};
-use crate::mrf::verdict::{PolicyVerdict, RejectReason};
-use crate::mrf::{MrfPolicy, RefVerdict};
-use crate::time::SimTime;
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -117,6 +116,29 @@ impl SimpleAction {
             SimpleAction::RejectDeletes => "reject_deletes",
             SimpleAction::ReportRemoval => "report_removal",
             SimpleAction::FollowersOnly => "followers_only",
+        }
+    }
+
+    /// Applies this action's post rewrite (media removal, NSFW,
+    /// de-listing, followers-only), cloning only when it changes the post.
+    /// The other actions do not rewrite posts and leave it alone.
+    pub(crate) fn rewrite_post(self, act: &mut Inbound<'_>) {
+        let changes = |p: &Post| match self {
+            SimpleAction::MediaRemoval => p.has_media(),
+            SimpleAction::MediaNsfw => !p.is_fully_sensitive(),
+            SimpleAction::FederatedTimelineRemoval => p.visibility == Visibility::Public,
+            SimpleAction::FollowersOnly => p.visibility.is_public_ish(),
+            _ => false,
+        };
+        let Some(post) = act.note_mut_if(changes) else {
+            return;
+        };
+        match self {
+            SimpleAction::MediaRemoval => post.strip_media(),
+            SimpleAction::MediaNsfw => post.force_sensitive(),
+            SimpleAction::FederatedTimelineRemoval => post.visibility = Visibility::Unlisted,
+            SimpleAction::FollowersOnly => post.visibility = Visibility::FollowersOnly,
+            _ => {}
         }
     }
 
@@ -293,8 +315,8 @@ impl SimplePolicy {
             .unwrap_or(false)
     }
 
-    fn reject(&self, code: &'static str, detail: String) -> PolicyVerdict {
-        PolicyVerdict::Reject(RejectReason::new(PolicyKind::Simple, code, detail))
+    fn reject(&self, code: &'static str, detail: String) -> Result<(), RejectReason> {
+        Err(RejectReason::new(PolicyKind::Simple, code, detail))
     }
 }
 
@@ -311,14 +333,14 @@ impl MrfPolicy for SimplePolicy {
         Some(self)
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        let origin = activity.origin().clone();
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let origin = act.origin();
         // Local activities are never subject to SimplePolicy.
-        if ctx.is_local(&origin) {
-            return PolicyVerdict::Pass(activity);
+        if ctx.is_local(origin) {
+            return Ok(());
         }
         // reject: the brute-force block the paper centres on.
-        if self.matches(SimpleAction::Reject, &origin) {
+        if self.matches(SimpleAction::Reject, origin) {
             return self.reject("instance_blocked", format!("{origin} is rejected"));
         }
         // accept: whitelist federation if configured.
@@ -327,94 +349,13 @@ impl MrfPolicy for SimplePolicy {
             return self.reject("not_whitelisted", format!("{origin} not in accept list"));
         }
         // reject_deletes / report_removal: kind-specific drops.
-        if activity.kind == ActivityKind::Delete
-            && self.matches(SimpleAction::RejectDeletes, &origin)
-        {
+        if act.kind == ActivityKind::Delete && self.matches(SimpleAction::RejectDeletes, origin) {
             return self.reject("delete_rejected", format!("deletes from {origin} ignored"));
         }
-        if activity.kind == ActivityKind::Flag && self.matches(SimpleAction::ReportRemoval, &origin)
-        {
+        if act.kind == ActivityKind::Flag && self.matches(SimpleAction::ReportRemoval, origin) {
             return self.reject("report_removed", format!("reports from {origin} ignored"));
         }
         // Profile image stripping is an effect on actor rendering.
-        if self.matches(SimpleAction::BannerRemoval, &origin) {
-            ctx.emit(SideEffect::ProfileMediaStripped {
-                host: origin.clone(),
-                image: ProfileImage::Banner,
-            });
-        }
-        if self.matches(SimpleAction::AvatarRemoval, &origin) {
-            ctx.emit(SideEffect::ProfileMediaStripped {
-                host: origin.clone(),
-                image: ProfileImage::Avatar,
-            });
-        }
-        // Post rewrites.
-        if let Some(post) = activity.note_mut() {
-            if self.matches(SimpleAction::MediaRemoval, &origin) {
-                post.strip_media();
-            }
-            if self.matches(SimpleAction::MediaNsfw, &origin) {
-                post.force_sensitive();
-            }
-            if self.matches(SimpleAction::FederatedTimelineRemoval, &origin)
-                && post.visibility == Visibility::Public
-            {
-                post.visibility = Visibility::Unlisted;
-            }
-            if self.matches(SimpleAction::FollowersOnly, &origin) && post.visibility.is_public_ish()
-            {
-                post.visibility = Visibility::FollowersOnly;
-            }
-        }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn judge_ref(
-        &self,
-        ctx: &PolicyContext<'_>,
-        activity: &Activity,
-        _published: SimTime,
-    ) -> RefVerdict {
-        let origin = activity.origin();
-        if ctx.is_local(origin) {
-            return RefVerdict::Pass;
-        }
-        if self.matches(SimpleAction::Reject, origin) {
-            return RefVerdict::Reject(PolicyKind::Simple);
-        }
-        let whitelist = self.targets(SimpleAction::Accept);
-        if !whitelist.is_empty() && !whitelist.iter().any(|t| origin.matches(t)) {
-            return RefVerdict::Reject(PolicyKind::Simple);
-        }
-        if activity.kind == ActivityKind::Delete
-            && self.matches(SimpleAction::RejectDeletes, origin)
-        {
-            return RefVerdict::Reject(PolicyKind::Simple);
-        }
-        if activity.kind == ActivityKind::Flag && self.matches(SimpleAction::ReportRemoval, origin)
-        {
-            return RefVerdict::Reject(PolicyKind::Simple);
-        }
-        // Post rewrites: only bail to the cloning path when the matched
-        // action would observably change *this* post (clearing an empty
-        // media list or re-marking an already-sensitive post leaves the
-        // activity value-identical, so those stay on the borrow path).
-        if let Some(post) = activity.note() {
-            let would_mutate = (self.matches(SimpleAction::MediaRemoval, origin)
-                && !post.media.is_empty())
-                || (self.matches(SimpleAction::MediaNsfw, origin)
-                    && (!post.sensitive || post.media.iter().any(|m| !m.sensitive)))
-                || (self.matches(SimpleAction::FederatedTimelineRemoval, origin)
-                    && post.visibility == Visibility::Public)
-                || (self.matches(SimpleAction::FollowersOnly, origin)
-                    && post.visibility.is_public_ish());
-            if would_mutate {
-                // Checked before emitting so the cloning re-run emits the
-                // profile-image effects exactly once.
-                return RefVerdict::NeedsClone;
-            }
-        }
         if self.matches(SimpleAction::BannerRemoval, origin) {
             ctx.emit(SideEffect::ProfileMediaStripped {
                 host: origin.clone(),
@@ -427,7 +368,18 @@ impl MrfPolicy for SimplePolicy {
                 image: ProfileImage::Avatar,
             });
         }
-        RefVerdict::Pass
+        // Post rewrites, in this order.
+        for action in [
+            SimpleAction::MediaRemoval,
+            SimpleAction::MediaNsfw,
+            SimpleAction::FederatedTimelineRemoval,
+            SimpleAction::FollowersOnly,
+        ] {
+            if self.matches(action, act.origin()) {
+                action.rewrite_post(act);
+            }
+        }
+        Ok(())
     }
 
     fn describe(&self) -> String {
@@ -445,8 +397,9 @@ impl MrfPolicy for SimplePolicy {
 mod tests {
     use super::*;
     use crate::id::{ActivityId, PostId, UserId, UserRef};
-    use crate::model::{MediaAttachment, MediaKind, Post};
+    use crate::model::{Activity, MediaAttachment, MediaKind};
     use crate::mrf::context::NullActorDirectory;
+    use crate::mrf::{filter_owned, PolicyVerdict};
     use crate::time::SimTime;
 
     fn remote_post(domain: &str) -> Activity {
@@ -464,7 +417,7 @@ mod tests {
         let local = Domain::new("home.example");
         let dir = NullActorDirectory;
         let ctx = PolicyContext::new(&local, SimTime(1000), &dir);
-        let v = policy.filter(&ctx, act);
+        let v = filter_owned(policy, &ctx, act);
         let effects = ctx.take_effects();
         (v, effects)
     }
@@ -518,6 +471,20 @@ mod tests {
         let post = a.note().unwrap();
         assert!(!post.has_media());
         assert_eq!(&*post.content, "content");
+    }
+
+    #[test]
+    fn media_removal_without_media_is_judged_without_a_clone() {
+        let p = SimplePolicy::new()
+            .with_target(SimpleAction::MediaRemoval, Domain::new("porn.example"));
+        let mut template = remote_post("porn.example");
+        template.note_mut().unwrap().strip_media();
+        let local = Domain::new("home.example");
+        let dir = NullActorDirectory;
+        let ctx = PolicyContext::new(&local, SimTime(1000), &dir);
+        let mut inbound = Inbound::borrowed(&template, SimTime(1000));
+        assert!(p.filter(&ctx, &mut inbound).is_ok());
+        assert!(inbound.is_borrowed());
     }
 
     #[test]

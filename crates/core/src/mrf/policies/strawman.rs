@@ -18,10 +18,9 @@
 
 use crate::catalog::PolicyKind;
 use crate::id::{Domain, UserRef};
-use crate::model::{Activity, Visibility};
 use crate::mrf::context::PolicyContext;
-use crate::mrf::verdict::{PolicyVerdict, RejectReason};
-use crate::mrf::MrfPolicy;
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -90,53 +89,22 @@ impl MrfPolicy for CuratedListPolicy {
         PolicyKind::CuratedList
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        let origin = activity.origin().clone();
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let origin = act.origin().clone();
         if ctx.is_local(&origin) {
-            return PolicyVerdict::Pass(activity);
+            return Ok(());
         }
-        for list in &self.lists {
-            if !list.contains(&origin) {
-                continue;
+        for list in self.lists.iter().filter(|l| l.contains(&origin)) {
+            if list.action == SimpleAction::Reject {
+                return Err(RejectReason::new(
+                    PolicyKind::CuratedList,
+                    "curated_reject",
+                    format!("{origin} is on the {} list", list.name),
+                ));
             }
-            match list.action {
-                SimpleAction::Reject => {
-                    return PolicyVerdict::Reject(RejectReason::new(
-                        PolicyKind::CuratedList,
-                        "curated_reject",
-                        format!("{origin} is on the {} list", list.name),
-                    ));
-                }
-                SimpleAction::MediaRemoval => {
-                    if let Some(post) = activity.note_mut() {
-                        post.strip_media();
-                    }
-                }
-                SimpleAction::MediaNsfw => {
-                    if let Some(post) = activity.note_mut() {
-                        post.force_sensitive();
-                    }
-                }
-                SimpleAction::FederatedTimelineRemoval => {
-                    if let Some(post) = activity.note_mut() {
-                        if post.visibility == Visibility::Public {
-                            post.visibility = Visibility::Unlisted;
-                        }
-                    }
-                }
-                SimpleAction::FollowersOnly => {
-                    if let Some(post) = activity.note_mut() {
-                        if post.visibility.is_public_ish() {
-                            post.visibility = Visibility::FollowersOnly;
-                        }
-                    }
-                }
-                // The remaining SimplePolicy actions make no sense on a
-                // curated list; treat them as pass-through.
-                _ => {}
-            }
+            list.action.rewrite_post(act);
         }
-        PolicyVerdict::Pass(activity)
+        Ok(())
     }
 
     fn describe(&self) -> String {
@@ -192,29 +160,15 @@ pub enum EscalationAction {
     RejectUser,
 }
 
-fn apply_escalation(action: EscalationAction, activity: &mut Activity) -> Option<RejectReason> {
-    match action {
-        EscalationAction::ForceNsfw => {
-            if let Some(post) = activity.note_mut() {
-                post.force_sensitive();
-            }
-            None
+impl EscalationAction {
+    /// The post rewrite this escalation applies (`None` for `RejectUser`).
+    fn rewrite(self) -> Option<SimpleAction> {
+        match self {
+            EscalationAction::ForceNsfw => Some(SimpleAction::MediaNsfw),
+            EscalationAction::MediaRemoval => Some(SimpleAction::MediaRemoval),
+            EscalationAction::Unlisted => Some(SimpleAction::FederatedTimelineRemoval),
+            EscalationAction::RejectUser => None,
         }
-        EscalationAction::MediaRemoval => {
-            if let Some(post) = activity.note_mut() {
-                post.strip_media();
-            }
-            None
-        }
-        EscalationAction::Unlisted => {
-            if let Some(post) = activity.note_mut() {
-                if post.visibility == Visibility::Public {
-                    post.visibility = Visibility::Unlisted;
-                }
-            }
-            None
-        }
-        EscalationAction::RejectUser => None, // handled by callers (needs PolicyKind)
     }
 }
 
@@ -258,18 +212,18 @@ impl MrfPolicy for UserTagModerationPolicy {
         PolicyKind::UserTagModeration
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        if self.flagged(&activity.actor) {
-            if self.action == EscalationAction::RejectUser {
-                return PolicyVerdict::Reject(RejectReason::new(
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if self.flagged(&act.actor) {
+            let Some(rewrite) = self.action.rewrite() else {
+                return Err(RejectReason::new(
                     PolicyKind::UserTagModeration,
                     "user_rejected",
-                    format!("{} classified harmful", activity.actor),
+                    format!("{} classified harmful", act.actor),
                 ));
-            }
-            apply_escalation(self.action, &mut activity);
+            };
+            rewrite.rewrite_post(act);
         }
-        PolicyVerdict::Pass(activity)
+        Ok(())
     }
 }
 
@@ -332,18 +286,18 @@ impl MrfPolicy for RepeatOffenderPolicy {
         PolicyKind::RepeatOffender
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        if self.is_offender(ctx, &activity.actor) {
-            if self.action == EscalationAction::RejectUser {
-                return PolicyVerdict::Reject(RejectReason::new(
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if self.is_offender(ctx, &act.actor) {
+            let Some(rewrite) = self.action.rewrite() else {
+                return Err(RejectReason::new(
                     PolicyKind::RepeatOffender,
                     "repeat_offender",
-                    format!("{} exceeded the offence thresholds", activity.actor),
+                    format!("{} exceeded the offence thresholds", act.actor),
                 ));
-            }
-            apply_escalation(self.action, &mut activity);
+            };
+            rewrite.rewrite_post(act);
         }
-        PolicyVerdict::Pass(activity)
+        Ok(())
     }
 }
 
@@ -351,8 +305,9 @@ impl MrfPolicy for RepeatOffenderPolicy {
 mod tests {
     use super::*;
     use crate::id::{ActivityId, PostId, UserId};
-    use crate::model::{MediaAttachment, MediaKind, Post};
+    use crate::model::{Activity, MediaAttachment, MediaKind, Post, Visibility};
     use crate::mrf::context::{ActorDirectory, NullActorDirectory};
+    use crate::mrf::{filter_owned, PolicyVerdict};
     use crate::time::SimTime;
 
     fn media_note(domain: &str, user: u64) -> Activity {
@@ -370,7 +325,7 @@ mod tests {
         let local = Domain::new("home.example");
         let dir = NullActorDirectory;
         let ctx = PolicyContext::new(&local, SimTime(0), &dir);
-        p.filter(&ctx, act)
+        filter_owned(p, &ctx, act)
     }
 
     #[test]
@@ -470,12 +425,12 @@ mod tests {
         // Below threshold: untouched.
         let dir = ReportDir(2);
         let ctx = PolicyContext::new(&local, SimTime(0), &dir);
-        let v = p.filter(&ctx, media_note("r.example", 1));
+        let v = filter_owned(&p, &ctx, media_note("r.example", 1));
         assert!(v.expect_pass().note().unwrap().has_media());
         // At threshold: media stripped.
         let dir = ReportDir(3);
         let ctx = PolicyContext::new(&local, SimTime(0), &dir);
-        let v = p.filter(&ctx, media_note("r.example", 1));
+        let v = filter_owned(&p, &ctx, media_note("r.example", 1));
         assert!(!v.expect_pass().note().unwrap().has_media());
     }
 

@@ -6,9 +6,8 @@ use crate::id::Domain;
 use crate::model::Activity;
 use crate::mrf::context::PolicyContext;
 use crate::mrf::pipeline::MrfPipeline;
-use crate::mrf::verdict::PolicyVerdict;
-use crate::mrf::{MrfPolicy, RefVerdict};
-use crate::time::SimTime;
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
 
 /// What a subchain matches on.
 #[derive(Debug, Clone)]
@@ -58,28 +57,14 @@ impl MrfPolicy for SubchainPolicy {
         PolicyKind::Subchain
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if self.matcher.matches(&activity) {
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if self.matcher.matches(act) {
             // The inner chain's trace is never surfaced (only the verdict
-            // propagates), so take the untraced path — this keeps the
-            // outer pipeline's `filter_fast` allocation-free even with a
-            // subchain configured.
-            self.chain.filter_fast(ctx, activity)
+            // propagates), so take the untraced path on the same Inbound:
+            // an inner rewrite is the outer chain's rewrite.
+            self.chain.filter_inbound(ctx, act)
         } else {
-            PolicyVerdict::Pass(activity)
-        }
-    }
-
-    fn judge_ref(
-        &self,
-        ctx: &PolicyContext<'_>,
-        activity: &Activity,
-        published: SimTime,
-    ) -> RefVerdict {
-        if self.matcher.matches(activity) {
-            self.chain.filter_fast_ref(ctx, activity, published)
-        } else {
-            RefVerdict::Pass
+            Ok(())
         }
     }
 
@@ -95,6 +80,7 @@ mod tests {
     use crate::model::Post;
     use crate::mrf::context::NullActorDirectory;
     use crate::mrf::policies::DropPolicy;
+    use crate::mrf::{filter_owned, PolicyVerdict};
     use crate::time::SimTime;
     use std::sync::Arc;
 
@@ -110,7 +96,7 @@ mod tests {
         let local = Domain::new("home.example");
         let dir = NullActorDirectory;
         let ctx = PolicyContext::new(&local, SimTime(0), &dir);
-        p.filter(&ctx, act)
+        filter_owned(p, &ctx, act)
     }
 
     #[test]

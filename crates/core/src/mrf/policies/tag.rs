@@ -7,10 +7,10 @@
 //! it out as the building block for less destructive moderation.
 
 use crate::catalog::PolicyKind;
-use crate::model::{mrf_tags, Activity, ActivityKind, ActivityPayload, Visibility};
+use crate::model::{mrf_tags, ActivityKind, ActivityPayload, Visibility};
 use crate::mrf::context::PolicyContext;
-use crate::mrf::verdict::{PolicyVerdict, RejectReason};
-use crate::mrf::MrfPolicy;
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
 use serde::{Deserialize, Serialize};
 
 /// Implementation of Pleroma's `TagPolicy`. Stateless: the tags live on the
@@ -20,8 +20,8 @@ use serde::{Deserialize, Serialize};
 pub struct TagPolicy;
 
 impl TagPolicy {
-    fn reject(code: &'static str, detail: String) -> PolicyVerdict {
-        PolicyVerdict::Reject(RejectReason::new(PolicyKind::Tag, code, detail))
+    fn reject(code: &'static str, detail: String) -> Result<(), RejectReason> {
+        Err(RejectReason::new(PolicyKind::Tag, code, detail))
     }
 }
 
@@ -30,15 +30,12 @@ impl MrfPolicy for TagPolicy {
         PolicyKind::Tag
     }
 
-    fn filter(&self, ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        match activity.kind {
+    fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        match act.kind {
             ActivityKind::Create => {
-                let tags = ctx.actors.mrf_tags(&activity.actor);
-                if tags.is_empty() {
-                    return PolicyVerdict::Pass(activity);
-                }
-                let Some(post) = activity.note_mut() else {
-                    return PolicyVerdict::Pass(activity);
+                let tags = ctx.actors.mrf_tags(&act.actor);
+                let Some(post) = act.note_mut_if(|_| !tags.is_empty()) else {
+                    return Ok(());
                 };
                 for tag in &tags {
                     match tag.as_str() {
@@ -53,12 +50,12 @@ impl MrfPolicy for TagPolicy {
                         _ => {}
                     }
                 }
-                PolicyVerdict::Pass(activity)
+                Ok(())
             }
             ActivityKind::Follow => {
                 // Subscription tags are applied to the *target* account.
-                let ActivityPayload::FollowRequest { target } = &activity.payload else {
-                    return PolicyVerdict::Pass(activity);
+                let ActivityPayload::FollowRequest { target } = &act.payload else {
+                    return Ok(());
                 };
                 let tags = ctx.actors.mrf_tags(target);
                 if tags.iter().any(|t| t == mrf_tags::DISABLE_ANY_SUBSCRIPTION) {
@@ -70,16 +67,16 @@ impl MrfPolicy for TagPolicy {
                 if tags
                     .iter()
                     .any(|t| t == mrf_tags::DISABLE_REMOTE_SUBSCRIPTION)
-                    && !ctx.is_local(&activity.actor.domain)
+                    && !ctx.is_local(&act.actor.domain)
                 {
                     return Self::reject(
                         "remote_subscription_disabled",
                         format!("{target} does not accept remote follows"),
                     );
                 }
-                PolicyVerdict::Pass(activity)
+                Ok(())
             }
-            _ => PolicyVerdict::Pass(activity),
+            _ => Ok(()),
         }
     }
 }
@@ -88,8 +85,9 @@ impl MrfPolicy for TagPolicy {
 mod tests {
     use super::*;
     use crate::id::{ActivityId, Domain, PostId, UserId, UserRef};
-    use crate::model::{MediaAttachment, MediaKind, Post};
+    use crate::model::{Activity, MediaAttachment, MediaKind, Post};
     use crate::mrf::context::ActorDirectory;
+    use crate::mrf::{filter_owned, PolicyVerdict};
     use crate::time::SimTime;
     use std::collections::HashMap;
 
@@ -137,7 +135,7 @@ mod tests {
     fn run(dir: &TagDir, act: Activity) -> PolicyVerdict {
         let local = Domain::new("home.example");
         let ctx = PolicyContext::new(&local, SimTime(100), dir);
-        TagPolicy.filter(&ctx, act)
+        filter_owned(&TagPolicy, &ctx, act)
     }
 
     #[test]
@@ -147,6 +145,17 @@ mod tests {
         let a = v.expect_pass();
         assert!(!a.note().unwrap().sensitive);
         assert!(a.note().unwrap().has_media());
+    }
+
+    #[test]
+    fn untagged_users_are_judged_without_a_clone() {
+        let dir = TagDir::default();
+        let local = Domain::new("home.example");
+        let ctx = PolicyContext::new(&local, SimTime(100), &dir);
+        let template = post_with_media(UserId(1));
+        let mut inbound = Inbound::borrowed(&template, SimTime(100));
+        assert!(TagPolicy.filter(&ctx, &mut inbound).is_ok());
+        assert!(inbound.is_borrowed());
     }
 
     #[test]

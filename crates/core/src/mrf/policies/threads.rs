@@ -7,11 +7,10 @@
 
 use crate::catalog::PolicyKind;
 use crate::id::UserRef;
-use crate::model::{Activity, Visibility};
+use crate::model::{Post, Visibility};
 use crate::mrf::context::PolicyContext;
-use crate::mrf::verdict::{PolicyVerdict, RejectReason};
-use crate::mrf::{MrfPolicy, RefVerdict};
-use crate::time::SimTime;
+use crate::mrf::verdict::RejectReason;
+use crate::mrf::{Inbound, MrfPolicy};
 use serde::{Deserialize, Serialize};
 
 /// `HellthreadPolicy` — de-list or reject posts whose mention count exceeds
@@ -39,44 +38,25 @@ impl MrfPolicy for HellthreadPolicy {
         PolicyKind::Hellthread
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        let Some(post) = activity.note_mut() else {
-            return PolicyVerdict::Pass(activity);
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let Some(post) = act.note() else {
+            return Ok(());
         };
         let mentions = post.mentions.len();
         if let Some(reject_at) = self.reject_threshold {
             if mentions > reject_at {
-                return PolicyVerdict::Reject(RejectReason::new(
+                return Err(RejectReason::new(
                     PolicyKind::Hellthread,
                     "hellthread",
                     format!("{mentions} mentions exceed reject threshold {reject_at}"),
                 ));
             }
         }
-        if let Some(delist_at) = self.delist_threshold {
-            if mentions > delist_at && post.visibility == Visibility::Public {
-                post.visibility = Visibility::Unlisted;
-            }
+        let delist = self.delist_threshold.is_some_and(|at| mentions > at);
+        if let Some(post) = act.note_mut_if(|p| delist && p.visibility == Visibility::Public) {
+            post.visibility = Visibility::Unlisted;
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        let Some(post) = activity.note() else {
-            return RefVerdict::Pass;
-        };
-        let mentions = post.mentions.len();
-        if let Some(reject_at) = self.reject_threshold {
-            if mentions > reject_at {
-                return RefVerdict::Reject(PolicyKind::Hellthread);
-            }
-        }
-        if let Some(delist_at) = self.delist_threshold {
-            if mentions > delist_at && post.visibility == Visibility::Public {
-                return RefVerdict::NeedsClone;
-            }
-        }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -91,16 +71,8 @@ impl MrfPolicy for AntiHellthreadPolicy {
         PolicyKind::AntiHellthread
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, _: &Activity, _: SimTime) -> RefVerdict {
-        RefVerdict::Pass
+    fn filter(&self, _: &PolicyContext<'_>, _: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        Ok(())
     }
 }
 
@@ -114,30 +86,19 @@ impl MrfPolicy for EnsureRePrependedPolicy {
         PolicyKind::EnsureRePrepended
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, mut activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note_mut() {
-            if post.in_reply_to.is_some() {
-                if let Some(subject) = &post.subject {
-                    if !subject.to_ascii_lowercase().starts_with("re:") {
-                        post.subject = Some(format!("re: {subject}"));
-                    }
-                }
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        let unprefixed_reply = |p: &Post| {
+            p.in_reply_to.is_some()
+                && p.subject
+                    .as_ref()
+                    .is_some_and(|s| !s.to_ascii_lowercase().starts_with("re:"))
+        };
+        if let Some(post) = act.note_mut_if(unprefixed_reply) {
+            if let Some(subject) = &post.subject {
+                post.subject = Some(format!("re: {subject}"));
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if let Some(post) = activity.note() {
-            if post.in_reply_to.is_some() {
-                if let Some(subject) = &post.subject {
-                    if !subject.to_ascii_lowercase().starts_with("re:") {
-                        return RefVerdict::NeedsClone;
-                    }
-                }
-            }
-        }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -162,38 +123,21 @@ impl MrfPolicy for MentionPolicy {
         PolicyKind::Mention
     }
 
-    fn filter(&self, _ctx: &PolicyContext<'_>, activity: Activity) -> PolicyVerdict {
-        if let Some(post) = activity.note() {
+    fn filter(&self, _ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
+        if let Some(post) = act.note() {
             if let Some(hit) = post
                 .mentions
                 .iter()
                 .find(|m| self.blocked_mentions.contains(m))
             {
-                return PolicyVerdict::Reject(RejectReason::new(
+                return Err(RejectReason::new(
                     PolicyKind::Mention,
                     "blocked_mention",
                     format!("post mentions {hit}"),
                 ));
             }
         }
-        PolicyVerdict::Pass(activity)
-    }
-
-    fn rewrites_content(&self) -> bool {
-        false
-    }
-
-    fn judge_ref(&self, _: &PolicyContext<'_>, activity: &Activity, _: SimTime) -> RefVerdict {
-        if let Some(post) = activity.note() {
-            if post
-                .mentions
-                .iter()
-                .any(|m| self.blocked_mentions.contains(m))
-            {
-                return RefVerdict::Reject(PolicyKind::Mention);
-            }
-        }
-        RefVerdict::Pass
+        Ok(())
     }
 }
 
@@ -201,9 +145,9 @@ impl MrfPolicy for MentionPolicy {
 mod tests {
     use super::*;
     use crate::id::{ActivityId, Domain, PostId, UserId};
-    use crate::model::Post;
+    use crate::model::Activity;
     use crate::mrf::context::NullActorDirectory;
-    use crate::mrf::MrfPipeline;
+    use crate::mrf::{filter_owned, MrfPipeline, PolicyVerdict};
     use crate::time::SimTime;
     use std::sync::Arc;
 
@@ -223,7 +167,7 @@ mod tests {
         let local = Domain::new("home.example");
         let dir = NullActorDirectory;
         let ctx = PolicyContext::new(&local, SimTime(0), &dir);
-        p.filter(&ctx, act)
+        filter_owned(p, &ctx, act)
     }
 
     #[test]

@@ -33,9 +33,10 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// Result of one policy's `filter` call.
+/// Result of a traced [`MrfPipeline::filter`](super::MrfPipeline::filter)
+/// run: the surviving activity or the rejection.
 // `Pass` carries the full `Activity` by value on purpose: boxing it to
-// shrink the enum would put an allocation on the bulk filtering hot path.
+// shrink the enum would put an allocation on every traced filter run.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum PolicyVerdict {

@@ -31,18 +31,19 @@
 //! - **Stage 2 — parallel over receivers.** Each up receiver consumes its
 //!   neighbors' batches in the same neighbor order and the same draw
 //!   order as the per-post path. MRF verdicts are memoized per
-//!   `(receiver, sender, distinct template)` and obtained clone-free via
-//!   [`MrfPipeline::filter_fast_ref`]; only a pipeline that would
-//!   actually rewrite *this* activity falls back to the cloning path.
+//!   `(receiver, sender, distinct template)` and obtained from
+//!   [`MrfPipeline::filter_inbound`] on the borrowed template: a stage
+//!   that actually rewrites *this* activity clones it once, and the walk
+//!   continues from the clone.
 //!
 //! Bit-identity with the reference path holds because the draws are the
 //! same RNG stream, integer counters are multiplied by run length (exact),
 //! and the f64 exposure columns still accumulate one addition per
 //! emission in draw order. The per-post path is retained as
-//! [`MeasureMode::Reference`] (env: `FEDISCOPE_MEASURE=reference`) and
-//! serves as the differential oracle in tests.
+//! [`MeasureMode::Reference`] and serves as the differential oracle in
+//! tests.
 //!
-//! [`MrfPipeline::filter_fast_ref`]: fediscope_core::mrf::MrfPipeline::filter_fast_ref
+//! [`MrfPipeline::filter_inbound`]: fediscope_core::mrf::MrfPipeline::filter_inbound
 
 use crate::event::{Event, EventQueue};
 use crate::scenario::Scenario;
@@ -51,7 +52,7 @@ use crate::state::{NetworkState, RetryPolicy, SharedColumns};
 use fediscope_simnet::FailureClass;
 
 use crate::trace::{DynamicsTrace, TickTrace};
-use fediscope_core::mrf::{NullActorDirectory, PolicyContext, PolicyVerdict, RefVerdict};
+use fediscope_core::mrf::{Inbound, NullActorDirectory, PolicyContext};
 use fediscope_core::time::{SimDuration, SimTime, CAMPAIGN_START, SNAPSHOT_INTERVAL};
 use fediscope_perspective::Scorer;
 use fediscope_synthgen::ScenarioSeeds;
@@ -67,7 +68,7 @@ use std::sync::Arc;
 ///
 /// Both produce bit-identical traces; they differ only in cost. The
 /// batched path is the default, the per-post path is the differential
-/// oracle (and an escape hatch, via `FEDISCOPE_MEASURE=reference`).
+/// oracle the tests select explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasureMode {
     /// Two-stage sender-majorized batching: draw each sender's emissions
@@ -77,18 +78,6 @@ pub enum MeasureMode {
     /// The original per-post path: every `(receiver, sender)` edge
     /// replays the sender's draws and clones + filters every emission.
     Reference,
-}
-
-impl MeasureMode {
-    /// Resolves the mode from the `FEDISCOPE_MEASURE` environment
-    /// variable: `reference` (case-insensitive) opts into the oracle
-    /// path, anything else — including unset — is [`Self::Batched`].
-    pub fn from_env() -> Self {
-        match std::env::var("FEDISCOPE_MEASURE") {
-            Ok(v) if v.eq_ignore_ascii_case("reference") => MeasureMode::Reference,
-            _ => MeasureMode::Batched,
-        }
-    }
 }
 
 /// Engine knobs.
@@ -105,8 +94,7 @@ pub struct DynamicsConfig {
     /// Per-sender per-tick emission cap (keeps one giant instance from
     /// dominating a storm).
     pub emission_cap: u64,
-    /// Measurement-phase implementation (default: [`MeasureMode::Batched`],
-    /// overridable at process level with `FEDISCOPE_MEASURE=reference`).
+    /// Measurement-phase implementation (default: [`MeasureMode::Batched`]).
     pub measure: MeasureMode,
 }
 
@@ -118,7 +106,7 @@ impl Default for DynamicsConfig {
             tick_len: SNAPSHOT_INTERVAL,
             start: CAMPAIGN_START,
             emission_cap: 64,
-            measure: MeasureMode::from_env(),
+            measure: MeasureMode::Batched,
         }
     }
 }
@@ -723,8 +711,8 @@ fn backoff_delay(policy: &RetryPolicy, seed: u64, sender: u32, attempt: u32) -> 
 /// cloning each post individually.
 ///
 /// This is the differential oracle for [`measure_receiver_batched`] —
-/// kept deliberately simple and unbatched. Any run can opt into it with
-/// `FEDISCOPE_MEASURE=reference` ([`MeasureMode::from_env`]).
+/// kept deliberately simple and unbatched; a run opts into it with
+/// [`MeasureMode::Reference`].
 fn measure_receiver_reference(
     state: &NetworkState,
     config: &DynamicsConfig,
@@ -763,17 +751,16 @@ fn measure_receiver_reference(
             if let Some(post) = activity.note_mut() {
                 post.created = now;
             }
-            match receiver.pipeline.filter_fast(&ctx, activity) {
-                PolicyVerdict::Pass(_) => {
-                    m.accepted += 1;
-                    m.exposure += toxic;
-                }
-                PolicyVerdict::Reject(_) => {
-                    m.rejected += 1;
-                    m.prevented += toxic;
-                    if rejected_authors.insert((s, template.author)) {
-                        m.rejected_authors += 1;
-                    }
+            // The traced owning entry point, so this oracle also pins it
+            // against the batched path's borrowed `filter_inbound`.
+            if receiver.pipeline.filter(&ctx, activity).accepted() {
+                m.accepted += 1;
+                m.exposure += toxic;
+            } else {
+                m.rejected += 1;
+                m.prevented += toxic;
+                if rejected_authors.insert((s, template.author)) {
+                    m.rejected_authors += 1;
                 }
             }
         }
@@ -869,9 +856,9 @@ thread_local! {
 
 /// One receiver's tick, batched path (stage 2): consume every live
 /// neighbor's [`SenderBatch`] in the reference path's neighbor and draw
-/// order. One MRF verdict per `(receiver, sender, distinct template)` —
-/// clone-free via `filter_fast_ref`, with a cloning fallback only when a
-/// rewriting policy would actually mutate that activity.
+/// order. One MRF verdict per `(receiver, sender, distinct template)`,
+/// judged on the borrowed template: it is cloned only if a stage rewrites
+/// it.
 fn measure_receiver_batched(
     state: &NetworkState,
     batches: &[SenderBatch],
@@ -912,29 +899,11 @@ fn measure_receiver_batched(
                 2 => false,
                 _ => {
                     let template = &sender.templates[batch.distinct[slot] as usize];
-                    let pass =
-                        match receiver
-                            .pipeline
-                            .filter_fast_ref(&ctx, &template.activity, now)
-                        {
-                            RefVerdict::Pass => true,
-                            RefVerdict::Reject(_) => false,
-                            RefVerdict::NeedsClone => {
-                                // A rewriting policy would mutate this
-                                // activity: take the cloning path once; the
-                                // verdict is still memoized for the rest of
-                                // this neighbor's runs.
-                                let mut activity = template.activity.clone();
-                                activity.published = now;
-                                if let Some(post) = activity.note_mut() {
-                                    post.created = now;
-                                }
-                                matches!(
-                                    receiver.pipeline.filter_fast(&ctx, activity),
-                                    PolicyVerdict::Pass(_)
-                                )
-                            }
-                        };
+                    let mut activity = Inbound::borrowed(&template.activity, now);
+                    let pass = receiver
+                        .pipeline
+                        .filter_inbound(&ctx, &mut activity)
+                        .is_ok();
                     scratch.verdicts[slot] = if pass { 1 } else { 2 };
                     pass
                 }

@@ -20,8 +20,8 @@
 //!   measurement phase fans out per instance across the rayon pool
 //!   (sized by `FEDISCOPE_THREADS` via
 //!   `rayon::ThreadPoolBuilder`), pushing every live neighbor's
-//!   emissions through the receiver's `filter_fast` and the
-//!   Perspective scorer;
+//!   emissions through the receiver's `MrfPipeline::filter_inbound`
+//!   and the Perspective scorer;
 //! * [`DynamicsTrace`] — per-tick metrics (federation link count,
 //!   rejected posts/users, per-instance toxic exposure) that
 //!   `fediscope-analysis` turns into time-series tables next to the

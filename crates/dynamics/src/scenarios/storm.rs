@@ -2,7 +2,7 @@
 //!
 //! The harmful population (instances with rejects against them — the
 //! §4.2 targets) multiplies its posting rate for a burst window,
-//! driving the receivers' `MrfPipeline::filter_fast` and the
+//! driving the receivers' `MrfPipeline::filter_inbound` and the
 //! Perspective scorer at full rate. This is the engine's saturation
 //! workload: the `perf_dynamics` bench runs exactly this scenario and
 //! gates on ≥ 1 M post-deliveries/sec through the filter path. The

@@ -27,11 +27,11 @@ fn seeds() -> &'static ScenarioSeeds {
     SEEDS.get_or_init(|| ScenarioSeeds::from_world(&World::generate(WorldConfig::test_small())))
 }
 
-/// Wraps any scenario and pushes an always-rewriting MRF policy into
-/// every third instance's pipeline at init. `RewritePolicy` keeps the
-/// conservative `rewrites_content()` default, so its `judge_ref` is
-/// `NeedsClone` unconditionally — those receivers exercise the batched
-/// path's cloning fallback on every distinct template.
+/// Wraps any scenario and pushes a rewriting MRF policy into every third
+/// instance's pipeline at init. `RewritePolicy` rewrites every template
+/// containing an `e`, so those receivers exercise the batched path's
+/// copy-on-write branch: the borrowed template is cloned at that stage
+/// and the rest of the chain judges the clone.
 struct WithRewriters(Box<dyn Scenario>);
 
 impl Scenario for WithRewriters {

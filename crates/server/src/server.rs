@@ -4,7 +4,9 @@ use fediscope_activitypub::{FollowGraph, Inbox, Outbox, Timelines};
 use fediscope_core::config::InstanceModerationConfig;
 use fediscope_core::id::{ActivityId, Domain, UserId, UserRef};
 use fediscope_core::model::{Activity, ActivityKind, ActivityPayload, InstanceProfile, Post, User};
-use fediscope_core::mrf::{ActorDirectory, FilterOutcome, MrfPipeline, PolicyContext, SideEffect};
+use fediscope_core::mrf::{
+    ActorDirectory, FilterOutcome, Inbound, MrfPipeline, PolicyContext, RejectReason, SideEffect,
+};
 use fediscope_core::time::{SimDuration, SimTime};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -217,13 +219,12 @@ impl InstanceServer {
         // consume only the verdict), so use the untraced pipeline.
         // Inbound federation (`ingest_remote`) keeps the traced path for
         // explainability.
-        let verdict = self.run_pipeline_fast(&mut st, activity);
-        match verdict {
-            fediscope_core::mrf::PolicyVerdict::Reject(r) => {
+        match self.run_pipeline_fast(&mut st, activity) {
+            Err(r) => {
                 self.stats.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(PublishError::Rejected(r.to_string()))
             }
-            fediscope_core::mrf::PolicyVerdict::Pass(activity) => {
+            Ok(activity) => {
                 let post = activity.note().expect("publish wraps a Create").clone();
                 let followers: Vec<UserRef> = st
                     .graph
@@ -330,8 +331,13 @@ impl InstanceServer {
         &self,
         st: &mut State,
         activity: Activity,
-    ) -> fediscope_core::mrf::PolicyVerdict {
-        self.with_pipeline(st, |pipeline, ctx| pipeline.filter_fast(ctx, activity))
+    ) -> Result<Activity, RejectReason> {
+        self.with_pipeline(st, |pipeline, ctx| {
+            let mut inbound = Inbound::owned(activity);
+            pipeline
+                .filter_inbound(ctx, &mut inbound)
+                .map(|()| inbound.into_owned())
+        })
     }
 
     fn apply_accepted(&self, st: &mut State, activity: Activity) {

@@ -40,7 +40,7 @@
 //! # Layout
 //!
 //! * [`HotCounter`] — the fixed vocabulary of hot-path counters (scorer
-//!   calls, `filter_fast` verdicts, delivery POSTs, retry events,
+//!   calls, MRF verdicts, delivery POSTs, retry events,
 //!   crawler probes by §3 status class). Fixed at compile time so an
 //!   increment is an array index, never a hash lookup.
 //! * [`GaugeId`] — last-write-wins point-in-time values (live links,
@@ -101,9 +101,9 @@ pub enum HotCounter {
     /// memo instead of a fresh `Scorer::analyze` call (the engine's
     /// sender-majorized measurement phase).
     ScorerMemoHits,
-    /// Deliveries that passed an MRF `filter_fast` pipeline.
+    /// Engine deliveries the receiver's MRF pipeline passed.
     FilterFastHits,
-    /// Deliveries an MRF `filter_fast` pipeline rejected.
+    /// Engine deliveries the receiver's MRF pipeline rejected.
     FilterFastRejects,
     /// Simulated post deliveries attempted by the engine's measurement
     /// phase (per-receiver batched).

@@ -10,7 +10,7 @@ use fediscope::harness;
 use fediscope::prelude::*;
 use fediscope_analysis::curation::{curate, CurationConfig};
 use fediscope_core::id::ActivityId;
-use fediscope_core::mrf::{MrfPolicy, NullActorDirectory, PolicyContext};
+use fediscope_core::mrf::{Inbound, MrfPolicy, NullActorDirectory, PolicyContext};
 
 #[tokio::main]
 async fn main() {
@@ -69,10 +69,10 @@ async fn main() {
         kind: fediscope_core::model::MediaKind::Image,
         sensitive: false,
     });
-    let verdict = policy.filter(&ctx, Activity::create(ActivityId(1), post));
-    match verdict {
-        PolicyVerdict::Pass(act) => {
-            let p = act.note().unwrap();
+    let mut activity = Inbound::owned(Activity::create(ActivityId(1), post));
+    match policy.filter(&ctx, &mut activity) {
+        Ok(()) => {
+            let p = activity.note().unwrap();
             println!();
             println!(
                 "post from {porn_domain} passed with {} media attachment(s) left",
@@ -80,6 +80,6 @@ async fn main() {
             );
             println!("→ the text got through; the harmful payload did not.");
         }
-        PolicyVerdict::Reject(r) => println!("rejected: {r}"),
+        Err(r) => println!("rejected: {r}"),
     }
 }

@@ -77,7 +77,7 @@ pub mod prelude {
     pub use fediscope_core::id::{Domain, InstanceId, PostId, UserId, UserRef};
     pub use fediscope_core::model::{Activity, InstanceKind, InstanceProfile, Post, User};
     pub use fediscope_core::mrf::policies::{SimpleAction, SimplePolicy};
-    pub use fediscope_core::mrf::{MrfPipeline, MrfPolicy, PolicyContext, PolicyVerdict};
+    pub use fediscope_core::mrf::{Inbound, MrfPipeline, MrfPolicy, PolicyContext, PolicyVerdict};
     pub use fediscope_core::time::{SimDuration, SimTime};
     pub use fediscope_crawler::{Crawler, CrawlerConfig, Dataset};
     pub use fediscope_dynamics::{DynamicsConfig, DynamicsEngine, DynamicsTrace, Scenario};

@@ -4,6 +4,7 @@
 use fediscope::prelude::*;
 use fediscope_core::catalog::PolicyCatalog;
 use fediscope_core::id::ActivityId;
+use fediscope_core::model::{MediaAttachment, MediaKind, Visibility};
 use fediscope_core::mrf::NullActorDirectory;
 use fediscope_core::time::CAMPAIGN_START;
 
@@ -138,6 +139,123 @@ fn rewrites_compose_across_policies_in_order() {
     let outcome = pipeline.filter(&ctx, remote_note("a.example", "<p>elixir rocks</p>"));
     let act = outcome.verdict.expect_pass();
     assert_eq!(&*act.note().unwrap().content, "rust rocks");
+}
+
+/// The fixed activity set of the borrowed ≡ owned contract: Creates with
+/// media, with markup, with `"."` placeholder text (and media, so
+/// `NoPlaceholderTextPolicy` has something to strip) and with 30 mentions,
+/// each at Public and at Unlisted; then a Follow, a Delete and a Flag.
+fn contract_activities() -> Vec<Activity> {
+    let origin = Domain::new("a.example");
+    let author = UserRef::new(UserId(7), origin.clone());
+    let note = |content: &str| Post::stub(PostId(1), author.clone(), CAMPAIGN_START, content);
+    let mut with_media = note("look");
+    with_media.media.push(MediaAttachment {
+        host: origin,
+        kind: MediaKind::Image,
+        sensitive: false,
+    });
+    let mut placeholder = note(".");
+    placeholder.media = with_media.media.clone();
+    let mut mentions = note("hi all");
+    for i in 0..30 {
+        mentions
+            .mentions
+            .push(UserRef::new(UserId(100 + i), Domain::new("m.example")));
+    }
+    let mut activities = Vec::new();
+    for post in [
+        with_media,
+        note("<p>hello <b>fedi</b></p>"),
+        placeholder,
+        mentions,
+    ] {
+        for visibility in [Visibility::Public, Visibility::Unlisted] {
+            let mut post = post.clone();
+            post.visibility = visibility;
+            let id = ActivityId(activities.len() as u64 + 1);
+            activities.push(Activity::create(id, post));
+        }
+    }
+    let target = UserRef::new(UserId(2), Domain::new("home.example"));
+    activities.push(Activity::follow(
+        ActivityId(90),
+        author.clone(),
+        target.clone(),
+        CAMPAIGN_START,
+    ));
+    activities.push(Activity::delete(
+        ActivityId(91),
+        author.clone(),
+        PostId(1),
+        CAMPAIGN_START,
+    ));
+    activities.push(Activity::report(
+        ActivityId(92),
+        author,
+        target,
+        "spam",
+        CAMPAIGN_START,
+    ));
+    activities
+}
+
+/// The MRF contract: for every constructible policy, the traced owning
+/// `filter` (on a stamped clone) and the untraced `filter_inbound` (on the
+/// borrowed template) agree on verdict, surviving activity and side
+/// effects. Stamps at and a week before the receive time make
+/// `ObjectAgePolicy` both pass and rewrite.
+#[test]
+fn borrowed_and_owned_entry_points_agree_on_every_policy() {
+    let local = Domain::new("home.example");
+    let dir = NullActorDirectory;
+    let now = SimTime(CAMPAIGN_START.0 + 8 * 86_400);
+    let ctx = fediscope_core::mrf::PolicyContext::new(&local, now, &dir);
+    let activities = contract_activities();
+    for entry in PolicyCatalog::global().entries() {
+        let mut config = InstanceModerationConfig::default();
+        config.enable(entry.kind);
+        if entry.kind == PolicyKind::Simple {
+            let origin = Domain::new("a.example");
+            let mut simple = SimplePolicy::new();
+            for action in [
+                SimpleAction::MediaRemoval,
+                SimpleAction::MediaNsfw,
+                SimpleAction::FederatedTimelineRemoval,
+                SimpleAction::BannerRemoval,
+                SimpleAction::RejectDeletes,
+            ] {
+                simple.add_target(action, origin.clone());
+            }
+            config.set_simple(simple);
+        }
+        if config.build_pipeline().is_empty() {
+            continue; // strawman policies need an injected classifier
+        }
+        for template in &activities {
+            for stamp in [CAMPAIGN_START, now] {
+                // Fresh pipelines: stateful policies start equal.
+                let mut stamped = template.clone();
+                stamped.published = stamp;
+                if let Some(post) = stamped.note_mut() {
+                    post.created = stamp;
+                }
+                let owned = match config.build_pipeline().filter(&ctx, stamped).verdict {
+                    PolicyVerdict::Pass(a) => Ok(a),
+                    PolicyVerdict::Reject(r) => Err(r),
+                };
+                let owned_effects = ctx.take_effects();
+                let mut inbound = Inbound::borrowed(template, stamp);
+                let borrowed = config
+                    .build_pipeline()
+                    .filter_inbound(&ctx, &mut inbound)
+                    .map(|()| inbound.into_owned());
+                let case = format!("{} on {:?} at {stamp:?}", entry.name, template.id);
+                assert_eq!(format!("{owned:?}"), format!("{borrowed:?}"), "{case}");
+                assert_eq!(owned_effects, ctx.take_effects(), "{case}");
+            }
+        }
+    }
 }
 
 #[test]
