@@ -837,8 +837,11 @@ fn build_sender_batch(
     batch
 }
 
-/// Per-worker reusable scratch for stage 2 — cleared, never reallocated,
-/// between receivers handled by the same worker.
+/// Per-thread reusable scratch for stage 2 — cleared, never reallocated,
+/// between the receivers one thread measures. The rayon shim spawns
+/// scoped worker threads per parallel call, so a worker's scratch lives
+/// for one tick's stage 2; only the calling thread's persists across
+/// ticks.
 struct MeasureScratch {
     /// Distinct `(sender, author)` pairs rejected this receiver-tick.
     rejected_authors: HashSet<(u32, u64)>,

@@ -1,11 +1,25 @@
 //! Offline shim for the `rayon` surface this workspace uses.
 //!
-//! Parallel iterators over slices with `map` / `fold` / `reduce` /
-//! `for_each` / `collect`, executed by splitting the input into one
-//! contiguous chunk per worker on `std::thread::scope` threads. No work
-//! stealing — our workloads are uniform enough that static chunking is
-//! within noise of the real crate — but the API shape matches, so
-//! swapping the real rayon back in is a manifest-only change.
+//! Parallel iterators over indexed inputs with `map` / `fold` / `reduce` /
+//! `for_each` / `collect`, run on `std::thread::scope` threads spawned
+//! per call (the calling thread is one of the workers). Two schedules:
+//!
+//! - **Claimed blocks** for the order-preserving terminals, `collect` /
+//!   `collect_vec` and `for_each`. Workers take `BLOCK`-item index
+//!   blocks from one shared counter until none are left, so a worker that
+//!   draws cheap items simply claims more of them; outputs are put back
+//!   in input order. Heavy-tailed inputs (a few large instances at the
+//!   low indices) keep every worker busy to the end of the call. Inputs
+//!   shorter than `BLOCK` per worker are claimed one item at a time, so a
+//!   handful of long items (experiment arms) still spread.
+//! - **One contiguous chunk per worker** for `fold`, `reduce` and `sum`.
+//!   Their partial results, and so the grouping of a non-associative
+//!   (e.g. floating-point) combine, depend on where the chunks fall;
+//!   fixed chunks make that grouping a function of the input length and
+//!   the worker count alone.
+//!
+//! The API shape matches the real crate, so swapping it back in is a
+//! manifest-only change.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -84,7 +98,8 @@ fn chunk_bounds(len: usize) -> Vec<(usize, usize)> {
 }
 
 /// Runs `work` over each chunk on scoped threads, collecting per-chunk
-/// outputs in order. The last chunk runs on the calling thread.
+/// outputs in order (the folds' schedule). The last chunk runs on the
+/// calling thread.
 fn run_chunks<T, F>(bounds: &[(usize, usize)], work: F) -> Vec<T>
 where
     T: Send,
@@ -114,8 +129,70 @@ where
     })
 }
 
+/// Items per claimed block in [`run_blocks`]: enough to amortise the
+/// shared counter, small enough that the last blocks of a call leave no
+/// worker idle for long.
+const BLOCK: usize = 32;
+
+/// Computes `item(i)` for every `i in 0..len` and returns the outputs in
+/// index order. Workers claim `BLOCK`-item blocks (single items when
+/// `len < BLOCK × workers`) from one counter until none are left; the
+/// calling thread is one of them.
+fn run_blocks<T, F>(len: usize, item: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let workers = current_num_threads().max(1);
+    let block = if len < BLOCK * workers { 1 } else { BLOCK };
+    let blocks = len.div_ceil(block);
+    let workers = workers.min(blocks);
+    if workers <= 1 {
+        return (0..len).map(item).collect();
+    }
+    let span = |b: usize| b * block..((b + 1) * block).min(len);
+    let next = AtomicUsize::new(0);
+    // Each worker's blocks, and so its outputs, come out in ascending
+    // block order: the counter only moves forward. `Relaxed` suffices
+    // because the counter publishes no data; outputs return via `join`.
+    let claim = || {
+        let (mut claimed, mut out) = (Vec::new(), Vec::new());
+        loop {
+            let b = next.fetch_add(1, Ordering::Relaxed);
+            if b >= blocks {
+                return (claimed, out);
+            }
+            claimed.push(b);
+            out.extend(span(b).map(&item));
+        }
+    };
+    let per_worker: Vec<(Vec<usize>, Vec<T>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim)).collect();
+        let mine = claim();
+        let mut all: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("rayon shim worker panicked"))
+            .collect();
+        all.push(mine);
+        all
+    });
+    let mut owner = vec![0; blocks];
+    let mut outputs = Vec::with_capacity(per_worker.len());
+    for (w, (claimed, out)) in per_worker.into_iter().enumerate() {
+        for b in claimed {
+            owner[b] = w;
+        }
+        outputs.push(out.into_iter());
+    }
+    let mut ordered = Vec::with_capacity(len);
+    for (b, &w) in owner.iter().enumerate() {
+        ordered.extend(outputs[w].by_ref().take(span(b).len()));
+    }
+    ordered
+}
+
 /// The parallel-iterator core. Implementors expose indexed access so the
-/// driver can hand out contiguous chunks.
+/// driver can hand out blocks and chunks of indices.
 pub trait ParallelIterator: Sized + Send + Sync {
     /// Item produced per element.
     type Item: Send;
@@ -123,8 +200,8 @@ pub trait ParallelIterator: Sized + Send + Sync {
     /// Number of elements.
     fn pi_len(&self) -> usize;
 
-    /// Produces the element at `index`. `&self` because chunks run
-    /// concurrently.
+    /// Produces the element at `index`. `&self` because blocks and chunks
+    /// run concurrently.
     fn pi_get(&self, index: usize) -> Self::Item;
 
     /// Maps each element through `f`.
@@ -149,14 +226,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
 
     /// Runs `f` on every element.
     fn for_each<F: Fn(Self::Item) + Sync + Send>(self, f: F) {
-        let bounds = chunk_bounds(self.pi_len());
-        let this = &self;
-        let f = &f;
-        run_chunks(&bounds, |s, e| {
-            for i in s..e {
-                f(this.pi_get(i));
-            }
-        });
+        run_blocks(self.pi_len(), |i| f(self.pi_get(i)));
     }
 
     /// Collects into any `FromIterator` container, preserving element
@@ -168,12 +238,7 @@ pub trait ParallelIterator: Sized + Send + Sync {
 
     /// Collects into a `Vec`, preserving order.
     fn collect_vec(self) -> Vec<Self::Item> {
-        let bounds = chunk_bounds(self.pi_len());
-        let this = &self;
-        let chunks = run_chunks(&bounds, |s, e| {
-            (s..e).map(|i| this.pi_get(i)).collect::<Vec<_>>()
-        });
-        chunks.into_iter().flatten().collect()
+        run_blocks(self.pi_len(), |i| self.pi_get(i))
     }
 
     /// Reduces all elements with `op`, starting each worker at
@@ -402,6 +467,147 @@ where
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex};
+    use std::time::{Duration, Instant};
+
+    /// Serialises the tests that set the global worker count.
+    static POOL: Mutex<()> = Mutex::new(());
+
+    /// Runs `f` with the global pool set to `workers`.
+    fn at_workers<R>(workers: usize, f: impl FnOnce() -> R) -> R {
+        let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+        crate::ThreadPoolBuilder::new()
+            .num_threads(workers)
+            .build_global()
+            .unwrap();
+        f()
+    }
+
+    /// Lengths at and around the block edges: below, at and above one
+    /// block, two blocks, the one-item threshold at 8 workers, and the
+    /// paper's 9,969 instances (a partial last block).
+    const EDGE_LENS: [usize; 10] = [0, 1, 31, 32, 33, 64, 255, 256, 257, 9_969];
+
+    #[test]
+    fn collect_preserves_order() {
+        for workers in [1, 2, 8] {
+            for len in EDGE_LENS {
+                let data: Vec<usize> = (0..len).collect();
+                let doubled = at_workers(workers, || data.par_iter().map(|&x| x * 2).collect_vec());
+                let want: Vec<usize> = data.iter().map(|&x| x * 2).collect();
+                assert_eq!(doubled, want, "len {len} at {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn for_each_visits_every_index_once() {
+        for workers in [1, 2, 8] {
+            for len in EDGE_LENS {
+                let visits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+                at_workers(workers, || {
+                    (0..len).into_par_iter().for_each(|i| {
+                        visits[i].fetch_add(1, Ordering::Relaxed);
+                    })
+                });
+                assert!(
+                    visits.iter().all(|v| v.load(Ordering::Relaxed) == 1),
+                    "len {len} at {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn vec_par_iter_moves_every_element_once() {
+        struct Counted(usize, Arc<AtomicUsize>);
+        impl Drop for Counted {
+            fn drop(&mut self) {
+                self.1.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        for workers in [1, 2, 8] {
+            for len in EDGE_LENS {
+                let drops = Arc::new(AtomicUsize::new(0));
+                let items: Vec<Counted> =
+                    (0..len).map(|i| Counted(i, Arc::clone(&drops))).collect();
+                let got = at_workers(workers, || items.into_par_iter().map(|c| c.0).collect_vec());
+                assert_eq!(got, (0..len).collect::<Vec<_>>());
+                assert_eq!(
+                    drops.load(Ordering::Relaxed),
+                    len,
+                    "len {len} at {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn folds_keep_one_contiguous_chunk_per_worker() {
+        for workers in [1, 2, 8] {
+            for len in EDGE_LENS {
+                let data: Vec<f64> = (0..len).map(|i| 1.0 / (i as f64 + 3.0)).collect();
+                let (bounds, partials, sum, reduced) = at_workers(workers, || {
+                    // Each fold partial records the indices it saw.
+                    let partials = (0..len)
+                        .into_par_iter()
+                        .fold(
+                            || vec![Vec::new()],
+                            |mut seen: Vec<Vec<usize>>, i| {
+                                seen[0].push(i);
+                                seen
+                            },
+                        )
+                        .reduce(Vec::new, |mut all, seen| {
+                            all.extend(seen);
+                            all
+                        });
+                    (
+                        crate::chunk_bounds(len),
+                        partials,
+                        data.par_iter().map(|&x| x).sum::<f64>(),
+                        data.par_iter().map(|&x| x).reduce(|| 0.0, |a, b| a + b),
+                    )
+                });
+                let chunks: Vec<Vec<usize>> =
+                    bounds.iter().map(|&(s, e)| (s..e).collect()).collect();
+                assert_eq!(partials, chunks, "len {len} at {workers} workers");
+                // Float sums and reductions group by those same chunks.
+                let chunk_sums: Vec<f64> = bounds
+                    .iter()
+                    .map(|&(s, e)| data[s..e].iter().sum::<f64>())
+                    .collect();
+                assert_eq!(sum.to_bits(), chunk_sums.iter().sum::<f64>().to_bits());
+                let folded = chunk_sums.iter().fold(0.0, |a, &b| a + b);
+                assert_eq!(reduced.to_bits(), folded.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn short_inputs_spread_one_item_per_worker() {
+        // Each item waits until the other has started: two items run
+        // one after the other would make the first one time out.
+        let started = [AtomicBool::new(false), AtomicBool::new(false)];
+        let met = at_workers(2, || {
+            (0..2_usize)
+                .into_par_iter()
+                .map(|i| {
+                    started[i].store(true, Ordering::Release);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while !started[1 - i].load(Ordering::Acquire) {
+                        if Instant::now() > deadline {
+                            return false;
+                        }
+                        std::thread::yield_now();
+                    }
+                    true
+                })
+                .collect_vec()
+        });
+        assert_eq!(met, [true, true], "the two items ran one after the other");
+    }
 
     #[test]
     fn map_fold_reduce_matches_sequential() {
@@ -412,13 +618,6 @@ mod tests {
             .fold(|| 0u64, |acc, x| acc + x)
             .reduce(|| 0u64, |a, b| a + b);
         assert_eq!(total, data.iter().map(|&x| x * 2).sum::<u64>());
-    }
-
-    #[test]
-    fn collect_preserves_order() {
-        let data: Vec<usize> = (0..1000).collect();
-        let doubled = data.par_iter().map(|&x| x * 2).collect_vec();
-        assert_eq!(doubled, data.iter().map(|&x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
@@ -435,15 +634,7 @@ mod tests {
 
     #[test]
     fn thread_knob_applies() {
-        crate::ThreadPoolBuilder::new()
-            .num_threads(2)
-            .build_global()
-            .unwrap();
-        assert_eq!(crate::current_num_threads(), 2);
-        crate::ThreadPoolBuilder::new()
-            .num_threads(0)
-            .build_global()
-            .unwrap();
-        assert!(crate::current_num_threads() >= 1);
+        assert_eq!(at_workers(2, crate::current_num_threads), 2);
+        assert!(at_workers(0, crate::current_num_threads) >= 1);
     }
 }
