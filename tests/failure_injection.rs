@@ -138,19 +138,26 @@ mod delivery_reliability {
     //! drives the retry queue — transient outages are survivable within
     //! the backoff window, permanent deaths short-circuit to the
     //! dead-letter queue. Both cases are swept at 1/2/8 worker threads
-    //! in one test body (this binary's only rayon-pool user, so the
-    //! in-process sweep is race-free) and must stay bit-identical.
+    //! and must stay bit-identical. So must a bridged toxicity storm:
+    //! its measurement phase hands instances to whichever worker frees
+    //! up first, so who measures what varies from run to run while the
+    //! trace must not. The sweeps hold `POOL` (this binary's only
+    //! rayon-pool users), so each runs at the thread counts it names.
 
     use fediscope::core::time::SimDuration;
+    use fediscope::dynamics::scenarios::{StormConfig, ToxicityStormScenario};
     use fediscope::dynamics::{
-        DynamicsConfig, DynamicsEngine, DynamicsTrace, Event, EventQueue, NetworkState,
-        RetryPolicy, Scenario,
+        DynamicsConfig, DynamicsEngine, DynamicsTrace, Event, EventQueue, LiveNetBridge,
+        NetworkState, RetryPolicy, Scenario,
     };
-    use fediscope::simnet::FailureMode;
+    use fediscope::simnet::{FailureMode, SimNet};
     use fediscope::synthgen::{ScenarioSeeds, World, WorldConfig};
     use fediscope_core::time::SimTime;
     use rand::rngs::SmallRng;
-    use std::sync::OnceLock;
+    use std::sync::{Arc, Mutex, OnceLock};
+
+    /// Serialises the tests that size the global rayon pool.
+    static POOL: Mutex<()> = Mutex::new(());
 
     fn seeds() -> &'static ScenarioSeeds {
         static SEEDS: OnceLock<ScenarioSeeds> = OnceLock::new();
@@ -234,6 +241,7 @@ mod delivery_reliability {
 
     #[test]
     fn retry_window_recovery_and_permanent_death_at_1_2_8_threads() {
+        let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
         let (transient_ref, _, _) = run_at(1, FailureMode::BadGateway);
         let (permanent_ref, _, _) = run_at(1, FailureMode::Gone);
         for threads in [1_usize, 2, 8] {
@@ -270,6 +278,52 @@ mod delivery_reliability {
                 trace, permanent_ref,
                 "permanent trace diverged at {threads} threads"
             );
+        }
+    }
+
+    /// A saturation storm from the second tick on, measured on the
+    /// batched path with the live-net bridge attached. The world holds
+    /// a tenth of the paper's 9,969 instances, about 31 of the rayon
+    /// shim's 32-item blocks, so blocks interleave even at 8 workers.
+    fn storm_at(threads: usize) -> DynamicsTrace {
+        let _ = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build_global();
+        let config = DynamicsConfig {
+            ticks: 6,
+            ..DynamicsConfig::default()
+        };
+        let mut engine = DynamicsEngine::new(config, seeds());
+        let bridge = LiveNetBridge::new(Arc::new(SimNet::new()), engine.state());
+        engine.attach_sink(Box::new(bridge));
+        let mut storm = ToxicityStormScenario::new(StormConfig {
+            start_offset: SimDuration::hours(4),
+            duration: SimDuration::days(1),
+            multiplier: 12.0,
+        });
+        engine.run(&mut storm)
+    }
+
+    #[test]
+    fn bridged_storm_at_1_2_8_threads() {
+        let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+        let reference = storm_at(1);
+        assert!(
+            reference.total_delivered() > 0,
+            "the storm delivered nothing"
+        );
+        assert!(
+            reference.ticks.iter().any(|t| t.rejected > 0),
+            "no delivery reached an MRF rejection"
+        );
+        for threads in [1_usize, 2, 8] {
+            let trace = storm_at(threads);
+            assert_eq!(
+                trace.digest(),
+                reference.digest(),
+                "digest diverged at {threads} threads"
+            );
+            assert!(trace == reference, "trace diverged at {threads} threads");
         }
     }
 }
