@@ -109,26 +109,6 @@ impl InstanceModerationConfig {
         self.enabled.contains(&kind)
     }
 
-    /// Enables a policy on the config *and* appends its compiled stage to
-    /// `pipeline` — the incremental counterpart of
-    /// [`enable`](Self::enable) + [`build_pipeline`](Self::build_pipeline).
-    ///
-    /// `pipeline` must previously have been compiled from `self` (or kept
-    /// in step via this delta API); because `enable` appends to `enabled`
-    /// and this appends the matching stage, pipeline order stays equal to
-    /// build order and the two paths remain verdict-identical (pinned by
-    /// the `delta_api_matches_reference_compilation` proptest). No-op if
-    /// the kind is already enabled.
-    pub fn enable_compiled(&mut self, kind: PolicyKind, pipeline: &mut MrfPipeline) {
-        if self.has(kind) {
-            return;
-        }
-        self.enable(kind);
-        if let Some(policy) = self.instantiate(kind) {
-            pipeline.push(policy);
-        }
-    }
-
     /// Renders the `pleroma.metadata.federation` JSON block served by
     /// `/api/v1/instance` — the crawler's raw material.
     pub fn to_metadata_json(&self) -> Value {
@@ -223,7 +203,9 @@ impl InstanceModerationConfig {
         self.configs.iter().find_map(|c| pick(c).cloned())
     }
 
-    fn instantiate(&self, kind: PolicyKind) -> Option<Arc<dyn MrfPolicy>> {
+    /// Compiles one enabled kind into its stage, with this config's knobs
+    /// (`None` for kinds that need injected dependencies).
+    pub(crate) fn instantiate(&self, kind: PolicyKind) -> Option<Arc<dyn MrfPolicy>> {
         Some(match kind {
             PolicyKind::ObjectAge => Arc::new(
                 self.configured(|c| match c {

@@ -1,41 +1,48 @@
 //! Ordered policy composition with short-circuit semantics.
 //!
-//! # Incremental recompilation (the delta API)
+//! # The live store and its delta API
 //!
-//! A pipeline is normally compiled from an
+//! A pipeline is compiled from an
 //! [`InstanceModerationConfig`](crate::config::InstanceModerationConfig)
 //! by `build_pipeline()` — the *reference path*, O(policies + targets).
 //! Dynamic workloads (rollout waves, cascade blocks, blocklist imports)
-//! mutate one instance's configuration thousands of times per run, so the
-//! pipeline also supports O(delta) in-place updates:
+//! then change one instance's moderation thousands of times per run, and
+//! from there on the compiled pipeline is the only live copy of it: its
+//! `SimplePolicy` stage holds the target lists ([`MrfPipeline::simple`]),
+//! and the config it came from is kept only as the source of the enabled
+//! kinds and the policy knobs. Updates are O(delta) and in place:
 //!
-//! * [`MrfPipeline::push`] appends a newly-enabled policy (matching how
-//!   `enable` appends to `InstanceModerationConfig::enabled`, so append
-//!   order stays equal to build order);
+//! * [`MrfPipeline::apply_wave`] applies one rollout wave: each kind the
+//!   config does not enable yet is recorded in the config and appended as
+//!   a stage (so append order stays equal to build order), and the wave's
+//!   targets merge into the `SimplePolicy` stage;
 //! * [`MrfPipeline::apply_simple_delta`] /
 //!   [`MrfPipeline::add_simple_target`] merge targets into the compiled
-//!   `SimplePolicy` stage in place;
-//! * [`MrfPipeline::replace_stage`] swaps one stage wholesale (the
-//!   knob-reconfiguration escape hatch).
+//!   `SimplePolicy` stage.
 //!
 //! Invariants the delta API maintains — and that the differential
 //! proptests in [`super::proptests`] pin against the reference path:
 //!
 //! 1. **Verdict equivalence.** After any sequence of deltas, `filter`
 //!    and `filter_inbound` return the same verdicts (surviving activity
-//!    included) as a pipeline freshly compiled from the equivalently
-//!    mutated configuration.
-//! 2. **Skip-mask consistency.** The precomputed anti-hellthread skip
-//!    set is recomputed on every chain-shape change (`push`,
-//!    `replace_stage`) and left untouched by target merges, which cannot
-//!    change any stage's [`PolicyKind`].
-//! 3. **Additive only.** Deltas merge; they never remove targets or
+//!    included) as a pipeline freshly compiled from a config that had
+//!    every wave and target applied to it.
+//! 2. **Idempotent enable per requested kind.** Enabling is keyed on the
+//!    config's enabled list, not on the chain's stage kinds: `Subchain`
+//!    and `FollowBot` compile to a `NoOp` stage, so only the config can
+//!    tell whether they were already requested.
+//! 3. **Skip-mask consistency.** The precomputed anti-hellthread skip
+//!    set is recomputed on every `push` and left untouched by target
+//!    merges, which cannot change any stage's [`PolicyKind`].
+//! 4. **Additive only.** Deltas merge; they never remove targets or
 //!    stages. Removal (e.g. a reset to the fresh-install default) goes
 //!    through the reference path.
-//! 4. **Copy-on-write under sharing.** Target merges mutate through
+//! 5. **Copy-on-write under sharing.** Target merges mutate through
 //!    `Arc::get_mut` when the stage is uniquely owned — the O(delta) hot
 //!    path — and fall back to cloning the one `SimplePolicy` stage when
-//!    the `Arc` is shared, never touching the other stages.
+//!    the `Arc` is shared, never touching the other stages. The config
+//!    is likewise diverged (`Arc::make_mut`) only when a wave enables a
+//!    new kind.
 
 use super::context::PolicyContext;
 use super::inbound::Inbound;
@@ -43,8 +50,10 @@ use super::policies::{SimpleAction, SimplePolicy};
 use super::verdict::{PolicyVerdict, RejectReason};
 use super::MrfPolicy;
 use crate::catalog::PolicyKind;
+use crate::config::InstanceModerationConfig;
 use crate::id::Domain;
 use crate::model::Activity;
+use crate::rollout::RolloutWave;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -156,21 +165,44 @@ impl MrfPipeline {
         self.policies.iter().position(|p| p.kind() == kind)
     }
 
-    /// Replaces the stage at `index` wholesale, recomputing the skip
-    /// mask (the new stage may change the chain's kind set). Panics if
-    /// `index` is out of bounds, like slice indexing.
-    pub fn replace_stage(&mut self, index: usize, policy: Arc<dyn MrfPolicy>) {
-        self.policies[index] = policy;
-        self.recompute_skips();
+    /// The compiled `SimplePolicy` stage — the live target lists — if
+    /// the chain runs one.
+    pub fn simple(&self) -> Option<&SimplePolicy> {
+        self.position(PolicyKind::Simple)
+            .and_then(|idx| self.policies[idx].as_simple())
+    }
+
+    /// Applies one rollout wave in place — O(wave). `knobs` is the config
+    /// this pipeline was compiled from; it is written only to record a
+    /// kind it does not enable yet (targets enable `Simple`), whose stage
+    /// is built from its knobs and appended. Targets merge into the
+    /// `SimplePolicy` stage only, so `knobs.simple` goes stale: read
+    /// [`simple`](Self::simple).
+    pub fn apply_wave(&mut self, wave: &RolloutWave, knobs: &mut Arc<InstanceModerationConfig>) {
+        let simple = wave.simple.as_ref().map(|_| &PolicyKind::Simple);
+        for &kind in wave.enable.iter().chain(simple) {
+            if knobs.has(kind) {
+                continue;
+            }
+            let knobs = Arc::make_mut(knobs);
+            knobs.enable(kind);
+            if let Some(policy) = knobs.instantiate(kind) {
+                self.push(policy);
+            }
+        }
+        if let Some(addition) = &wave.simple {
+            let merged = self.apply_simple_delta(addition);
+            debug_assert!(merged, "an enabled Simple kind compiles to a Simple stage");
+        }
     }
 
     /// Merges `delta`'s `(action, domain)` targets into the compiled
     /// `SimplePolicy` stage in place — O(delta), no recompilation.
     ///
     /// Returns `false` (leaving the pipeline untouched) when there is no
-    /// `SimplePolicy` stage to absorb the delta; the caller then falls
-    /// back to the reference path. The skip mask is untouched: a target
-    /// merge cannot change any stage's kind.
+    /// `SimplePolicy` stage to absorb the delta: enable `Simple` first
+    /// through [`apply_wave`](Self::apply_wave). The skip mask is
+    /// untouched: a target merge cannot change any stage's kind.
     pub fn apply_simple_delta(&mut self, delta: &SimplePolicy) -> bool {
         self.with_simple_stage(|simple| simple.merge(delta))
     }
@@ -480,17 +512,5 @@ mod tests {
         assert!(pipe.add_simple_target(SimpleAction::Reject, Domain::new("bad.example")));
         assert!(blocked(&pipe, "bad.example"));
         assert!(!blocked(&frozen, "bad.example"));
-    }
-
-    #[test]
-    fn replace_stage_recomputes_the_skip_mask() {
-        use crate::mrf::policies::{AntiHellthreadPolicy, HellthreadPolicy};
-        let mut pipe = MrfPipeline::new()
-            .with(Arc::new(HellthreadPolicy::default()))
-            .with(Arc::new(AntiHellthreadPolicy));
-        assert_eq!(pipe.skip, vec![true, false]);
-        // Swapping the AntiHellthread stage for a NoOp re-arms Hellthread.
-        pipe.replace_stage(1, Arc::new(Tagger("n")));
-        assert_eq!(pipe.skip, vec![false, false]);
     }
 }

@@ -14,6 +14,7 @@ use crate::mrf::{
     filter_owned, Inbound, MrfPipeline, NullActorDirectory, PolicyContext, PolicyVerdict,
     RejectReason,
 };
+use crate::rollout::RolloutWave;
 use crate::time::SimTime;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -397,11 +398,11 @@ proptest! {
     /// Differential check of the incremental (delta) compilation path:
     /// a random sequence of control-phase events — rollout-wave merges,
     /// single cascade blocks, policy enables — applied to a *live*
-    /// pipeline via `apply_wave_compiled` / `enable_compiled` /
-    /// `add_simple_target` must yield a pipeline whose `filter` *and*
-    /// `filter_inbound` verdicts on arbitrary posts are identical to a
-    /// pipeline freshly `build_pipeline()`d from the equivalently
-    /// mutated config — at every step, including after the pipeline has
+    /// pipeline via `MrfPipeline::apply_wave` / `add_simple_target` must
+    /// yield a pipeline whose `filter` *and* `filter_inbound` verdicts on
+    /// arbitrary posts are identical to a pipeline freshly
+    /// `build_pipeline()`d from a config that had the same events applied
+    /// — at every step, including after the pipeline and its knobs have
     /// been cloned (the copy-on-write branch of the delta API).
     #[test]
     fn delta_api_matches_reference_compilation(
@@ -423,13 +424,11 @@ proptest! {
         target_origin_at in proptest::option::of(0usize..16),
         clone_at in proptest::option::of(0usize..16),
     ) {
-        use crate::rollout::RolloutWave;
-
         let (local, dir) = ctx_bits();
         let catalog = crate::catalog::PolicyCatalog::global();
-        let mut live = InstanceModerationConfig::pleroma_default();
-        let mut pipeline = live.build_pipeline();
-        let mut reference = live.clone();
+        let mut reference = InstanceModerationConfig::pleroma_default();
+        let mut knobs = Arc::new(reference.clone());
+        let mut pipeline = reference.build_pipeline();
         // Clones held across deltas force the copy-on-write branch.
         let mut held_clone = None;
 
@@ -447,20 +446,18 @@ proptest! {
                         );
                     }
                     let wave = RolloutWave {
-                        offset: crate::time::SimDuration(0),
-                        enable: Vec::new(),
                         simple: Some(addition),
+                        ..RolloutWave::default()
                     };
-                    live.apply_wave_compiled(&wave, &mut pipeline);
+                    pipeline.apply_wave(&wave, &mut knobs);
                     reference.apply_wave(&wave);
                 }
                 DeltaOp::Block(domain) => {
                     // Mirrors the dynamics defederate site: enable the
                     // Simple stage if needed, then one-target delta.
-                    live.enable_compiled(PolicyKind::Simple, &mut pipeline);
-                    live.simple
-                        .get_or_insert_with(SimplePolicy::new)
-                        .add_target(SimpleAction::Reject, Domain::new(domain.clone()));
+                    if pipeline.simple().is_none() {
+                        pipeline.apply_wave(&enabling(PolicyKind::Simple), &mut knobs);
+                    }
                     prop_assert!(pipeline.add_simple_target(
                         SimpleAction::Reject,
                         Domain::new(domain.clone()),
@@ -473,17 +470,18 @@ proptest! {
                 }
                 DeltaOp::Enable(i) => {
                     let kind = catalog.entries()[i % catalog.entries().len()].kind;
-                    live.enable_compiled(kind, &mut pipeline);
+                    pipeline.apply_wave(&enabling(kind), &mut knobs);
                     reference.enable(kind);
                 }
             }
             if clone_at == Some(step) {
-                held_clone = Some(pipeline.clone());
+                held_clone = Some((pipeline.clone(), Arc::clone(&knobs)));
             }
             // The delta-maintained pipeline must match a fresh reference
             // compile on both filter paths, every step of the way.
             let fresh = reference.build_pipeline();
             prop_assert_eq!(pipeline.kinds(), fresh.kinds(), "step {}", step);
+            prop_assert_eq!(&knobs.enabled, &reference.enabled, "step {}", step);
             let act = Activity::create(ActivityId(1), post.clone());
             let ctx = PolicyContext::new(&local, SimTime(0), &dir);
             prop_assert_eq!(
@@ -527,4 +525,29 @@ proptest! {
         prop_assert!(simple.remove_target(action, &domain));
         prop_assert_eq!(simple.events().count(), total - 1);
     }
+}
+
+/// A wave that only enables `kind`.
+fn enabling(kind: PolicyKind) -> RolloutWave {
+    RolloutWave {
+        enable: vec![kind],
+        ..RolloutWave::default()
+    }
+}
+
+/// `Subchain` and `FollowBot` compile to a `NoOp` stage, so only the
+/// config can tell they were requested: enabling each twice through the
+/// delta API must append one stage each, like a fresh compile.
+#[test]
+fn enable_is_idempotent_per_requested_kind() {
+    let mut reference = InstanceModerationConfig::pleroma_default();
+    let mut knobs = Arc::new(reference.clone());
+    let mut pipeline = reference.build_pipeline();
+    for kind in [PolicyKind::Subchain, PolicyKind::FollowBot].repeat(2) {
+        pipeline.apply_wave(&enabling(kind), &mut knobs);
+        reference.enable(kind);
+    }
+    assert_eq!(knobs.enabled, reference.enabled);
+    assert_eq!(pipeline.kinds(), reference.build_pipeline().kinds());
+    assert_eq!(pipeline.len(), 4, "ObjectAge, NoOp, and one NoOp each");
 }

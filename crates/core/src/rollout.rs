@@ -40,8 +40,7 @@ impl RolloutWave {
             && self
                 .simple
                 .as_ref()
-                .map(|s| s.events().count() == 0)
-                .unwrap_or(true)
+                .is_none_or(|s| s.events().next().is_none())
     }
 
     /// Clones the wave keeping only the `SimplePolicy` events `keep`
@@ -163,35 +162,6 @@ impl InstanceModerationConfig {
             self.simple
                 .get_or_insert_with(SimplePolicy::new)
                 .merge(addition);
-        }
-    }
-
-    /// Applies one rollout wave to the config *and* its compiled
-    /// `pipeline` in place — O(delta) where
-    /// [`apply_wave`](Self::apply_wave) + `build_pipeline` is
-    /// O(policies + targets). `pipeline` must have been compiled from
-    /// `self`; newly-enabled kinds append a stage (build order), and the
-    /// wave's `SimplePolicy` addition merges into the compiled stage via
-    /// [`crate::mrf::MrfPipeline::apply_simple_delta`]. Falls back to a
-    /// full rebuild only if the pipeline has no `SimplePolicy` stage to
-    /// absorb a simple delta (out-of-step pipelines), so the two paths
-    /// can never diverge.
-    pub fn apply_wave_compiled(
-        &mut self,
-        wave: &RolloutWave,
-        pipeline: &mut crate::mrf::MrfPipeline,
-    ) {
-        for &kind in &wave.enable {
-            self.enable_compiled(kind, pipeline);
-        }
-        if let Some(addition) = &wave.simple {
-            self.enable_compiled(PolicyKind::Simple, pipeline);
-            self.simple
-                .get_or_insert_with(SimplePolicy::new)
-                .merge(addition);
-            if !pipeline.apply_simple_delta(addition) {
-                *pipeline = self.build_pipeline();
-            }
         }
     }
 }

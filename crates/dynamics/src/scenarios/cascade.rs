@@ -116,15 +116,10 @@ impl Scenario for DefederationCascadeScenario {
             let inst = &state.instances[a];
             // Only instances running a defederation-class policy
             // (SimplePolicy / Block / AutoReject) can seed blocks.
-            if !inst
-                .moderation
-                .enabled
-                .iter()
-                .any(|k| k.severs_federation())
-            {
+            if !inst.enabled().iter().any(|k| k.severs_federation()) {
                 continue;
             }
-            let Some(simple) = inst.moderation.simple.as_ref() else {
+            let Some(simple) = inst.simple() else {
                 continue;
             };
             for target in simple.targets(SimpleAction::Reject) {

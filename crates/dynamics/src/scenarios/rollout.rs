@@ -204,9 +204,7 @@ mod tests {
                 .map(|s| s.targets(SimpleAction::Reject).len())
                 .unwrap_or(0);
             let got = inst
-                .moderation
-                .simple
-                .as_ref()
+                .simple()
                 .map(|s| s.targets(SimpleAction::Reject).len())
                 .unwrap_or(0);
             assert_eq!(got, want, "{} must converge to its target", inst.domain);

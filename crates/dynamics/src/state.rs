@@ -11,7 +11,7 @@ use fediscope_core::catalog::PolicyKind;
 use fediscope_core::config::{InstanceModerationConfig, PipelinePool};
 use fediscope_core::id::{Domain, PostId, UserId, UserRef};
 use fediscope_core::model::{Activity, Post};
-use fediscope_core::mrf::policies::SimpleAction;
+use fediscope_core::mrf::policies::{SimpleAction, SimplePolicy};
 use fediscope_core::mrf::MrfPipeline;
 use fediscope_core::rollout::RolloutWave;
 use fediscope_core::time::{SimDuration, CAMPAIGN_START};
@@ -120,15 +120,19 @@ pub struct InstanceState {
     pub base_emission: u32,
     /// Whether the instance has changed moderation since the run began.
     pub adopted: bool,
-    /// Currently active moderation configuration. Shared (`Arc`) with
-    /// every instance whose seed config is structurally identical; the
-    /// mutators below diverge it copy-on-write via `Arc::make_mut`, so
-    /// an unmutated instance never owns a private copy.
-    pub moderation: Arc<InstanceModerationConfig>,
-    /// Compiled pipeline of `moderation`, kept in step incrementally:
-    /// waves and blocks merge into it through the MRF delta API
-    /// (O(delta)); only a full reset recompiles it from scratch.
-    /// Interned: seed-identical configs share one compiled pipeline
+    /// The enabled kinds and policy knobs the pipeline was compiled from
+    /// (read them through [`enabled`](Self::enabled)). Not a live copy of
+    /// the target lists: waves and blocks merge targets into `pipeline`
+    /// only, and write this config just to record a newly enabled kind.
+    /// Shared (`Arc`) with every instance whose seed config is
+    /// structurally identical, and diverged copy-on-write on such a
+    /// write.
+    pub(crate) moderation: Arc<InstanceModerationConfig>,
+    /// The compiled pipeline — the live store of the instance's
+    /// moderation, [`simple`](Self::simple) target lists included. Waves
+    /// and blocks update it in place through the MRF delta API
+    /// (O(delta)); only a reset recompiles it from scratch. Interned:
+    /// seed-identical configs share one compiled pipeline
     /// ([`PipelinePool`]) and diverge copy-on-write on first mutation.
     pub pipeline: Arc<MrfPipeline>,
     /// The final configuration the seeds prescribe (rollout target).
@@ -157,6 +161,16 @@ impl InstanceState {
     /// Whether the instance answers the network.
     pub fn up(&self) -> bool {
         self.failure == FailureMode::Healthy
+    }
+
+    /// The enabled policy kinds, in pipeline order.
+    pub fn enabled(&self) -> &[PolicyKind] {
+        &self.moderation.enabled
+    }
+
+    /// The live `SimplePolicy` target lists, if the instance runs one.
+    pub fn simple(&self) -> Option<&SimplePolicy> {
+        self.pipeline.simple()
     }
 
     /// Posts this instance emits per tick right now, capped at `cap`.
@@ -659,11 +673,10 @@ impl NetworkState {
             return false;
         }
         let inst = &mut self.instances[i as usize];
-        // First wave on a shared config/pipeline diverges this instance
+        // First wave on a shared pipeline diverges this instance
         // copy-on-write; later waves find the refcount at 1 and mutate in
         // place, so the delta API stays O(wave).
-        let pipeline = Arc::make_mut(&mut inst.pipeline);
-        Arc::make_mut(&mut inst.moderation).apply_wave_compiled(wave, pipeline);
+        Arc::make_mut(&mut inst.pipeline).apply_wave(wave, &mut inst.moderation);
         self.mark_adopted(i as usize);
         true
     }
@@ -683,30 +696,24 @@ impl NetworkState {
     /// cascade propagation gate — re-blocking an already-severed pair is
     /// a no-op and must not re-trigger imitation).
     pub fn defederate(&mut self, a: u32, t: u32) -> bool {
-        let target_domain = self.instances[t as usize].domain.clone();
-        let inst = &mut self.instances[a as usize];
-        let already = inst
-            .moderation
-            .simple
-            .as_ref()
-            .map(|s| s.matches(SimpleAction::Reject, &target_domain))
-            .unwrap_or(false);
+        let target = &self.instances[t as usize].domain;
+        let already = self.instances[a as usize]
+            .simple()
+            .is_some_and(|s| s.matches(SimpleAction::Reject, target));
         if !already {
-            // A block diverges a shared config/pipeline copy-on-write —
-            // the instances still sharing the seed allocation are
-            // untouched.
+            let target = target.clone();
+            let inst = &mut self.instances[a as usize];
+            // A block diverges a shared pipeline copy-on-write — the
+            // instances still sharing the seed allocation are untouched.
             let pipeline = Arc::make_mut(&mut inst.pipeline);
-            let moderation = Arc::make_mut(&mut inst.moderation);
-            moderation.enable_compiled(PolicyKind::Simple, pipeline);
-            moderation
-                .simple
-                .get_or_insert_with(Default::default)
-                .add_target(SimpleAction::Reject, target_domain.clone());
-            if !pipeline.add_simple_target(SimpleAction::Reject, target_domain) {
-                // Out-of-step pipeline (cannot happen through this API):
-                // reference path.
-                inst.pipeline = Arc::new(inst.moderation.build_pipeline());
+            if pipeline.simple().is_none() {
+                let enable = RolloutWave {
+                    enable: vec![PolicyKind::Simple],
+                    ..RolloutWave::default()
+                };
+                pipeline.apply_wave(&enable, &mut inst.moderation);
             }
+            pipeline.add_simple_target(SimpleAction::Reject, target);
             self.mark_adopted(a as usize);
         }
         self.unlink(a, t)
@@ -792,9 +799,7 @@ mod tests {
         assert_eq!(state.link_count(), before - 1);
         let target = state.instances[b as usize].domain.clone();
         assert!(state.instances[a as usize]
-            .moderation
-            .simple
-            .as_ref()
+            .simple()
             .unwrap()
             .matches(SimpleAction::Reject, &target));
         assert!(state.instances[a as usize].adopted);
@@ -809,15 +814,12 @@ mod tests {
         let rejector = (0..state.len())
             .find(|&i| {
                 state.instances[i]
-                    .moderation
-                    .simple
-                    .as_ref()
-                    .map(|sp| !sp.targets(SimpleAction::Reject).is_empty())
-                    .unwrap_or(false)
+                    .simple()
+                    .is_some_and(|sp| !sp.targets(SimpleAction::Reject).is_empty())
             })
             .expect("the seed world has rejectors");
         state.reset_moderation_default(rejector);
-        assert!(state.instances[rejector].moderation.simple.is_none());
+        assert!(state.instances[rejector].simple().is_none());
         // The target config is untouched — rollouts replay it.
         assert!(state.instances[rejector].target.simple.as_ref().is_some());
     }
@@ -958,20 +960,23 @@ mod tests {
         // A block on `a` diverges only `a`; `b` keeps the shared copy.
         let shared = Arc::clone(&state.instances[b].pipeline);
         let target = if a == 0 { 1 } else { 0 } as u32;
+        let ran_simple = state.instances[a].enabled().contains(&PolicyKind::Simple);
         state.defederate(a as u32, target);
+        // The block lands in the pipeline only: the config is copied just
+        // to record a newly enabled Simple.
+        assert_eq!(
+            Arc::ptr_eq(&state.instances[a].moderation, &state.instances[a].target),
+            ran_simple
+        );
         assert!(!Arc::ptr_eq(
             &state.instances[a].pipeline,
             &state.instances[b].pipeline
         ));
         assert!(Arc::ptr_eq(&state.instances[b].pipeline, &shared));
-        assert!(state.instances[b]
-            .moderation
-            .simple
-            .as_ref()
-            .is_none_or(|sp| !sp.matches(
-                SimpleAction::Reject,
-                &state.instances[target as usize].domain
-            )));
+        assert!(state.instances[b].simple().is_none_or(|sp| !sp.matches(
+            SimpleAction::Reject,
+            &state.instances[target as usize].domain
+        )));
     }
 
     #[test]
