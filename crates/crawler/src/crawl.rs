@@ -2,7 +2,7 @@
 
 use crate::dataset::{
     CollectedPost, CrawlOutcome, CrawledInstance, Dataset, InstanceMetadata, MetadataSnapshot,
-    TimelineCrawl,
+    PageStatus, TimelineCrawl,
 };
 use fediscope_core::config::InstanceModerationConfig;
 use fediscope_core::id::Domain;
@@ -331,17 +331,18 @@ async fn crawl_timeline(net: &SimNet, config: &CrawlerConfig, domain: &Domain) -
         if !resp.is_success() {
             break;
         }
-        let Ok(body) = resp.json_body() else { break };
-        let Some(page) = body.as_array() else { break };
+        let Ok(page) = serde_json::from_slice::<Vec<Option<PageStatus>>>(&resp.body) else {
+            break;
+        };
         if page.is_empty() {
             break;
         }
         let before = posts.len();
-        for status in page {
-            if let Some(post) = CollectedPost::from_status_json(status) {
-                posts.push(post);
-            }
-        }
+        posts.extend(
+            page.into_iter()
+                .flatten()
+                .filter_map(CollectedPost::from_status),
+        );
         if posts.len() == before {
             break; // page full of unparseable statuses: bail out
         }

@@ -4,6 +4,7 @@ use fediscope_core::config::InstanceModerationConfig;
 use fediscope_core::id::Domain;
 use fediscope_core::mrf::policies::SimpleAction;
 use fediscope_core::time::SimTime;
+use serde::de::IgnoredAny;
 use serde::{Deserialize, Serialize};
 
 /// How the attempt to crawl one domain ended.
@@ -77,44 +78,75 @@ pub struct CollectedPost {
     pub mentions: usize,
 }
 
+/// A Mastodon `Status` as the crawler reads it off a timeline page:
+/// only the fields the dataset keeps. Every field is optional, so a
+/// status missing one still decodes and is then skipped by
+/// [`CollectedPost::from_status`] instead of failing its whole page.
+#[derive(Deserialize)]
+pub struct PageStatus {
+    /// Post id, as a decimal string.
+    pub id: Option<String>,
+    /// Creation time.
+    pub created_at: Option<u64>,
+    /// Body text.
+    pub content: Option<String>,
+    /// Sensitive flag.
+    pub sensitive: Option<bool>,
+    /// Visibility string.
+    pub visibility: Option<String>,
+    /// The author.
+    pub account: Option<PageAccount>,
+    /// Media attachments (only counted).
+    pub media_attachments: Option<Vec<IgnoredAny>>,
+    /// Mentions (only counted).
+    pub mentions: Option<Vec<IgnoredAny>>,
+    /// Hashtags.
+    pub tags: Option<Vec<PageTag>>,
+}
+
+/// The author of a [`PageStatus`].
+#[derive(Deserialize)]
+pub struct PageAccount {
+    /// Numeric user id, as a decimal string.
+    pub id: Option<String>,
+    /// `user@domain`.
+    pub acct: Option<String>,
+}
+
+/// A hashtag of a [`PageStatus`].
+#[derive(Deserialize)]
+pub struct PageTag {
+    /// The tag, without `#`.
+    pub name: Option<String>,
+}
+
 impl CollectedPost {
-    /// Parses a Mastodon `Status` JSON object.
-    pub fn from_status_json(v: &serde_json::Value) -> Option<CollectedPost> {
-        let id = v.get("id")?.as_str()?.parse().ok()?;
-        let account = v.get("account")?;
-        let acct = account.get("acct")?.as_str()?;
+    /// The post a timeline status records, or `None` if a field the
+    /// dataset needs is missing or malformed.
+    pub fn from_status(status: PageStatus) -> Option<CollectedPost> {
+        let id = status.id?.parse().ok()?;
+        let account = status.account?;
+        let acct = account.acct?;
         let (author_id, author_domain) = match acct.split_once('@') {
             Some((id, domain)) => (id.parse().ok()?, Domain::new(domain)),
-            None => (account.get("id")?.as_str()?.parse().ok()?, Domain::new("")),
+            None => (account.id?.parse().ok()?, Domain::new("")),
         };
         Some(CollectedPost {
             id,
             author_id,
             author_domain,
-            created: SimTime(v.get("created_at")?.as_u64()?),
-            content: v.get("content")?.as_str()?.to_string(),
-            sensitive: v.get("sensitive")?.as_bool()?,
-            visibility: v.get("visibility")?.as_str()?.to_string(),
-            media_count: v
-                .get("media_attachments")
-                .and_then(|m| m.as_array())
-                .map(|a| a.len())
-                .unwrap_or(0),
-            hashtags: v
-                .get("tags")
-                .and_then(|t| t.as_array())
-                .map(|a| {
-                    a.iter()
-                        .filter_map(|t| t.get("name").and_then(|n| n.as_str()))
-                        .map(str::to_string)
-                        .collect()
-                })
-                .unwrap_or_default(),
-            mentions: v
-                .get("mentions")
-                .and_then(|m| m.as_array())
-                .map(|a| a.len())
-                .unwrap_or(0),
+            created: SimTime(status.created_at?),
+            content: status.content?,
+            sensitive: status.sensitive?,
+            visibility: status.visibility?,
+            media_count: status.media_attachments.map_or(0, |m| m.len()),
+            hashtags: status
+                .tags
+                .unwrap_or_default()
+                .into_iter()
+                .filter_map(|t| t.name)
+                .collect(),
+            mentions: status.mentions.map_or(0, |m| m.len()),
         })
     }
 }
@@ -278,22 +310,28 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
+
+    fn status(json: &str) -> Option<CollectedPost> {
+        CollectedPost::from_status(serde_json::from_str(json).unwrap())
+    }
 
     #[test]
     fn collected_post_parses_status_json() {
-        let v = json!({
-            "id": "42",
-            "created_at": 1000,
-            "content": "hello world",
-            "visibility": "public",
-            "sensitive": false,
-            "account": {"id": "7", "acct": "7@poa.st"},
-            "media_attachments": [{"type": "image"}],
-            "tags": [{"name": "nsfw"}],
-            "mentions": [],
-        });
-        let p = CollectedPost::from_status_json(&v).unwrap();
+        let p = status(
+            r#"{
+                "id": "42",
+                "created_at": 1000,
+                "content": "hello world",
+                "visibility": "public",
+                "sensitive": false,
+                "account": {"id": "7", "acct": "7@poa.st", "url": "https://poa.st/users/7"},
+                "media_attachments": [{"type": "image"}],
+                "tags": [{"name": "nsfw"}],
+                "mentions": [],
+                "spoiler_text": ""
+            }"#,
+        )
+        .unwrap();
         assert_eq!(p.id, 42);
         assert_eq!(p.author_id, 7);
         assert_eq!(p.author_domain.as_str(), "poa.st");
@@ -304,8 +342,15 @@ mod tests {
 
     #[test]
     fn malformed_status_json_is_none() {
-        assert!(CollectedPost::from_status_json(&json!({"id": "x"})).is_none());
-        assert!(CollectedPost::from_status_json(&json!(null)).is_none());
+        assert!(status(r#"{"id": "x"}"#).is_none());
+        assert!(status("{}").is_none());
+        // A page skips null statuses and keeps reading.
+        let page: Vec<Option<PageStatus>> = serde_json::from_str("[null, {}]").unwrap();
+        assert_eq!(page.len(), 2);
+        assert!(page
+            .into_iter()
+            .flatten()
+            .all(|s| CollectedPost::from_status(s).is_none()));
     }
 
     #[test]

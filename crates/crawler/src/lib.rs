@@ -31,5 +31,5 @@ mod persist;
 pub use crawl::{Crawler, CrawlerConfig};
 pub use dataset::{
     CollectedPost, CrawlOutcome, CrawledInstance, Dataset, InstanceMetadata, MetadataSnapshot,
-    TimelineCrawl,
+    PageAccount, PageStatus, PageTag, TimelineCrawl,
 };

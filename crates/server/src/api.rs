@@ -5,7 +5,8 @@ use fediscope_activitypub::TimelineKind;
 use fediscope_core::id::PostId;
 use fediscope_core::model::{Activity, Post, Visibility};
 use fediscope_simnet::{Endpoint, HttpRequest, HttpResponse, Method, StatusCode};
-use serde_json::{json, Value};
+use serde::Serialize;
+use serde_json::json;
 use std::sync::Arc;
 
 /// Default and maximum page size of the timeline API (Mastodon's limits).
@@ -61,8 +62,7 @@ impl InstanceServer {
     }
 
     fn peers_payload(&self) -> HttpResponse {
-        let peers: Vec<String> = self.peers().iter().map(|d| d.to_string()).collect();
-        HttpResponse::json(&peers)
+        HttpResponse::json(&self.peers())
     }
 
     fn public_timeline(&self, req: &HttpRequest) -> HttpResponse {
@@ -82,10 +82,10 @@ impl InstanceServer {
             .map(|l| (l as usize).min(MAX_PAGE))
             .unwrap_or(DEFAULT_PAGE);
         let max_id = req.param_u64("max_id").map(PostId);
-        let statuses: Vec<Value> = self.with_timelines(|t| {
+        let statuses: Vec<Status> = self.with_timelines(|t| {
             t.page(kind, None, max_id, limit)
                 .into_iter()
-                .map(status_json)
+                .map(Status::of)
                 .collect()
         });
         HttpResponse::json(&statuses)
@@ -137,30 +137,109 @@ impl InstanceServer {
     }
 }
 
-/// Renders a post in the Mastodon `Status` JSON shape the crawler parses.
-pub fn status_json(post: &Post) -> Value {
-    json!({
-        "id": post.id.0.to_string(),
-        "created_at": post.created.as_secs(),
-        "content": post.content,
-        "spoiler_text": post.subject.clone().unwrap_or_default(),
-        "visibility": visibility_str(post.visibility),
-        "sensitive": post.sensitive,
-        "account": {
-            "id": post.author.user.0.to_string(),
-            "acct": format!("{}@{}", post.author.user.0, post.author.domain),
-            "url": format!("https://{}/users/{}", post.author.domain, post.author.user.0),
-        },
-        "media_attachments": post.media.iter().map(|m| json!({
-            "type": media_str(m.kind),
-            "remote_url": format!("https://{}/media", m.host),
-            "sensitive": m.sensitive,
-        })).collect::<Vec<_>>(),
-        "mentions": post.mentions.iter().map(|m| json!({
-            "acct": format!("{}@{}", m.user.0, m.domain),
-        })).collect::<Vec<_>>(),
-        "tags": post.hashtags.iter().map(|h| json!({"name": h})).collect::<Vec<_>>(),
-    })
+/// A post in the Mastodon `Status` JSON shape the crawler parses (the
+/// subset of fields this reproduction serves).
+#[derive(Debug, Clone, Serialize)]
+pub struct Status {
+    /// Post id, as a decimal string.
+    pub id: String,
+    /// Creation time, in simulated seconds.
+    pub created_at: u64,
+    /// Body text.
+    pub content: Arc<str>,
+    /// Content warning (empty when none).
+    pub spoiler_text: String,
+    /// `public`, `unlisted`, `private` or `direct`.
+    pub visibility: &'static str,
+    /// Sensitive flag.
+    pub sensitive: bool,
+    /// The author.
+    pub account: Account,
+    /// Attached media.
+    pub media_attachments: Vec<Attachment>,
+    /// Mentioned accounts.
+    pub mentions: Vec<Mention>,
+    /// Hashtags.
+    pub tags: Vec<Tag>,
+}
+
+/// The author of a [`Status`].
+#[derive(Debug, Clone, Serialize)]
+pub struct Account {
+    /// Numeric user id, as a decimal string.
+    pub id: String,
+    /// `user@domain`.
+    pub acct: String,
+    /// Profile URL.
+    pub url: String,
+}
+
+/// A media attachment of a [`Status`].
+#[derive(Debug, Clone, Serialize)]
+pub struct Attachment {
+    /// `image`, `video` or `audio`.
+    pub r#type: &'static str,
+    /// Where the media is served from.
+    pub remote_url: String,
+    /// Whether the author marked it sensitive.
+    pub sensitive: bool,
+}
+
+/// A mentioned account of a [`Status`].
+#[derive(Debug, Clone, Serialize)]
+pub struct Mention {
+    /// `user@domain`.
+    pub acct: String,
+}
+
+/// A hashtag of a [`Status`].
+#[derive(Debug, Clone, Serialize)]
+pub struct Tag {
+    /// The tag, without `#`.
+    pub name: String,
+}
+
+impl Status {
+    /// The status a timeline page serves for `post`.
+    pub fn of(post: &Post) -> Status {
+        Status {
+            id: post.id.0.to_string(),
+            created_at: post.created.as_secs(),
+            content: Arc::clone(&post.content),
+            spoiler_text: post.subject.clone().unwrap_or_default(),
+            visibility: visibility_str(post.visibility),
+            sensitive: post.sensitive,
+            account: Account {
+                id: post.author.user.0.to_string(),
+                acct: format!("{}@{}", post.author.user.0, post.author.domain),
+                url: format!(
+                    "https://{}/users/{}",
+                    post.author.domain, post.author.user.0
+                ),
+            },
+            media_attachments: post
+                .media
+                .iter()
+                .map(|m| Attachment {
+                    r#type: media_str(m.kind),
+                    remote_url: format!("https://{}/media", m.host),
+                    sensitive: m.sensitive,
+                })
+                .collect(),
+            mentions: post
+                .mentions
+                .iter()
+                .map(|m| Mention {
+                    acct: format!("{}@{}", m.user.0, m.domain),
+                })
+                .collect(),
+            tags: post
+                .hashtags
+                .iter()
+                .map(|h| Tag { name: h.clone() })
+                .collect(),
+        }
+    }
 }
 
 fn visibility_str(v: Visibility) -> &'static str {
@@ -421,12 +500,22 @@ mod tests {
         let mut post = Post::stub(PostId(42), author, SimTime(1000), "body text");
         post.hashtags.push("nsfw".into());
         post.sensitive = true;
-        let v = status_json(&post);
+        post.media.push(fediscope_core::model::MediaAttachment {
+            host: Domain::new("cdn.example"),
+            kind: fediscope_core::model::MediaKind::Video,
+            sensitive: false,
+        });
+        let v = serde_json::to_value(Status::of(&post)).unwrap();
         assert_eq!(v["id"], "42");
         assert_eq!(v["content"], "body text");
         assert_eq!(v["sensitive"], true);
         assert_eq!(v["visibility"], "public");
         assert_eq!(v["account"]["acct"], "3@j.example");
         assert_eq!(v["tags"][0]["name"], "nsfw");
+        assert_eq!(v["media_attachments"][0]["type"], "video");
+        assert_eq!(
+            v["media_attachments"][0]["remote_url"],
+            "https://cdn.example/media"
+        );
     }
 }

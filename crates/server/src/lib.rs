@@ -28,7 +28,7 @@ mod federate;
 mod metrics;
 mod server;
 
-pub use api::{register_on, status_json, DEFAULT_PAGE, MAX_PAGE};
+pub use api::{register_on, Account, Attachment, Mention, Status, Tag, DEFAULT_PAGE, MAX_PAGE};
 pub use federate::{DeliveryReport, Federator};
 pub use metrics::prometheus_text;
 pub use server::{InstanceServer, PublishError, ServerStats};

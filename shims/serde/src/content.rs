@@ -290,92 +290,8 @@ num_eq!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
 impl fmt::Display for Content {
     /// Compact JSON rendering (matches the serde_json::Value Display).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_json(self, f, None, 0)
+        let text = crate::json::to_json_string::<_, crate::ser::TreeError>(self, false)
+            .map_err(|_| fmt::Error)?;
+        f.write_str(&text)
     }
-}
-
-/// Writes `v` as JSON. `indent = None` renders compactly; `Some(w)`
-/// pretty-prints with `w`-space indentation.
-pub fn write_json(
-    v: &Content,
-    f: &mut dyn fmt::Write,
-    indent: Option<usize>,
-    depth: usize,
-) -> fmt::Result {
-    let (nl, pad, pad_in) = match indent {
-        Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
-        None => ("", String::new(), String::new()),
-    };
-    let colon = if indent.is_some() { ": " } else { ":" };
-    match v {
-        Content::Null => f.write_str("null"),
-        Content::Bool(b) => f.write_str(if *b { "true" } else { "false" }),
-        Content::Number(Number::PosInt(n)) => write!(f, "{n}"),
-        Content::Number(Number::NegInt(n)) => write!(f, "{n}"),
-        Content::Number(Number::Float(x)) => {
-            if x.is_finite() {
-                // Keep float-ness visible, as serde_json does.
-                if x.fract() == 0.0 && x.abs() < 1e15 {
-                    write!(f, "{x:.1}")
-                } else {
-                    write!(f, "{x}")
-                }
-            } else {
-                f.write_str("null")
-            }
-        }
-        Content::String(s) => write_json_string(s, f),
-        Content::Array(items) => {
-            if items.is_empty() {
-                return f.write_str("[]");
-            }
-            f.write_str("[")?;
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(",")?;
-                }
-                f.write_str(nl)?;
-                f.write_str(&pad_in)?;
-                write_json(item, f, indent, depth + 1)?;
-            }
-            f.write_str(nl)?;
-            f.write_str(&pad)?;
-            f.write_str("]")
-        }
-        Content::Object(map) => {
-            if map.is_empty() {
-                return f.write_str("{}");
-            }
-            f.write_str("{")?;
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    f.write_str(",")?;
-                }
-                f.write_str(nl)?;
-                f.write_str(&pad_in)?;
-                write_json_string(k, f)?;
-                f.write_str(colon)?;
-                write_json(val, f, indent, depth + 1)?;
-            }
-            f.write_str(nl)?;
-            f.write_str(&pad)?;
-            f.write_str("}")
-        }
-    }
-}
-
-fn write_json_string(s: &str, f: &mut dyn fmt::Write) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_char(c)?,
-        }
-    }
-    f.write_str("\"")
 }

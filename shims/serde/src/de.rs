@@ -1,6 +1,20 @@
 //! Deserialization half of the shim.
+//!
+//! A [`Deserializer`] is pulled one value at a time: [`Deserializer::pull`]
+//! yields the head of the next value as a [`Next`] — a scalar, or a
+//! [`SeqAccess`] / [`MapAccess`] that the caller drains element by
+//! element. Derived code drives it field by field, so a format that reads
+//! text (`serde_json::from_str`) builds no intermediate tree;
+//! [`ContentDeserializer`] offers the same interface over a [`Content`].
+//!
+//! Semantics every impl here keeps: unknown struct fields are skipped, a
+//! missing field reads as `null` (so `Option` fields become `None`), a
+//! repeated key takes its last value, and a unit enum variant is accepted
+//! both as `"V"` and as `{"V": <anything>}`. A repeated key's earlier
+//! values are still read, so each must be well-formed for the field.
 
-use crate::content::{Content, Number};
+use crate::content::{Content, Map, Number};
+use std::borrow::Cow;
 use std::fmt::Display;
 use std::marker::PhantomData;
 
@@ -10,13 +24,82 @@ pub trait Error: Sized + std::error::Error {
     fn custom<T: Display>(msg: T) -> Self;
 }
 
-/// A data format producing the shim's value tree.
+/// The head of the next value in the input.
+pub enum Next<'de, S, M> {
+    /// `null`.
+    Null,
+    /// A boolean.
+    Bool(bool),
+    /// A number.
+    Number(Number),
+    /// A string, borrowed from the input when it needed no unescaping.
+    Str(Cow<'de, str>),
+    /// An array, to be drained element by element.
+    Seq(S),
+    /// An object, to be drained entry by entry.
+    Map(M),
+}
+
+impl<S, M> Next<'_, S, M> {
+    /// The JSON type name of the value.
+    pub fn kind(&self) -> &'static str {
+        match self {
+            Next::Null => "null",
+            Next::Bool(_) => "bool",
+            Next::Number(_) => "number",
+            Next::Str(_) => "string",
+            Next::Seq(_) => "array",
+            Next::Map(_) => "object",
+        }
+    }
+
+    /// The error for finding this value where `expected` was wanted.
+    pub fn unexpected<E: Error>(&self, expected: &str) -> E {
+        E::custom(format!("expected {expected}, found {}", self.kind()))
+    }
+}
+
+/// A data format that yields values one at a time.
 pub trait Deserializer<'de>: Sized {
     /// Error type.
     type Error: Error;
+    /// Accessor for the elements of an array.
+    type Seq: SeqAccess<'de, Error = Self::Error>;
+    /// Accessor for the entries of an object.
+    type Map: MapAccess<'de, Error = Self::Error>;
 
-    /// Yields the entire input as a value tree.
-    fn take_content(self) -> Result<Content, Self::Error>;
+    /// Reads the head of the next value.
+    fn pull(self) -> Result<Next<'de, Self::Seq, Self::Map>, Self::Error>;
+}
+
+/// The elements of an array, read in order.
+pub trait SeqAccess<'de> {
+    /// Error type.
+    type Error: Error;
+    /// The next element, or `None` once the array is exhausted.
+    fn next_element<T: Deserialize<'de>>(&mut self) -> Result<Option<T>, Self::Error>;
+}
+
+/// The entries of an object, read in order: each [`next_key`] must be
+/// followed by one [`next_value`] (or [`next_value_seed`]).
+///
+/// [`next_key`]: MapAccess::next_key
+/// [`next_value`]: MapAccess::next_value
+/// [`next_value_seed`]: MapAccess::next_value_seed
+pub trait MapAccess<'de> {
+    /// Error type.
+    type Error: Error;
+    /// The next key, or `None` once the object is exhausted.
+    fn next_key(&mut self) -> Result<Option<Cow<'de, str>>, Self::Error>;
+    /// The value of the key just read, through `seed`.
+    fn next_value_seed<T: DeserializeSeed<'de>>(
+        &mut self,
+        seed: T,
+    ) -> Result<T::Value, Self::Error>;
+    /// The value of the key just read.
+    fn next_value<T: Deserialize<'de>>(&mut self) -> Result<T, Self::Error> {
+        self.next_value_seed(PhantomData)
+    }
 }
 
 /// A value constructible from the shim's data model.
@@ -25,9 +108,72 @@ pub trait Deserialize<'de>: Sized {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error>;
 }
 
+/// Stateful deserialization, as in real serde: derived enums use it to
+/// read a variant's payload once its name is known.
+pub trait DeserializeSeed<'de>: Sized {
+    /// The value produced.
+    type Value;
+    /// Deserializes the value.
+    fn deserialize<D: Deserializer<'de>>(self, deserializer: D) -> Result<Self::Value, D::Error>;
+}
+
+impl<'de, T: Deserialize<'de>> DeserializeSeed<'de> for PhantomData<T> {
+    type Value = T;
+    fn deserialize<D: Deserializer<'de>>(self, deserializer: D) -> Result<T, D::Error> {
+        T::deserialize(deserializer)
+    }
+}
+
 /// Owned-deserializable marker, as in real serde.
 pub trait DeserializeOwned: for<'de> Deserialize<'de> {}
 impl<T: for<'de> Deserialize<'de>> DeserializeOwned for T {}
+
+/// Reads and discards any one value.
+pub struct IgnoredAny;
+
+impl<'de> Deserialize<'de> for IgnoredAny {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        match deserializer.pull()? {
+            Next::Seq(mut seq) => while seq.next_element::<IgnoredAny>()?.is_some() {},
+            Next::Map(mut map) => {
+                while map.next_key()?.is_some() {
+                    map.next_value::<IgnoredAny>()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(IgnoredAny)
+    }
+}
+
+/// A deserializer whose value head was already pulled: hands it on to
+/// the next `Deserialize` impl (`Option<T>` peeks for `null` this way).
+pub struct Pulled<'de, S, M>(pub Next<'de, S, M>);
+
+impl<'de, S, M> Deserializer<'de> for Pulled<'de, S, M>
+where
+    S: SeqAccess<'de>,
+    M: MapAccess<'de, Error = S::Error>,
+{
+    type Error = S::Error;
+    type Seq = S;
+    type Map = M;
+    fn pull(self) -> Result<Next<'de, S, M>, S::Error> {
+        Ok(self.0)
+    }
+}
+
+/// A scalar as a deserializer, with the caller's error type.
+fn scalar<'de, E: Error>(
+    next: Next<'de, ContentSeq<E>, ContentMap<E>>,
+) -> impl Deserializer<'de, Error = E> {
+    Pulled(next)
+}
+
+/// Deserializes a field that the input left out: it reads as `null`.
+pub fn missing_field<'de, T: Deserialize<'de>, E: Error>() -> Result<T, E> {
+    T::deserialize(scalar::<E>(Next::Null))
+}
 
 /// Deserializer view over an in-memory tree, generic in its error type so
 /// derived code can thread `D::Error` through nested fields.
@@ -46,10 +192,63 @@ impl<E> ContentDeserializer<E> {
     }
 }
 
+/// The elements of a tree array.
+pub struct ContentSeq<E> {
+    items: std::vec::IntoIter<Content>,
+    _marker: PhantomData<E>,
+}
+
+/// The entries of a tree object, with the value of the key just read.
+pub struct ContentMap<E> {
+    entries: std::collections::btree_map::IntoIter<String, Content>,
+    value: Option<Content>,
+    _marker: PhantomData<E>,
+}
+
 impl<'de, E: Error> Deserializer<'de> for ContentDeserializer<E> {
     type Error = E;
-    fn take_content(self) -> Result<Content, E> {
-        Ok(self.content)
+    type Seq = ContentSeq<E>;
+    type Map = ContentMap<E>;
+    fn pull(self) -> Result<Next<'de, ContentSeq<E>, ContentMap<E>>, E> {
+        Ok(match self.content {
+            Content::Null => Next::Null,
+            Content::Bool(b) => Next::Bool(b),
+            Content::Number(n) => Next::Number(n),
+            Content::String(s) => Next::Str(Cow::Owned(s)),
+            Content::Array(items) => Next::Seq(ContentSeq {
+                items: items.into_iter(),
+                _marker: PhantomData,
+            }),
+            Content::Object(map) => Next::Map(ContentMap {
+                entries: map.into_iter(),
+                value: None,
+                _marker: PhantomData,
+            }),
+        })
+    }
+}
+
+impl<'de, E: Error> SeqAccess<'de> for ContentSeq<E> {
+    type Error = E;
+    fn next_element<T: Deserialize<'de>>(&mut self) -> Result<Option<T>, E> {
+        self.items.next().map(from_content).transpose()
+    }
+}
+
+impl<'de, E: Error> MapAccess<'de> for ContentMap<E> {
+    type Error = E;
+    fn next_key(&mut self) -> Result<Option<Cow<'de, str>>, E> {
+        Ok(self.entries.next().map(|(key, value)| {
+            self.value = Some(value);
+            Cow::Owned(key)
+        }))
+    }
+    fn next_value_seed<T: DeserializeSeed<'de>>(&mut self, seed: T) -> Result<T::Value, E> {
+        let value = self
+            .value
+            .take()
+            .ok_or_else(|| E::custom("map value requested before its key"))?;
+        seed.deserialize(ContentDeserializer::new(value))
     }
 }
 
@@ -58,45 +257,48 @@ pub fn from_content<'de, T: Deserialize<'de>, E: Error>(content: Content) -> Res
     T::deserialize(ContentDeserializer::new(content))
 }
 
-fn type_name(c: &Content) -> &'static str {
-    match c {
-        Content::Null => "null",
-        Content::Bool(_) => "bool",
-        Content::Number(_) => "number",
-        Content::String(_) => "string",
-        Content::Array(_) => "array",
-        Content::Object(_) => "object",
-    }
-}
-
 // ---------------------------------------------------------------- impls --
 
 impl<'de> Deserialize<'de> for Content {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        deserializer.take_content()
+        Ok(match deserializer.pull()? {
+            Next::Null => Content::Null,
+            Next::Bool(b) => Content::Bool(b),
+            Next::Number(n) => Content::Number(n),
+            Next::Str(s) => Content::String(s.into_owned()),
+            Next::Seq(mut seq) => {
+                let mut items = Vec::new();
+                while let Some(item) = seq.next_element()? {
+                    items.push(item);
+                }
+                Content::Array(items)
+            }
+            Next::Map(mut map) => {
+                let mut object = Map::new();
+                while let Some(key) = map.next_key()? {
+                    let value = map.next_value()?;
+                    object.insert(key.into_owned(), value);
+                }
+                Content::Object(object)
+            }
+        })
     }
 }
 
 impl<'de> Deserialize<'de> for bool {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.take_content()? {
-            Content::Bool(b) => Ok(b),
-            other => Err(D::Error::custom(format!(
-                "expected bool, found {}",
-                type_name(&other)
-            ))),
+        match deserializer.pull()? {
+            Next::Bool(b) => Ok(b),
+            other => Err(other.unexpected("bool")),
         }
     }
 }
 
 impl<'de> Deserialize<'de> for String {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.take_content()? {
-            Content::String(s) => Ok(s),
-            other => Err(D::Error::custom(format!(
-                "expected string, found {}",
-                type_name(&other)
-            ))),
+        match deserializer.pull()? {
+            Next::Str(s) => Ok(s.into_owned()),
+            other => Err(other.unexpected("string")),
         }
     }
 }
@@ -112,54 +314,29 @@ impl<'de> Deserialize<'de> for char {
     }
 }
 
-macro_rules! de_uint {
-    ($($t:ty),*) => {$(
-        impl<'de> Deserialize<'de> for $t {
-            fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-                match deserializer.take_content()? {
-                    Content::Number(n) => n
-                        .as_u64()
-                        .and_then(|v| <$t>::try_from(v).ok())
-                        .ok_or_else(|| D::Error::custom(concat!("number out of range for ", stringify!($t)))),
-                    other => Err(D::Error::custom(format!(
-                        concat!("expected ", stringify!($t), ", found {}"),
-                        type_name(&other)
-                    ))),
-                }
-            }
-        }
-    )*};
-}
-de_uint!(u8, u16, u32, u64, usize);
-
 macro_rules! de_int {
-    ($($t:ty),*) => {$(
+    ($as:ident: $($t:ty),*) => {$(
         impl<'de> Deserialize<'de> for $t {
             fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-                match deserializer.take_content()? {
-                    Content::Number(n) => n
-                        .as_i64()
+                match deserializer.pull()? {
+                    Next::Number(n) => n
+                        .$as()
                         .and_then(|v| <$t>::try_from(v).ok())
                         .ok_or_else(|| D::Error::custom(concat!("number out of range for ", stringify!($t)))),
-                    other => Err(D::Error::custom(format!(
-                        concat!("expected ", stringify!($t), ", found {}"),
-                        type_name(&other)
-                    ))),
+                    other => Err(other.unexpected(stringify!($t))),
                 }
             }
         }
     )*};
 }
-de_int!(i8, i16, i32, i64, isize);
+de_int!(as_u64: u8, u16, u32, u64, usize);
+de_int!(as_i64: i8, i16, i32, i64, isize);
 
 impl<'de> Deserialize<'de> for f64 {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.take_content()? {
-            Content::Number(n) => Ok(n.as_f64()),
-            other => Err(D::Error::custom(format!(
-                "expected f64, found {}",
-                type_name(&other)
-            ))),
+        match deserializer.pull()? {
+            Next::Number(n) => Ok(n.as_f64()),
+            other => Err(other.unexpected("f64")),
         }
     }
 }
@@ -172,33 +349,33 @@ impl<'de> Deserialize<'de> for f32 {
 
 impl<'de> Deserialize<'de> for () {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.take_content()? {
-            Content::Null => Ok(()),
-            other => Err(D::Error::custom(format!(
-                "expected null, found {}",
-                type_name(&other)
-            ))),
+        match deserializer.pull()? {
+            Next::Null => Ok(()),
+            other => Err(other.unexpected("null")),
         }
     }
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Option<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.take_content()? {
-            Content::Null => Ok(None),
-            content => from_content(content).map(Some),
+        match deserializer.pull()? {
+            Next::Null => Ok(None),
+            next => T::deserialize(Pulled(next)).map(Some),
         }
     }
 }
 
 impl<'de, T: Deserialize<'de>> Deserialize<'de> for Vec<T> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.take_content()? {
-            Content::Array(items) => items.into_iter().map(from_content).collect(),
-            other => Err(D::Error::custom(format!(
-                "expected array, found {}",
-                type_name(&other)
-            ))),
+        match deserializer.pull()? {
+            Next::Seq(mut seq) => {
+                let mut items = Vec::new();
+                while let Some(item) = seq.next_element()? {
+                    items.push(item);
+                }
+                Ok(items)
+            }
+            other => Err(other.unexpected("array")),
         }
     }
 }
@@ -233,75 +410,80 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for std::sync::Arc<[T]> {
 }
 
 macro_rules! de_tuple {
-    ($(($len:literal; $($n:tt $t:ident),+))*) => {$(
+    ($(($len:literal; $($t:ident),+))*) => {$(
         impl<'de, $($t: Deserialize<'de>),+> Deserialize<'de> for ($($t,)+) {
             fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-                match deserializer.take_content()? {
-                    Content::Array(items) if items.len() == $len => {
-                        let mut it = items.into_iter();
-                        Ok(($({
-                            let _ = $n;
-                            from_content::<$t, D::Error>(it.next().expect("length checked"))?
-                        },)+))
+                let wrong_len = || D::Error::custom(concat!("expected array of length ", $len));
+                match deserializer.pull()? {
+                    Next::Seq(mut seq) => {
+                        let tuple = ($(seq.next_element::<$t>()?.ok_or_else(wrong_len)?,)+);
+                        match seq.next_element::<IgnoredAny>()? {
+                            None => Ok(tuple),
+                            Some(_) => Err(wrong_len()),
+                        }
                     }
-                    other => Err(D::Error::custom(format!(
-                        concat!("expected array of length ", $len, ", found {}"),
-                        type_name(&other)
-                    ))),
+                    other => Err(other.unexpected(concat!("array of length ", $len))),
                 }
             }
         }
     )*};
 }
 de_tuple! {
-    (1; 0 T0)
-    (2; 0 T0, 1 T1)
-    (3; 0 T0, 1 T1, 2 T2)
-    (4; 0 T0, 1 T1, 2 T2, 3 T3)
+    (1; T0)
+    (2; T0, T1)
+    (3; T0, T1, T2)
+    (4; T0, T1, T2, T3)
 }
 
 /// Recovers a map key from its JSON-object string form: first as the
-/// string itself, then — for numeric key types — via a numeric reparse.
-pub fn key_from_string<'de, K: Deserialize<'de>, E: Error>(key: String) -> Result<K, E> {
-    match from_content(Content::String(key.clone())) {
-        Ok(v) => Ok(v),
-        Err(first) => {
-            if let Ok(u) = key.parse::<u64>() {
-                if let Ok(v) = from_content::<K, E>(Content::Number(Number::PosInt(u))) {
-                    return Ok(v);
-                }
+/// string itself, then — for numeric or boolean key types — as the
+/// number or bool it spells.
+pub fn key_from_string<'de, K: Deserialize<'de>, E: Error>(key: Cow<'de, str>) -> Result<K, E> {
+    let first = match K::deserialize(scalar::<E>(Next::Str(key.clone()))) {
+        Ok(v) => return Ok(v),
+        Err(first) => first,
+    };
+    let reparsed = if let Ok(u) = key.parse::<u64>() {
+        Next::Number(Number::PosInt(u))
+    } else if let Ok(i) = key.parse::<i64>() {
+        Next::Number(Number::NegInt(i))
+    } else if key == "true" || key == "false" {
+        Next::Bool(key == "true")
+    } else {
+        return Err(first);
+    };
+    K::deserialize(scalar::<E>(reparsed)).map_err(|_| first)
+}
+
+fn deserialize_map<'de, K, V, D, C>(deserializer: D) -> Result<C, D::Error>
+where
+    K: Deserialize<'de>,
+    V: Deserialize<'de>,
+    D: Deserializer<'de>,
+    C: Default + Extend<(K, V)>,
+{
+    match deserializer.pull()? {
+        Next::Map(mut map) => {
+            let mut out = C::default();
+            while let Some(key) = map.next_key()? {
+                let key = key_from_string(key)?;
+                let value = map.next_value()?;
+                out.extend(std::iter::once((key, value)));
             }
-            if let Ok(i) = key.parse::<i64>() {
-                if let Ok(v) = from_content::<K, E>(Content::Number(Number::NegInt(i))) {
-                    return Ok(v);
-                }
-            }
-            if key == "true" || key == "false" {
-                if let Ok(v) = from_content::<K, E>(Content::Bool(key == "true")) {
-                    return Ok(v);
-                }
-            }
-            Err(first)
+            Ok(out)
         }
+        other => Err(other.unexpected("object")),
     }
 }
 
-impl<'de, K, V> Deserialize<'de> for std::collections::HashMap<K, V>
+impl<'de, K, V, H> Deserialize<'de> for std::collections::HashMap<K, V, H>
 where
     K: Deserialize<'de> + std::hash::Hash + Eq,
     V: Deserialize<'de>,
+    H: std::hash::BuildHasher + Default,
 {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.take_content()? {
-            Content::Object(map) => map
-                .into_iter()
-                .map(|(k, v)| Ok((key_from_string(k)?, from_content(v)?)))
-                .collect(),
-            other => Err(D::Error::custom(format!(
-                "expected object, found {}",
-                type_name(&other)
-            ))),
-        }
+        deserialize_map(deserializer)
     }
 }
 
@@ -311,16 +493,7 @@ where
     V: Deserialize<'de>,
 {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.take_content()? {
-            Content::Object(map) => map
-                .into_iter()
-                .map(|(k, v)| Ok((key_from_string(k)?, from_content(v)?)))
-                .collect(),
-            other => Err(D::Error::custom(format!(
-                "expected object, found {}",
-                type_name(&other)
-            ))),
-        }
+        deserialize_map(deserializer)
     }
 }
 
@@ -333,9 +506,10 @@ impl<'de> Deserialize<'de> for &'static str {
     }
 }
 
-impl<'de, T> Deserialize<'de> for std::collections::HashSet<T>
+impl<'de, T, H> Deserialize<'de> for std::collections::HashSet<T, H>
 where
     T: Deserialize<'de> + std::hash::Hash + Eq,
+    H: std::hash::BuildHasher + Default,
 {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         Vec::<T>::deserialize(deserializer).map(|v| v.into_iter().collect())
@@ -353,17 +527,71 @@ where
 
 impl<'de> Deserialize<'de> for std::time::Duration {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        match deserializer.take_content()? {
-            Content::Object(map) => {
-                let secs = map.get("secs").and_then(Content::as_u64).unwrap_or(0);
-                let nanos = map.get("nanos").and_then(Content::as_u64).unwrap_or(0);
+        match deserializer.pull()? {
+            Next::Map(mut map) => {
+                let (mut secs, mut nanos) = (0, 0);
+                while let Some(key) = map.next_key()? {
+                    // A field that is not a u64 reads as 0.
+                    let value = map.next_value::<Content>()?.as_u64().unwrap_or(0);
+                    match &*key {
+                        "secs" => secs = value,
+                        "nanos" => nanos = value,
+                        _ => {}
+                    }
+                }
                 Ok(std::time::Duration::new(secs, nanos as u32))
             }
-            Content::Number(Number::PosInt(secs)) => Ok(std::time::Duration::from_secs(secs)),
-            other => Err(D::Error::custom(format!(
-                "expected duration, found {}",
-                type_name(&other)
-            ))),
+            Next::Number(Number::PosInt(secs)) => Ok(std::time::Duration::from_secs(secs)),
+            other => Err(other.unexpected("duration")),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ser::TreeError;
+    use std::collections::BTreeMap;
+
+    fn tree(pairs: &[(&str, Content)]) -> Content {
+        Content::Object(
+            pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.clone()))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn option_reads_null_as_none() {
+        assert_eq!(
+            from_content::<Option<u8>, TreeError>(Content::Null).unwrap(),
+            None
+        );
+        let three = Content::Number(Number::PosInt(3));
+        assert_eq!(
+            from_content::<Option<u8>, TreeError>(three).unwrap(),
+            Some(3)
+        );
+        assert_eq!(missing_field::<Option<u8>, TreeError>().unwrap(), None);
+        assert!(missing_field::<u8, TreeError>().is_err());
+    }
+
+    #[test]
+    fn numeric_map_keys_come_back_from_strings() {
+        let object = tree(&[("10", Content::Bool(true)), ("2", Content::Bool(false))]);
+        let map: BTreeMap<u64, bool> = from_content::<_, TreeError>(object).unwrap();
+        assert_eq!(map, BTreeMap::from([(2, false), (10, true)]));
+        let bad = tree(&[("x", Content::Bool(true))]);
+        assert!(from_content::<BTreeMap<u64, bool>, TreeError>(bad).is_err());
+    }
+
+    #[test]
+    fn tuples_need_their_exact_length() {
+        let arr =
+            |n: u64| Content::Array((0..n).map(|i| Content::Number(Number::PosInt(i))).collect());
+        assert_eq!(from_content::<(u8, u8), TreeError>(arr(2)).unwrap(), (0, 1));
+        assert!(from_content::<(u8, u8), TreeError>(arr(1)).is_err());
+        assert!(from_content::<(u8, u8), TreeError>(arr(3)).is_err());
     }
 }

@@ -4,7 +4,8 @@
 //! offline environment). Supports the shapes this workspace uses:
 //! named-field structs, tuple structs (serde newtype semantics for a
 //! single field), unit structs, and externally-tagged enums with unit,
-//! newtype, tuple and struct variants. Generics are not supported.
+//! newtype, tuple and struct variants. Generics are not supported. A
+//! raw-identifier field (`r#type`) uses its bare name as the JSON key.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 use std::iter::Peekable;
@@ -203,99 +204,189 @@ fn parse_item(input: TokenStream) -> Item {
 }
 
 // ------------------------------------------------------------ serialize --
+//
+// Generated serializers stream: a struct opens an object on the
+// serializer and writes its fields one by one, sorted by name — the
+// order a `BTreeMap<String, _>` tree gives, decided here at expansion
+// time. Enums are externally tagged: `"Unit"`, `{"Variant": payload}`.
+
+/// The JSON key of a field: its name, without any raw-identifier `r#`.
+fn key(name: &str) -> &str {
+    name.strip_prefix("r#").unwrap_or(name)
+}
+
+/// Field indices in output order: sorted by key.
+fn sorted(names: &[String]) -> Vec<(usize, &String)> {
+    let mut fields: Vec<_> = names.iter().enumerate().collect();
+    fields.sort_by(|a, b| key(a.1).cmp(key(b.1)));
+    fields
+}
+
+/// Statements writing named fields into the open object `__c`, then
+/// closing it. `access(i, name)` is the expression for field `i`.
+fn write_entries(names: &[String], access: impl Fn(usize, &str) -> String) -> String {
+    let mut out = String::new();
+    for (i, n) in sorted(names) {
+        out.push_str(&format!(
+            "::serde::ser::SerializeMap::serialize_entry(&mut __c, \"{}\", {})?;\n",
+            key(n),
+            access(i, n)
+        ));
+    }
+    out + "::serde::ser::SerializeMap::end(__c)"
+}
+
+/// Statements writing `n` elements into the open array `__c`, then
+/// closing it.
+fn write_elements(n: usize, access: impl Fn(usize) -> String) -> String {
+    let mut out = String::new();
+    for i in 0..n {
+        out.push_str(&format!(
+            "::serde::ser::SerializeSeq::serialize_element(&mut __c, {})?;\n",
+            access(i)
+        ));
+    }
+    out + "::serde::ser::SerializeSeq::end(__c)"
+}
 
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
-        Item::Struct { name, fields } => (
-            name,
-            format!(
-                "serializer.serialize_content({})",
-                content_expr(fields, None)
-            ),
-        ),
+        Item::Struct { name, fields } => (name, serialize_struct_body(name, fields)),
         Item::Enum { name, variants } => {
-            let mut arms = String::new();
-            for v in variants {
-                arms.push_str(&serialize_variant_arm(name, v));
-            }
+            let arms: String = variants
+                .iter()
+                .map(|v| serialize_variant_arm(name, v))
+                .collect();
             (name, format!("match self {{ {arms} }}"))
         }
     };
     format!(
         "impl ::serde::Serialize for {name} {{\n\
-         fn serialize<S: ::serde::Serializer>(&self, serializer: S) \
-         -> ::core::result::Result<S::Ok, S::Error> {{\n{body}\n}}\n}}"
+         fn serialize<__S: ::serde::Serializer>(&self, __serializer: __S) \
+         -> ::core::result::Result<__S::Ok, __S::Error> {{\n{body}\n}}\n}}"
     )
 }
 
-/// Expression building the `Content` tree for a set of fields. With
-/// `bound`, fields are read from the given match-arm bindings instead of
-/// `self.` access.
-fn content_expr(fields: &Fields, bound: Option<&[String]>) -> String {
-    let access = |i: usize, n: &str| match bound {
-        Some(names) => names[i].clone(),
-        None if n.is_empty() => format!("&self.{i}"),
-        None => format!("&self.{n}"),
-    };
+fn serialize_struct_body(name: &str, fields: &Fields) -> String {
     match fields {
-        Fields::Unit => "::serde::__private::Content::Null".to_string(),
-        Fields::Named(names) => {
-            let mut inserts = String::new();
-            for (i, n) in names.iter().enumerate() {
-                inserts.push_str(&format!(
-                    "map.insert(\"{n}\".to_string(), ::serde::__private::to_content({}));\n",
-                    access(i, n)
-                ));
-            }
-            format!(
-                "{{ let mut map = ::serde::__private::Map::new();\n{inserts}\
-                 ::serde::__private::Content::Object(map) }}"
-            )
-        }
-        Fields::Tuple(1) => format!("::serde::__private::to_content({})", access(0, "")),
-        Fields::Tuple(n) => {
-            let items: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::__private::to_content({})", access(i, "")))
-                .collect();
-            format!(
-                "::serde::__private::Content::Array(vec![{}])",
-                items.join(", ")
-            )
-        }
+        Fields::Unit => "::serde::Serializer::serialize_unit(__serializer)".to_string(),
+        Fields::Named(names) => format!(
+            "let mut __c = ::serde::Serializer::serialize_struct(__serializer, \"{name}\", {})?;\n{}",
+            names.len(),
+            write_entries(names, |_, n| format!("&self.{n}"))
+        ),
+        Fields::Tuple(1) => "::serde::Serialize::serialize(&self.0, __serializer)".to_string(),
+        Fields::Tuple(n) => format!(
+            "let mut __c = ::serde::Serializer::serialize_seq(\
+             __serializer, ::core::option::Option::Some({n}))?;\n{}",
+            write_elements(*n, |i| format!("&self.{i}"))
+        ),
     }
 }
 
 fn serialize_variant_arm(enum_name: &str, v: &Variant) -> String {
     let vname = &v.name;
+    let path = format!("{enum_name}::{vname}");
     match &v.fields {
-        Fields::Unit => format!("{enum_name}::{vname} => serializer.serialize_str(\"{vname}\"),\n"),
-        Fields::Named(names) => {
-            let binds = names.join(", ");
-            let inner = content_expr(&v.fields, Some(names));
+        Fields::Unit => {
+            format!("{path} => ::serde::Serializer::serialize_str(__serializer, \"{vname}\"),\n")
+        }
+        Fields::Tuple(1) => format!(
+            "{path}(__b0) => ::serde::Serializer::serialize_newtype_variant(\
+             __serializer, \"{vname}\", __b0),\n"
+        ),
+        Fields::Tuple(n) => {
+            let binds: Vec<String> = (0..*n).map(|i| format!("__b{i}")).collect();
             format!(
-                "{enum_name}::{vname} {{ {binds} }} => {{\n\
-                 let inner = {inner};\n\
-                 let mut outer = ::serde::__private::Map::new();\n\
-                 outer.insert(\"{vname}\".to_string(), inner);\n\
-                 serializer.serialize_content(::serde::__private::Content::Object(outer))\n}}\n"
+                "{path}({}) => {{\nlet mut __c = ::serde::Serializer::serialize_tuple_variant(\
+                 __serializer, \"{vname}\", {n})?;\n{}\n}}\n",
+                binds.join(", "),
+                write_elements(*n, |i| format!("__b{i}"))
             )
         }
-        Fields::Tuple(n) => {
-            let names: Vec<String> = (0..*n).map(|i| format!("__f{i}")).collect();
-            let binds = names.join(", ");
-            let inner = content_expr(&v.fields, Some(&names));
+        Fields::Named(names) => {
+            let binds: Vec<String> = names
+                .iter()
+                .enumerate()
+                .map(|(i, n)| format!("{n}: __b{i}"))
+                .collect();
             format!(
-                "{enum_name}::{vname}({binds}) => {{\n\
-                 let inner = {inner};\n\
-                 let mut outer = ::serde::__private::Map::new();\n\
-                 outer.insert(\"{vname}\".to_string(), inner);\n\
-                 serializer.serialize_content(::serde::__private::Content::Object(outer))\n}}\n"
+                "{path} {{ {} }} => {{\nlet mut __c = ::serde::Serializer::serialize_struct_variant(\
+                 __serializer, \"{vname}\", {})?;\n{}\n}}\n",
+                binds.join(", "),
+                names.len(),
+                write_entries(names, |i, _| format!("__b{i}"))
             )
         }
     }
 }
 
 // ---------------------------------------------------------- deserialize --
+//
+// Generated deserializers pull: they read the head of the value, then
+// drain an object key by key (or an array element by element), reading
+// each field straight into its own type. Unknown keys are skipped, a
+// missing field reads as `null`, and a repeated key keeps its last value.
+
+/// `match` on the value pulled from `__deserializer`: `pattern` (a
+/// `Next` variant) runs `body`; any other shape is an error naming
+/// `expected`.
+fn pull_match(pattern: &str, body: &str, expected: &str) -> String {
+    format!(
+        "match ::serde::Deserializer::pull(__deserializer)? {{\n\
+         ::serde::de::Next::{pattern} => {{\n{body}\n}}\n\
+         __other => ::core::result::Result::Err(__other.unexpected(\"{expected}\")),\n}}"
+    )
+}
+
+/// Body draining the object `__map` into `path { names }`.
+fn named_fields_body(path: &str, names: &[String]) -> String {
+    let mut decls = String::new();
+    let mut arms = String::new();
+    let mut inits = String::new();
+    for (i, n) in names.iter().enumerate() {
+        decls.push_str(&format!("let mut __f{i} = ::core::option::Option::None;\n"));
+        arms.push_str(&format!(
+            "\"{}\" => __f{i} = ::core::option::Option::Some(\
+             ::serde::de::MapAccess::next_value(&mut __map)?),\n",
+            key(n)
+        ));
+        inits.push_str(&format!(
+            "{n}: match __f{i} {{\n\
+             ::core::option::Option::Some(__v) => __v,\n\
+             ::core::option::Option::None => ::serde::__private::missing_field::<_, __D::Error>()?,\n}},\n"
+        ));
+    }
+    format!(
+        "{decls}while let ::core::option::Option::Some(__key) = \
+         ::serde::de::MapAccess::next_key(&mut __map)? {{\n\
+         match &*__key {{\n{arms}\
+         _ => {{ ::serde::de::MapAccess::next_value::<::serde::de::IgnoredAny>(&mut __map)?; }}\n}}\n}}\n\
+         ::core::result::Result::Ok({path} {{\n{inits}}})"
+    )
+}
+
+/// Body reading `n` elements of the array `__seq` into `path(..)`:
+/// missing elements read as `null`, extra ones are skipped.
+fn tuple_fields_body(path: &str, n: usize) -> String {
+    let mut lets = String::new();
+    for i in 0..n {
+        lets.push_str(&format!(
+            "let __f{i} = match ::serde::de::SeqAccess::next_element(&mut __seq)? {{\n\
+             ::core::option::Option::Some(__v) => __v,\n\
+             ::core::option::Option::None => ::serde::__private::missing_field::<_, __D::Error>()?,\n}};\n"
+        ));
+    }
+    let args: Vec<String> = (0..n).map(|i| format!("__f{i}")).collect();
+    format!(
+        "{lets}while ::serde::de::SeqAccess::next_element::<::serde::de::IgnoredAny>(&mut __seq)?\
+         .is_some() {{}}\n::core::result::Result::Ok({path}({}))",
+        args.join(", ")
+    )
+}
+
+const IGNORE_VALUE: &str =
+    "<::serde::de::IgnoredAny as ::serde::Deserialize>::deserialize(__deserializer)?;";
 
 fn gen_deserialize(item: &Item) -> String {
     let (name, body) = match item {
@@ -304,115 +395,92 @@ fn gen_deserialize(item: &Item) -> String {
     };
     format!(
         "impl<'de> ::serde::Deserialize<'de> for {name} {{\n\
-         fn deserialize<D: ::serde::Deserializer<'de>>(deserializer: D) \
-         -> ::core::result::Result<Self, D::Error> {{\n\
-         let content = deserializer.take_content()?;\n{body}\n}}\n}}"
+         fn deserialize<__D: ::serde::Deserializer<'de>>(__deserializer: __D) \
+         -> ::core::result::Result<Self, __D::Error> {{\n{body}\n}}\n}}"
     )
-}
-
-fn named_fields_ctor(path: &str, names: &[String], map_var: &str) -> String {
-    let mut fields = String::new();
-    for n in names {
-        fields.push_str(&format!(
-            "{n}: ::serde::__private::from_content({map_var}.remove(\"{n}\")\
-             .unwrap_or(::serde::__private::Content::Null))?,\n"
-        ));
-    }
-    format!("::core::result::Result::Ok({path} {{ {fields} }})")
-}
-
-fn tuple_fields_ctor(path: &str, n: usize, vec_var: &str) -> String {
-    let mut args = Vec::new();
-    for _ in 0..n {
-        args.push(format!(
-            "::serde::__private::from_content({vec_var}.next()\
-             .unwrap_or(::serde::__private::Content::Null))?"
-        ));
-    }
-    format!("::core::result::Result::Ok({path}({}))", args.join(", "))
 }
 
 fn deserialize_struct_body(name: &str, fields: &Fields) -> String {
     match fields {
-        Fields::Unit => format!("let _ = content; ::core::result::Result::Ok({name})"),
-        Fields::Named(names) => format!(
-            "let mut map = match content {{\n\
-             ::serde::__private::Content::Object(m) => m,\n\
-             other => return ::core::result::Result::Err(\
-             <D::Error as ::serde::de::Error>::custom(\
-             format!(\"expected object for struct {name}, found {{other:?}}\"))),\n}};\n{}",
-            named_fields_ctor(name, names, "map")
+        Fields::Unit => format!("{IGNORE_VALUE}\n::core::result::Result::Ok({name})"),
+        Fields::Named(names) => pull_match(
+            "Map(mut __map)",
+            &named_fields_body(name, names),
+            &format!("object for struct {name}"),
         ),
         Fields::Tuple(1) => format!(
-            "::core::result::Result::Ok({name}(::serde::__private::from_content(content)?))"
+            "::core::result::Result::Ok({name}(::serde::Deserialize::deserialize(__deserializer)?))"
         ),
-        Fields::Tuple(n) => format!(
-            "let mut items = match content {{\n\
-             ::serde::__private::Content::Array(a) => a.into_iter(),\n\
-             other => return ::core::result::Result::Err(\
-             <D::Error as ::serde::de::Error>::custom(\
-             format!(\"expected array for struct {name}, found {{other:?}}\"))),\n}};\n{}",
-            tuple_fields_ctor(name, *n, "items")
+        Fields::Tuple(n) => pull_match(
+            "Seq(mut __seq)",
+            &tuple_fields_body(name, *n),
+            &format!("array for struct {name}"),
         ),
     }
 }
 
+/// An enum reads `"Unit"` directly; for `{"Variant": payload}` it reads
+/// the key, then the payload through the `__Variant` seed, which knows
+/// the payload's shape from the key.
 fn deserialize_enum_body(name: &str, variants: &[Variant]) -> String {
     let mut unit_arms = String::new();
     let mut payload_arms = String::new();
     for v in variants {
         let vname = &v.name;
-        match &v.fields {
+        let path = format!("{name}::{vname}");
+        let arm = match &v.fields {
             Fields::Unit => {
                 unit_arms.push_str(&format!(
-                    "\"{vname}\" => ::core::result::Result::Ok({name}::{vname}),\n"
+                    "\"{vname}\" => ::core::result::Result::Ok({path}),\n"
                 ));
                 // Tolerate the {"Variant": null} spelling, too.
-                payload_arms.push_str(&format!(
-                    "\"{vname}\" => {{ let _ = value; \
-                     ::core::result::Result::Ok({name}::{vname}) }},\n"
-                ));
+                format!("{{ {IGNORE_VALUE} ::core::result::Result::Ok({path}) }}")
             }
-            Fields::Tuple(1) => payload_arms.push_str(&format!(
-                "\"{vname}\" => ::core::result::Result::Ok({name}::{vname}(\
-                 ::serde::__private::from_content(value)?)),\n"
-            )),
-            Fields::Tuple(n) => payload_arms.push_str(&format!(
-                "\"{vname}\" => {{\n\
-                 let mut items = match value {{\n\
-                 ::serde::__private::Content::Array(a) => a.into_iter(),\n\
-                 other => return ::core::result::Result::Err(\
-                 <D::Error as ::serde::de::Error>::custom(\
-                 format!(\"expected array payload for {name}::{vname}, found {{other:?}}\"))),\n}};\n{}\n}},\n",
-                tuple_fields_ctor(&format!("{name}::{vname}"), *n, "items")
-            )),
-            Fields::Named(names) => payload_arms.push_str(&format!(
-                "\"{vname}\" => {{\n\
-                 let mut map = match value {{\n\
-                 ::serde::__private::Content::Object(m) => m,\n\
-                 other => return ::core::result::Result::Err(\
-                 <D::Error as ::serde::de::Error>::custom(\
-                 format!(\"expected object payload for {name}::{vname}, found {{other:?}}\"))),\n}};\n{}\n}},\n",
-                named_fields_ctor(&format!("{name}::{vname}"), names, "map")
-            )),
-        }
+            Fields::Tuple(1) => format!(
+                "::core::result::Result::Ok({path}(::serde::Deserialize::deserialize(__deserializer)?))"
+            ),
+            Fields::Tuple(n) => pull_match(
+                "Seq(mut __seq)",
+                &tuple_fields_body(&path, *n),
+                &format!("array payload for {path}"),
+            ),
+            Fields::Named(names) => pull_match(
+                "Map(mut __map)",
+                &named_fields_body(&path, names),
+                &format!("object payload for {path}"),
+            ),
+        };
+        payload_arms.push_str(&format!("\"{vname}\" => {arm},\n"));
     }
+    let unknown = format!(
+        "__other => ::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\
+         ::std::format!(\"unknown {name} variant {{__other:?}}\"))),\n"
+    );
+    let custom = |msg: String| {
+        format!(
+            "::core::result::Result::Err(<__D::Error as ::serde::de::Error>::custom(\"{msg}\"))"
+        )
+    };
     format!(
-        "match content {{\n\
-         ::serde::__private::Content::String(s) => match s.as_str() {{\n{unit_arms}\
-         other => ::core::result::Result::Err(<D::Error as ::serde::de::Error>::custom(\
-         format!(\"unknown {name} variant {{other:?}}\"))),\n}},\n\
-         ::serde::__private::Content::Object(m) => {{\n\
-         let mut it = m.into_iter();\n\
-         let (key, value) = match it.next() {{\n\
-         Some(kv) => kv,\n\
-         None => return ::core::result::Result::Err(\
-         <D::Error as ::serde::de::Error>::custom(\"empty object for enum {name}\")),\n}};\n\
-         match key.as_str() {{\n{payload_arms}\
-         other => ::core::result::Result::Err(<D::Error as ::serde::de::Error>::custom(\
-         format!(\"unknown {name} variant {{other:?}}\"))),\n}}\n}},\n\
-         other => ::core::result::Result::Err(<D::Error as ::serde::de::Error>::custom(\
-         format!(\"expected string or object for enum {name}, found {{other:?}}\"))),\n}}"
+        "struct __Variant<'__k>(&'__k str);\n\
+         impl<'de> ::serde::de::DeserializeSeed<'de> for __Variant<'_> {{\n\
+         type Value = {name};\n\
+         fn deserialize<__D: ::serde::Deserializer<'de>>(self, __deserializer: __D) \
+         -> ::core::result::Result<{name}, __D::Error> {{\n\
+         match self.0 {{\n{payload_arms}{unknown}}}\n}}\n}}\n\
+         match ::serde::Deserializer::pull(__deserializer)? {{\n\
+         ::serde::de::Next::Str(__s) => match &*__s {{\n{unit_arms}{unknown}}},\n\
+         ::serde::de::Next::Map(mut __map) => {{\n\
+         let __key = match ::serde::de::MapAccess::next_key(&mut __map)? {{\n\
+         ::core::option::Option::Some(__key) => __key,\n\
+         ::core::option::Option::None => return {},\n}};\n\
+         let __value = ::serde::de::MapAccess::next_value_seed(&mut __map, __Variant(&__key))?;\n\
+         match ::serde::de::MapAccess::next_key(&mut __map)? {{\n\
+         ::core::option::Option::None => ::core::result::Result::Ok(__value),\n\
+         ::core::option::Option::Some(_) => {},\n}}\n}}\n\
+         __other => ::core::result::Result::Err(__other.unexpected(\"string or object for enum {name}\")),\n}}",
+        custom(format!("empty object for enum {name}")),
+        custom(format!("expected a single-key object for enum {name}")),
     )
 }
 

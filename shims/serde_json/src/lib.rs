@@ -1,13 +1,19 @@
 //! Offline shim for the subset of `serde_json` this workspace uses:
 //! [`Value`] (re-exported from the serde shim's content tree), the
 //! [`json!`] macro, string/byte (de)serialization, and value conversion.
+//!
+//! Typed text paths build no tree: [`to_string`] / [`to_vec`] stream
+//! through the serde shim's JSON writer, and [`from_str`] /
+//! [`from_slice`] pull values field by field out of the text. The tree
+//! remains where a caller asks for one: [`Value`], [`to_value`],
+//! [`from_value`] and [`json!`].
 
 mod parse;
 
 pub use serde::content::{Content as Value, Map, Number};
 use serde::de::Error as DeErrorTrait;
 use serde::ser::Error as SerErrorTrait;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::fmt::{self, Display};
 
 /// Errors from (de)serialization or parsing.
@@ -39,7 +45,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 
 /// Serializes a value to its tree form.
 pub fn to_value<T: Serialize>(value: T) -> Result<Value> {
-    Ok(serde::ser::to_content(&value))
+    serde::ser::to_content(&value)
 }
 
 /// Deserializes a value out of a tree.
@@ -48,34 +54,27 @@ pub fn from_value<T: serde::de::DeserializeOwned>(value: Value) -> Result<T> {
 }
 
 /// Renders a value as compact JSON.
-pub fn to_string<T: Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    serde::content::write_json(&serde::ser::to_content(value), &mut out, None, 0)
-        .map_err(|e| Error(e.to_string()))?;
-    Ok(out)
+pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+    serde::json::to_json_string(value, false)
 }
 
 /// Renders a value as two-space-indented JSON.
-pub fn to_string_pretty<T: Serialize>(value: &T) -> Result<String> {
-    let mut out = String::new();
-    serde::content::write_json(&serde::ser::to_content(value), &mut out, Some(2), 0)
-        .map_err(|e| Error(e.to_string()))?;
-    Ok(out)
+pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
+    serde::json::to_json_string(value, true)
 }
 
 /// Renders a value as compact JSON bytes.
-pub fn to_vec<T: Serialize>(value: &T) -> Result<Vec<u8>> {
+pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
     to_string(value).map(String::into_bytes)
 }
 
 /// Parses JSON text into any deserializable value.
-pub fn from_str<T: serde::de::DeserializeOwned>(s: &str) -> Result<T> {
-    let value = parse::parse(s)?;
-    from_value(value)
+pub fn from_str<'a, T: Deserialize<'a>>(s: &'a str) -> Result<T> {
+    parse::from_str(s)
 }
 
 /// Parses JSON bytes into any deserializable value.
-pub fn from_slice<T: serde::de::DeserializeOwned>(bytes: &[u8]) -> Result<T> {
+pub fn from_slice<'a, T: Deserialize<'a>>(bytes: &'a [u8]) -> Result<T> {
     let s = std::str::from_utf8(bytes).map_err(|e| Error(format!("invalid utf-8: {e}")))?;
     from_str(s)
 }
