@@ -136,24 +136,44 @@ impl Crawler {
         }
     }
 
+    /// Re-polls every crawled Pleroma instance's metadata, up to
+    /// [`CrawlerConfig::concurrency`] at a time like discovery, and
+    /// appends each answer to its instance's snapshots.
     async fn snapshot_round(&self, instances: &mut [CrawledInstance], at: SimTime) {
-        for inst in instances.iter_mut() {
+        let semaphore = Arc::new(Semaphore::new(self.config.concurrency.max(1)));
+        let mut tasks: JoinSet<(usize, Option<MetadataSnapshot>)> = JoinSet::new();
+        for (index, inst) in instances.iter().enumerate() {
             if !inst.crawled() || !inst.is_pleroma() {
                 continue;
             }
-            if let Ok(resp) = self.net.get(&inst.domain, "/api/v1/instance").await {
-                if resp.is_success() {
-                    if let Ok(body) = resp.json_body() {
-                        inst.snapshots.push(MetadataSnapshot {
-                            at,
-                            user_count: body["stats"]["user_count"].as_u64().unwrap_or(0),
-                            status_count: body["stats"]["status_count"].as_u64().unwrap_or(0),
-                        });
-                    }
-                }
-            }
+            let net = Arc::clone(&self.net);
+            let domain = inst.domain.clone();
+            let semaphore = Arc::clone(&semaphore);
+            tasks.spawn(async move {
+                let _permit = semaphore.acquire_owned().await.expect("open semaphore");
+                (index, snapshot(&net, &domain, at).await)
+            });
+        }
+        while let Some(done) = tasks.join_next().await {
+            let (index, snapshot) = done.expect("snapshot task never panics");
+            instances[index].snapshots.extend(snapshot);
         }
     }
+}
+
+/// One instance's metadata snapshot at `at`; `None` when the instance
+/// does not answer with a parseable metadata document.
+async fn snapshot(net: &SimNet, domain: &Domain, at: SimTime) -> Option<MetadataSnapshot> {
+    let resp = net.get(domain, "/api/v1/instance").await.ok()?;
+    if !resp.is_success() {
+        return None;
+    }
+    let body = resp.json_body().ok()?;
+    Some(MetadataSnapshot {
+        at,
+        user_count: body["stats"]["user_count"].as_u64().unwrap_or(0),
+        status_count: body["stats"]["status_count"].as_u64().unwrap_or(0),
+    })
 }
 
 /// One outcome-deciding census probe with a bounded transient-retry

@@ -48,4 +48,7 @@ pub use shard::{
     read_manifest, stream_shard_dir, write_shard_dir, ShardError, ShardManifest, ShardReader,
     MANIFEST_FILE, SHARD_FILE,
 };
-pub use world::{GeneratedInstance, GeneratedUser, ShardWriter, World, WorldSink, WORLDGEN_CHUNK};
+pub use world::{
+    GeneratedInstance, GeneratedUser, ShardWriter, World, WorldSink, WORLDGEN_CHUNK,
+    WORLDGEN_CHUNK_RECORDS,
+};

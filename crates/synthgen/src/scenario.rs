@@ -234,9 +234,9 @@ impl ScenarioSeeds {
 
     /// Generates the world and extracts seeds in one streamed pass,
     /// without ever materialising the corpus: peak memory is the
-    /// network-stage skeletons plus one generation chunk
-    /// ([`crate::WORLDGEN_CHUNK`]) of instances plus the columns
-    /// themselves. Bit-identical to
+    /// network-stage skeletons plus one generation chunk of instances
+    /// ([`crate::WORLDGEN_CHUNK`], [`crate::WORLDGEN_CHUNK_RECORDS`]) plus
+    /// the columns themselves. Bit-identical to
     /// `ScenarioSeeds::from_world(&World::generate(config))` — same
     /// draws, same instances, same columns — at any thread count.
     pub fn from_config_streamed(config: &WorldConfig, knobs: &SeedKnobs) -> ScenarioSeeds {

@@ -108,11 +108,21 @@ pub trait WorldSink {
     fn instance(&mut self, index: usize, instance: GeneratedInstance);
 }
 
-/// Instances generated (and handed to the sink) per streaming chunk.
-/// Fixed — never derived from the pool size — so chunk boundaries are
-/// identical at any `FEDISCOPE_THREADS` and the bit-identity contract
+/// Instances generated (and handed to the sink) per streaming chunk, at
+/// most. Fixed — never derived from the pool size — so chunk boundaries
+/// are identical at any `FEDISCOPE_THREADS` and the bit-identity contract
 /// holds trivially.
 pub const WORLDGEN_CHUNK: usize = 512;
+
+/// Users plus sampled posts a streaming chunk generates, at most (a
+/// chunk's first instance is taken whatever its size). Every user and
+/// post belongs to a crawlable Pleroma instance, and those sit at the low
+/// indices with heavy-tailed sizes: under the instance cap alone the
+/// first chunk holds 170k–230k records at paper scale, depending on the
+/// world drawn, and the streamed peak would move with the world. Like the
+/// instance cap, the bound depends on the world alone, never on the pool
+/// size.
+pub const WORLDGEN_CHUNK_RECORDS: usize = 32_768;
 
 /// The owned inputs of one instance's private generation stage: built by
 /// consuming the network-stage outputs (skeletons, moderation plan,
@@ -237,9 +247,11 @@ impl World {
     /// Streaming generation: identical draws, identical instances, but
     /// each generated instance is handed to `sink` (in index order) as
     /// soon as its chunk completes instead of being accumulated. Peak
-    /// memory is the network-stage skeletons plus one [`WORLDGEN_CHUNK`]
-    /// of fully-generated instances, independent of what the sink
-    /// retains. Returns the seed directory.
+    /// memory is the network-stage skeletons plus one chunk of
+    /// fully-generated instances — at most [`WORLDGEN_CHUNK`] instances
+    /// and [`WORLDGEN_CHUNK_RECORDS`] users and posts, or one larger
+    /// instance alone — independent of what the sink retains. Returns the
+    /// seed directory.
     ///
     /// `World::generate` is exactly this with a collecting sink, so the
     /// bit-identity contract covers both paths with one digest.
@@ -284,9 +296,9 @@ impl World {
         let harm_profile = HarmProfile::new();
         let composer = ContentComposer::new();
         let seed = config.seed;
-        let mut jobs = jobs.into_iter();
+        let mut jobs = jobs.into_iter().peekable();
         loop {
-            let batch: Vec<InstanceJob> = jobs.by_ref().take(WORLDGEN_CHUNK).collect();
+            let batch = next_chunk(&mut jobs, |job| job_records(config, &job.skel));
             if batch.is_empty() {
                 break;
             }
@@ -353,6 +365,54 @@ impl World {
 /// the profile, policy config and peer list move into the result — no
 /// per-instance clones. Draw order is exactly the pre-streaming code's,
 /// so digests are unchanged.
+/// The next streaming chunk off `jobs`, in order: as many jobs as fit in
+/// [`WORLDGEN_CHUNK`] instances and [`WORLDGEN_CHUNK_RECORDS`] records,
+/// and at least one while any is left. Empty once `jobs` is.
+fn next_chunk<T>(
+    jobs: &mut std::iter::Peekable<impl Iterator<Item = T>>,
+    records: impl Fn(&T) -> usize,
+) -> Vec<T> {
+    let mut chunk = Vec::new();
+    let mut total = 0;
+    while let Some(job) = jobs.next_if(|job| {
+        chunk.is_empty()
+            || (chunk.len() < WORLDGEN_CHUNK && total + records(job) <= WORLDGEN_CHUNK_RECORDS)
+    }) {
+        total += records(&job);
+        chunk.push(job);
+    }
+    chunk
+}
+
+/// Whether [`generate_instance`] generates users and posts for `skel`:
+/// only crawlable Pleroma instances carry any.
+fn generates_users(skel: &InstanceSkeleton) -> bool {
+    skel.profile.is_pleroma() && skel.crawlable()
+}
+
+/// Posts [`generate_users`] samples for `skel`. An instance with any
+/// full-scale posts keeps at least one: "has post data" must survive
+/// subsampling (§5 counts instances with posts, and small rejected
+/// instances matter for the single-user filter).
+fn sampled_posts(config: &WorldConfig, skel: &InstanceSkeleton) -> usize {
+    let posts = ((skel.posts_full_scale as f64) * config.post_scale).round() as usize;
+    if skel.posts_full_scale > 0 {
+        posts.max(1)
+    } else {
+        posts
+    }
+}
+
+/// Users plus sampled posts [`generate_instance`] builds for `skel`: its
+/// weight against [`WORLDGEN_CHUNK_RECORDS`].
+fn job_records(config: &WorldConfig, skel: &InstanceSkeleton) -> usize {
+    if generates_users(skel) {
+        skel.users_target.max(1) as usize + sampled_posts(config, skel)
+    } else {
+        0
+    }
+}
+
 fn generate_instance(
     config: &WorldConfig,
     seed: u64,
@@ -361,7 +421,7 @@ fn generate_instance(
     composer: &ContentComposer,
 ) -> GeneratedInstance {
     let mut rng = SmallRng::seed_from_u64(instance_stream_seed(seed, job.index as u64));
-    let users = if job.skel.profile.is_pleroma() && job.skel.crawlable() {
+    let users = if generates_users(&job.skel) {
         generate_users(
             config,
             &job.skel,
@@ -538,14 +598,7 @@ fn generate_users<R: Rng>(
         .collect();
 
     // ---- posts ----
-    // Instances with any full-scale posts keep at least one sampled post:
-    // "has post data" must survive subsampling (§5 counts instances with
-    // posts, and small rejected instances matter for the single-user
-    // filter).
-    let mut total_posts = ((skel.posts_full_scale as f64) * config.post_scale).round() as usize;
-    if skel.posts_full_scale > 0 {
-        total_posts = total_posts.max(1);
-    }
+    let total_posts = sampled_posts(config, skel);
     if total_posts == 0 {
         return users;
     }
@@ -1003,6 +1056,34 @@ mod tests {
         for (inst, streamed) in world.instances.iter().zip(&probe.domains) {
             assert_eq!(inst.profile.domain.as_str(), streamed);
         }
+    }
+
+    #[test]
+    fn chunks_respect_both_bounds_and_keep_order() {
+        let chunks = |weights: &[usize]| {
+            let mut jobs = weights.iter().copied().enumerate().peekable();
+            let mut out: Vec<Vec<usize>> = Vec::new();
+            loop {
+                let chunk = next_chunk(&mut jobs, |&(_, w)| w);
+                if chunk.is_empty() {
+                    return out;
+                }
+                out.push(chunk.into_iter().map(|(i, _)| i).collect());
+            }
+        };
+        let lens = |c: &[Vec<usize>]| c.iter().map(Vec::len).collect::<Vec<_>>();
+
+        // Record-free instances (failed or non-Pleroma) fill whole chunks.
+        let free = chunks(&[0; 1100]);
+        assert_eq!(lens(&free), [512, 512, 76]);
+        assert_eq!(free.concat(), (0..1100).collect::<Vec<_>>());
+
+        // An instance over the budget goes alone; the budget is inclusive.
+        let b = WORLDGEN_CHUNK_RECORDS;
+        assert_eq!(chunks(&[b + 1, 1, 1]), [vec![0], vec![1, 2]]);
+        assert_eq!(chunks(&[b / 2, b / 2, 1]), [vec![0, 1], vec![2]]);
+        assert_eq!(chunks(&[1, b, 0, 0]), [vec![0], vec![1, 2, 3]]);
+        assert!(chunks(&[]).is_empty());
     }
 
     #[test]

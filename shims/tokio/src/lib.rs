@@ -76,8 +76,16 @@ pub(crate) mod executor {
     }
 
     pub(crate) struct Pool {
-        queue: Mutex<VecDeque<Arc<Task>>>,
+        queue: Mutex<Queue>,
         available: Condvar,
+    }
+
+    /// Runnable tasks, and how many workers wait for one. Enqueueing
+    /// signals the condvar only when a worker waits: a worker that is
+    /// running tasks takes the new one from the queue on its own.
+    struct Queue {
+        tasks: VecDeque<Arc<Task>>,
+        idle: usize,
     }
 
     static POOL: OnceLock<Arc<Pool>> = OnceLock::new();
@@ -85,7 +93,10 @@ pub(crate) mod executor {
     pub(crate) fn pool() -> &'static Arc<Pool> {
         POOL.get_or_init(|| {
             let pool = Arc::new(Pool {
-                queue: Mutex::new(VecDeque::new()),
+                queue: Mutex::new(Queue {
+                    tasks: VecDeque::new(),
+                    idle: 0,
+                }),
                 available: Condvar::new(),
             });
             let workers = std::thread::available_parallelism()
@@ -105,8 +116,13 @@ pub(crate) mod executor {
 
     impl Pool {
         pub(crate) fn enqueue(&self, task: Arc<Task>) {
-            self.queue.lock().unwrap().push_back(task);
-            self.available.notify_one();
+            let mut queue = self.queue.lock().unwrap();
+            queue.tasks.push_back(task);
+            let wake = queue.idle > 0;
+            drop(queue);
+            if wake {
+                self.available.notify_one();
+            }
         }
 
         fn run_worker(&self) {
@@ -114,10 +130,15 @@ pub(crate) mod executor {
                 let task = {
                     let mut queue = self.queue.lock().unwrap();
                     loop {
-                        if let Some(task) = queue.pop_front() {
+                        if let Some(task) = queue.tasks.pop_front() {
                             break task;
                         }
+                        // Counted under the lock `wait` releases, so an
+                        // enqueue either sees this worker idle or lands
+                        // before it looks at the queue again.
+                        queue.idle += 1;
                         queue = self.available.wait(queue).unwrap();
+                        queue.idle -= 1;
                     }
                 };
                 self.poll_task(task);

@@ -1,5 +1,6 @@
 //! Task spawning, join handles, and `JoinSet`.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -106,9 +107,43 @@ where
     JoinHandle { state }
 }
 
+/// Outputs of a [`JoinSet`]'s finished tasks, in completion order, and
+/// the waker of the `join_next` call waiting for the next one.
+struct Finished<T> {
+    results: VecDeque<Result<T, JoinError>>,
+    waker: Option<Waker>,
+}
+
+/// Hands a set task's result to its [`JoinSet`] when the task's future is
+/// dropped — with its output when it ran to completion, as a
+/// [`JoinError`] when it unwound in a panic.
+struct SetGuard<T> {
+    finished: Arc<Mutex<Finished<T>>>,
+    output: Option<T>,
+}
+
+impl<T> Drop for SetGuard<T> {
+    fn drop(&mut self) {
+        let result = self.output.take().ok_or_else(|| JoinError {
+            message: "task panicked or was dropped".into(),
+        });
+        let mut finished = self.finished.lock().unwrap();
+        finished.results.push_back(result);
+        if let Some(waker) = finished.waker.take() {
+            waker.wake();
+        }
+    }
+}
+
 /// A dynamic collection of spawned tasks joined in completion order.
+///
+/// Each task pushes its result onto the set's one completion queue as it
+/// finishes, so `join_next` pops the next result instead of polling
+/// every outstanding task.
 pub struct JoinSet<T> {
-    handles: Vec<JoinHandle<T>>,
+    finished: Arc<Mutex<Finished<T>>>,
+    /// Tasks spawned and not yet returned by `join_next`.
+    len: usize,
 }
 
 impl<T> Default for JoinSet<T> {
@@ -121,18 +156,22 @@ impl<T> JoinSet<T> {
     /// An empty set.
     pub fn new() -> Self {
         JoinSet {
-            handles: Vec::new(),
+            finished: Arc::new(Mutex::new(Finished {
+                results: VecDeque::new(),
+                waker: None,
+            })),
+            len: 0,
         }
     }
 
     /// Number of tasks still tracked.
     pub fn len(&self) -> usize {
-        self.handles.len()
+        self.len
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
+        self.len == 0
     }
 
     /// Spawns a task into the set.
@@ -141,35 +180,101 @@ impl<T> JoinSet<T> {
         F: Future<Output = T> + Send + 'static,
         T: Send + 'static,
     {
-        self.handles.push(spawn(future));
+        let finished = Arc::clone(&self.finished);
+        self.len += 1;
+        crate::executor::spawn_unit(async move {
+            let mut guard = SetGuard {
+                finished,
+                output: None,
+            };
+            guard.output = Some(future.await);
+        });
     }
 
     /// Waits for the next task to finish. `None` when the set is empty.
     pub async fn join_next(&mut self) -> Option<Result<T, JoinError>> {
-        if self.handles.is_empty() {
+        if self.len == 0 {
             return None;
         }
-        Some(JoinNext { set: self }.await)
+        let result = JoinNext { set: self }.await;
+        self.len -= 1;
+        Some(result)
     }
 }
 
 struct JoinNext<'a, T> {
-    set: &'a mut JoinSet<T>,
+    set: &'a JoinSet<T>,
 }
 
 impl<'a, T> Future for JoinNext<'a, T> {
     type Output = Result<T, JoinError>;
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let handles = &mut self.as_mut().set.handles;
-        for i in 0..handles.len() {
-            let mut state = handles[i].state.lock().unwrap();
-            if let Some(result) = state.result.take() {
-                drop(state);
-                handles.swap_remove(i);
-                return Poll::Ready(result);
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let mut finished = self.set.finished.lock().unwrap();
+        match finished.results.pop_front() {
+            Some(result) => Poll::Ready(result),
+            None => {
+                finished.waker = Some(cx.waker().clone());
+                Poll::Pending
             }
-            state.waker = Some(cx.waker().clone());
         }
-        Poll::Pending
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::runtime::Runtime;
+    use crate::sync::oneshot;
+
+    #[test]
+    fn join_set_returns_every_result_once_then_none() {
+        Runtime::new().unwrap().block_on(async {
+            let mut set = JoinSet::new();
+            for i in 0..200u32 {
+                set.spawn(async move { i });
+            }
+            assert_eq!(set.len(), 200);
+            let mut seen = Vec::new();
+            while let Some(result) = set.join_next().await {
+                seen.push(result.unwrap());
+                assert_eq!(set.len(), 200 - seen.len());
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, (0..200).collect::<Vec<_>>());
+            assert!(set.is_empty());
+            assert!(set.join_next().await.is_none());
+        });
+    }
+
+    #[test]
+    fn join_set_yields_in_completion_order() {
+        Runtime::new().unwrap().block_on(async {
+            let (tx, rx) = oneshot::channel::<()>();
+            let mut set = JoinSet::new();
+            set.spawn(async move {
+                rx.await.unwrap();
+                "waited"
+            });
+            set.spawn(async { "ready" });
+            assert_eq!(set.join_next().await.unwrap().unwrap(), "ready");
+            tx.send(()).unwrap();
+            assert_eq!(set.join_next().await.unwrap().unwrap(), "waited");
+            assert!(set.join_next().await.is_none());
+        });
+    }
+
+    #[test]
+    fn join_set_reports_a_panicked_task_as_an_error() {
+        Runtime::new().unwrap().block_on(async {
+            let mut set = JoinSet::new();
+            set.spawn(async { panic!("task failure under test") });
+            set.spawn(async { 7 });
+            let mut results: Vec<_> = Vec::new();
+            while let Some(result) = set.join_next().await {
+                results.push(result.ok());
+            }
+            results.sort_unstable();
+            assert_eq!(results, vec![None, Some(7)]);
+        });
     }
 }
