@@ -18,8 +18,9 @@
 //! scenario over the same seeds and config — at any `FEDISCOPE_THREADS`
 //! and regardless of arm registration order (arms share nothing mutable;
 //! execution across the rayon pool only decides *when* an arm runs,
-//! never what it computes). `tests/experiment_identity.rs` proptests
-//! exactly this at 1/2/8 workers under arm-order permutation.
+//! never what it computes). The root `tests/contracts.rs` matrix checks
+//! exactly this for every registered scenario at 1/2/8 workers under
+//! arm-order permutation.
 
 use crate::delta::TraceDelta;
 use crate::engine::{DynamicsEngine, EngineBuilder};

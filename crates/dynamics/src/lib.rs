@@ -54,8 +54,8 @@
 //! `FEDISCOPE_THREADS` and under any arm registration order — arms
 //! share only immutable seeds, every arm builds its own state, and the
 //! pool decides when an arm runs, never what it computes
-//! (`tests/experiment_identity.rs` proptests this at 1/2/8 workers
-//! under arm-order permutation). Paired deltas are therefore exact:
+//! (the root `tests/contracts.rs` matrix checks this for every
+//! registered scenario at 1/2/8 workers under arm-order permutation). Paired deltas are therefore exact:
 //! identical senders draw identical posts in every arm, so any
 //! difference is attributable to the arms' diverging moderation state.
 //!
@@ -80,8 +80,9 @@
 //! count**, by construction: all mutation happens in the totally-ordered
 //! control phase; measurement randomness derives per `(seed, tick,
 //! sender)` rather than from any shared stream; and per-instance floats
-//! are reduced in fixed instance order. The crate's proptests run every
-//! scenario at 1, 2 and 8 workers and compare whole traces with `==`.
+//! are reduced in fixed instance order. The root `tests/contracts.rs`
+//! matrix runs every registered scenario at 1, 2 and 8 workers and
+//! checks whole traces with [`DynamicsTrace::first_divergence`].
 //!
 //! # Delivery-reliability contract
 //!
@@ -111,7 +112,8 @@
 //!   `(time, seq)` total order as every other event; jitter never
 //!   touches the control RNG. Enabling retries therefore perturbs *no*
 //!   other scenario's stream, and traces stay bit-identical at any
-//!   `FEDISCOPE_THREADS` (proptested at 1/2/8 workers).
+//!   `FEDISCOPE_THREADS` (the contract matrix runs the `retry`
+//!   scenario at 1/2/8 workers).
 //! * **Dead-letter semantics.** A chain settles exactly once: as
 //!   `recovered` (an attempt found the receiver up — credited to the
 //!   receiver) or as `dead_lettered` (budget exhausted, permanent
@@ -158,7 +160,7 @@ pub use experiment::{Arm, ArmRun, Experiment, ExperimentResult};
 pub use scenario::Scenario;
 pub use sink::EventSink;
 pub use state::{InstanceState, NetworkState, PostTemplate, RetryPolicy, SharedColumns};
-pub use trace::{failure_mix_index, DynamicsTrace, TickTrace};
+pub use trace::{failure_mix_index, Divergence, DynamicsTrace, TickTrace};
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -29,9 +29,9 @@
 //!    fields — and their `after_event` hooks are no-ops), so the trace
 //!    is bit-identical under any registration permutation; a *reactive*
 //!    sub like the defederation cascade breaks that invariance, because
-//!    its imitation draws follow the merged event order. The
-//!    registration-order proptests in `tests/determinism.rs` pin
-//!    exactly this contract.
+//!    its imitation draws follow the merged event order. The root
+//!    `tests/contracts.rs` matrix pins exactly this contract: it runs
+//!    the trio in all six orders.
 //!
 //! Scenarios that rewrite state in `init` (rollout strips moderation,
 //! churn resets failure modes) do so in registration order as well;

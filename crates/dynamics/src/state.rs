@@ -382,7 +382,7 @@ impl NetworkState {
     /// oracle: every instance compiles its own pipeline and owns private
     /// config/template allocations — no sharing anywhere. Traces from a
     /// state built here must be bit-identical to the interned path (the
-    /// `interned_vs_reference` proptest pins this).
+    /// root `tests/contracts.rs` matrix pins this).
     pub fn from_seeds_reference(seeds: &ScenarioSeeds) -> NetworkState {
         NetworkState::assemble(seeds, |i| {
             let moderation = seeds.moderation[i].clone();

@@ -54,6 +54,62 @@ pub struct TickTrace {
     pub per_instance_exposure: Vec<f64>,
 }
 
+impl TickTrace {
+    /// Every scalar column by name, floats by bit pattern, in digest
+    /// order.
+    fn columns(&self) -> [(&'static str, u64); 16] {
+        [
+            ("tick", self.tick),
+            ("at", self.at.0),
+            ("links", self.links),
+            ("instances_up", self.instances_up),
+            ("adopted", self.adopted),
+            ("events", self.events),
+            ("delivered", self.delivered),
+            ("accepted", self.accepted),
+            ("rejected", self.rejected),
+            ("failed", self.failed),
+            ("rejected_authors", self.rejected_authors),
+            ("toxic_exposure", self.toxic_exposure.to_bits()),
+            ("exposure_prevented", self.exposure_prevented.to_bits()),
+            ("retried", self.retried),
+            ("recovered", self.recovered),
+            ("dead_lettered", self.dead_lettered),
+        ]
+    }
+}
+
+/// Where two traces first differ (see
+/// [`DynamicsTrace::first_divergence`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Divergence {
+    /// Position in `ticks`; `None` for the run-level `scenario` and
+    /// `seed` fields.
+    pub tick: Option<usize>,
+    /// Field name, as in [`TickTrace`] (`"ticks"` when one trace has
+    /// fewer ticks).
+    pub field: &'static str,
+    /// Element of `failure_mix` / `per_instance_exposure` (a missing
+    /// element counts as different).
+    pub index: Option<usize>,
+}
+
+/// Index of the first differing element of two sequences, counting a
+/// length mismatch as a difference at the shorter length.
+fn first_mismatch(
+    mut a: impl Iterator<Item = u64>,
+    mut b: impl Iterator<Item = u64>,
+) -> Option<usize> {
+    let mut i = 0;
+    loop {
+        match (a.next(), b.next()) {
+            (None, None) => return None,
+            (x, y) if x != y => return Some(i),
+            _ => i += 1,
+        }
+    }
+}
+
 /// Index of a failure mode in [`TickTrace::failure_mix`].
 pub fn failure_mix_index(mode: FailureMode) -> Option<usize> {
     match mode {
@@ -80,8 +136,7 @@ pub struct DynamicsTrace {
 impl DynamicsTrace {
     /// FNV-1a over every field, floats by bit pattern. Two traces are
     /// bit-identical iff their digests match (up to hash collisions —
-    /// tests additionally compare with `==`, which `PartialEq` makes
-    /// exact).
+    /// [`first_divergence`](Self::first_divergence) is the exact check).
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         let mut word = |v: u64| {
@@ -93,24 +148,7 @@ impl DynamicsTrace {
         }
         word(self.seed);
         for t in &self.ticks {
-            for v in [
-                t.tick,
-                t.at.0,
-                t.links,
-                t.instances_up,
-                t.adopted,
-                t.events,
-                t.delivered,
-                t.accepted,
-                t.rejected,
-                t.failed,
-                t.rejected_authors,
-                t.toxic_exposure.to_bits(),
-                t.exposure_prevented.to_bits(),
-                t.retried,
-                t.recovered,
-                t.dead_lettered,
-            ] {
+            for (_, v) in t.columns() {
                 word(v);
             }
             for &c in &t.failure_mix {
@@ -121,6 +159,42 @@ impl DynamicsTrace {
             }
         }
         h
+    }
+
+    /// The first place `self` and `other` differ, or `None` when they are
+    /// bit-identical. Floats compare by bit pattern, as in
+    /// [`digest`](Self::digest), so `-0.0` and `0.0` differ here although
+    /// derived `==` calls them equal.
+    pub fn first_divergence(&self, other: &DynamicsTrace) -> Option<Divergence> {
+        let at = |tick, field, index| Some(Divergence { tick, field, index });
+        if self.scenario != other.scenario {
+            return at(None, "scenario", None);
+        }
+        if self.seed != other.seed {
+            return at(None, "seed", None);
+        }
+        for (i, (a, b)) in self.ticks.iter().zip(&other.ticks).enumerate() {
+            let (a_cols, b_cols) = (a.columns(), b.columns());
+            if let Some(k) = first_mismatch(a_cols.iter().map(|c| c.1), b_cols.iter().map(|c| c.1))
+            {
+                return at(Some(i), a_cols[k].0, None);
+            }
+            let mix = first_mismatch(a.failure_mix.iter().copied(), b.failure_mix.iter().copied());
+            if mix.is_some() {
+                return at(Some(i), "failure_mix", mix);
+            }
+            let exposure = first_mismatch(
+                a.per_instance_exposure.iter().map(|e| e.to_bits()),
+                b.per_instance_exposure.iter().map(|e| e.to_bits()),
+            );
+            if exposure.is_some() {
+                return at(Some(i), "per_instance_exposure", exposure);
+            }
+        }
+        if self.ticks.len() != other.ticks.len() {
+            return at(Some(self.ticks.len().min(other.ticks.len())), "ticks", None);
+        }
+        None
     }
 
     /// Total deliveries attempted across the run.
@@ -213,6 +287,32 @@ mod tests {
         let mut c = a.clone();
         c.ticks[0].recovered += 1;
         assert_ne!(a.digest(), c.digest());
+    }
+
+    #[test]
+    fn first_divergence_locates_negative_zero() {
+        let mut ticks: Vec<TickTrace> = (0..3).map(|i| tick(i, 1.0)).collect();
+        for t in &mut ticks {
+            t.per_instance_exposure = vec![0.5, 0.25, 0.0, 0.0, 1.0];
+        }
+        let a = DynamicsTrace {
+            scenario: "x".into(),
+            seed: 1,
+            ticks,
+        };
+        assert_eq!(a.first_divergence(&a.clone()), None);
+        let mut b = a.clone();
+        b.ticks[2].per_instance_exposure[3] = -0.0;
+        assert_eq!(a, b, "derived == treats -0.0 as 0.0");
+        assert_ne!(a.digest(), b.digest());
+        let d = a.first_divergence(&b).expect("bit patterns differ");
+        assert_eq!(
+            (d.tick, d.field, d.index),
+            (Some(2), "per_instance_exposure", Some(3))
+        );
+        b.ticks.pop();
+        let d = a.first_divergence(&b).expect("one tick short");
+        assert_eq!((d.tick, d.field), (Some(2), "ticks"));
     }
 
     #[test]

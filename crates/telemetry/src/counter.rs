@@ -12,7 +12,7 @@
 //! addition is associative and commutative, so a quiescent counter
 //! snapshots to the same value no matter which worker landed on which
 //! shard — the "counter merges are order-stable" half of the zero-drift
-//! contract, proptested in `crates/dynamics/tests/telemetry_drift.rs`.
+//! contract, proptested below (`counter_merge_is_order_stable`).
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -89,7 +89,33 @@ impl ShardedCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
+
+    proptest! {
+        /// Counter merges are order-stable: feed the same additions
+        /// through any permutation of spawn order (so threads land on
+        /// different home shards), the merged value is always the plain
+        /// sum.
+        #[test]
+        fn counter_merge_is_order_stable(
+            amounts in proptest::collection::vec(1_u64..10_000, 2..12),
+            rotate in 0_usize..12,
+        ) {
+            let expected: u64 = amounts.iter().sum();
+            let mut rotated = amounts.clone();
+            rotated.rotate_left(rotate % amounts.len());
+            for work in [amounts, rotated] {
+                let counter = ShardedCounter::new();
+                std::thread::scope(|scope| {
+                    for n in &work {
+                        scope.spawn(|| counter.add(*n));
+                    }
+                });
+                prop_assert_eq!(counter.get(), expected);
+            }
+        }
+    }
 
     #[test]
     fn single_thread_accumulates() {

@@ -9,9 +9,9 @@
 //! # The "observe, never perturb" contract
 //!
 //! Instrumentation must be *provably* incapable of changing what the
-//! engine computes. The contract, proptested in
-//! `crates/dynamics/tests/telemetry_drift.rs` and re-asserted inside
-//! `perf_dynamics`:
+//! engine computes. The contract, checked for every registered
+//! scenario by the root `tests/contracts.rs` matrix and re-asserted
+//! inside `perf_dynamics`:
 //!
 //! * **No feedback.** Nothing in this crate is ever *read* by simulation
 //!   code. Counters, histograms and spans are write-only from the

@@ -15,10 +15,7 @@
 //! ```
 
 use fediscope::census::{run_round_trip_seeded, RoundTripConfig};
-use fediscope::dynamics::scenarios::{
-    ChurnConfig, ChurnScenario, Composite, PolicyRolloutScenario, RolloutConfig, StormConfig,
-    ToxicityStormScenario,
-};
+use fediscope::dynamics::scenarios::lookup;
 use fediscope::dynamics::{CensusCadence, DynamicsConfig};
 use fediscope::prelude::*;
 
@@ -35,13 +32,9 @@ fn main() {
     );
 
     // The composed timeline: does a staged MRF rollout keep up with a
-    // toxicity storm during an outage wave?
-    let mut scenario = Composite::new()
-        .with(Box::new(ToxicityStormScenario::new(StormConfig::default())))
-        .with(Box::new(ChurnScenario::new(ChurnConfig::default())))
-        .with(Box::new(PolicyRolloutScenario::new(
-            RolloutConfig::default(),
-        )));
+    // toxicity storm during an outage wave? (The registry's `composite`,
+    // which `fediscope dynamics census` runs too.)
+    let mut scenario = (lookup("composite").expect("registered").build)();
 
     let config = RoundTripConfig {
         engine: DynamicsConfig {
@@ -57,7 +50,12 @@ fn main() {
         .enable_all()
         .build()
         .expect("tokio runtime");
-    let result = rt.block_on(run_round_trip_seeded(&world, &seeds, &mut scenario, config));
+    let result = rt.block_on(run_round_trip_seeded(
+        &world,
+        &seeds,
+        scenario.as_mut(),
+        config,
+    ));
 
     // The census series: observed vs. true counts and the §3 taxonomy
     // of each snapshot's failed probes.

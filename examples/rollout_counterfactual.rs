@@ -23,10 +23,7 @@
 //! cargo run --release --example rollout_counterfactual
 //! ```
 
-use fediscope::dynamics::scenarios::{
-    AdoptionModel, BlocklistImportScenario, ImportConfig, InactionScenario, PolicyRolloutScenario,
-    RolloutConfig,
-};
+use fediscope::dynamics::scenarios::lookup;
 use fediscope::dynamics::{Arm, DynamicsConfig, EngineBuilder, Experiment};
 use fediscope::prelude::*;
 use std::sync::Arc;
@@ -51,20 +48,13 @@ fn main() {
         ..Default::default()
     };
     // One builder, one world: every arm gets an identically configured
-    // engine over the shared Arc'd seeds.
-    let experiment = Experiment::new(EngineBuilder::new(engine_config, Arc::clone(&seeds)))
-        .with_arm(Arm::new("inaction", || Box::new(InactionScenario)))
-        .with_arm(Arm::new("rollout", || {
-            Box::new(PolicyRolloutScenario::new(RolloutConfig::default()))
-        }))
-        .with_arm(Arm::new("import-partial", || {
-            Box::new(BlocklistImportScenario::new(ImportConfig {
-                adoption: AdoptionModel::HeavyTail { alpha: 3.0 },
-                reset_to_default: true,
-                ..ImportConfig::default()
-            }))
-        }))
+    // engine over the shared Arc'd seeds, and its scenario from the
+    // registry the CLI's `experiment --arms` reads.
+    let mut experiment = Experiment::new(EngineBuilder::new(engine_config, Arc::clone(&seeds)))
         .with_baseline("inaction");
+    for name in ["inaction", "rollout", "import-partial"] {
+        experiment.push(Arm::new(name, lookup(name).expect("registered").build));
+    }
     println!(
         "running arms {:?} against the inaction baseline ...\n",
         experiment.arm_names(),
@@ -96,8 +86,7 @@ fn main() {
         },
         &seeds,
     );
-    let mut scenario = PolicyRolloutScenario::new(RolloutConfig::default());
-    let trace = standalone.run(&mut scenario);
+    let trace = standalone.run((lookup("rollout").unwrap().build)().as_mut());
     assert_eq!(
         result.arm("rollout").unwrap().trace.digest(),
         trace.digest(),

@@ -15,11 +15,18 @@
 //! fediscope dynamics churn                          # §3 failure churn
 //! fediscope dynamics storm                          # toxicity-storm burst
 //! fediscope dynamics composite                      # storm+churn+rollout in one timeline
+//! fediscope dynamics retry                          # churn with delivery retries armed
+//! fediscope dynamics import-full                    # every admin imports the union blocklist
 //! fediscope dynamics census --census-every 6        # live census under churn (round-trip)
 //! fediscope experiment --arms inaction,rollout,import-partial --baseline inaction
 //!                                                   # paired-arm counterfactual with per-tick deltas
+//! fediscope experiment --arms inaction,storm        # any registered scenario is an arm
 //! ```
+//!
+//! Scenario names come from `fediscope_dynamics::scenarios::registry()`;
+//! `fediscope` with no arguments lists them.
 
+use fediscope::dynamics::scenarios::{lookup, registry};
 use fediscope::harness;
 use fediscope::prelude::*;
 use std::process::ExitCode;
@@ -33,10 +40,15 @@ fn usage() -> ExitCode {
     );
     eprintln!("  fediscope report FILE <census|headline|table1|table2|fig1|fig2|fig3|curate|ablation|graph>");
     eprintln!("  fediscope shard --out DIR [--scale S] [--post-scale P] [--seed N] [--threads W]");
-    eprintln!("  fediscope dynamics <rollout|cascade|churn|storm|composite> [--scale S] [--seed N] [--ticks T] [--threads W] [--from-shards DIR] [--out FILE] [--telemetry-out FILE]");
+    eprintln!("  fediscope dynamics SCENARIO [--scale S] [--seed N] [--ticks T] [--threads W] [--from-shards DIR] [--out FILE] [--telemetry-out FILE]");
     eprintln!("  fediscope dynamics census [--scale S] [--seed N] [--ticks T] [--census-every C] [--threads W] [--out FILE] [--telemetry-out FILE]");
     eprintln!("  fediscope experiment [--arms A,B,..] [--baseline NAME] [--scale S] [--seed N] [--ticks T] [--threads W] [--from-shards DIR] [--out FILE] [--telemetry-out FILE]");
-    eprintln!("      arms: inaction | rollout | import-full | import-partial");
+    eprintln!("      scenarios (dynamics SCENARIO, --arms):");
+    for entry in registry() {
+        eprintln!("        {:<16}{}", entry.name, entry.about);
+    }
+    eprintln!("      census runs composite against a live network, re-censused mid-run");
+    eprintln!("      --scale and --post-scale must be finite and > 0; --ticks at least 1");
     eprintln!("      --from-shards DIR loads the world from a shard directory written by");
     eprintln!("      `fediscope shard` instead of regenerating it (the manifest's seed and");
     eprintln!("      scale win over --seed/--scale)");
@@ -50,6 +62,55 @@ fn parse_flag(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
+}
+
+/// `flag`'s value as a `T`: `Ok(None)` when the flag is absent, and a
+/// usage error naming the flag when the value does not parse or fails
+/// `valid`.
+fn numeric_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+    valid: fn(&T) -> bool,
+) -> Result<Option<T>, ExitCode> {
+    let Some(raw) = parse_flag(args, flag) else {
+        return Ok(None);
+    };
+    match raw.parse() {
+        Ok(value) if valid(&value) => Ok(Some(value)),
+        _ => {
+            eprintln!("invalid value for {flag}: {raw}");
+            Err(usage())
+        }
+    }
+}
+
+fn any<T>(_: &T) -> bool {
+    true
+}
+
+fn positive(v: &f64) -> bool {
+    v.is_finite() && *v > 0.0
+}
+
+/// `--scale`, `--seed` and, where the command takes it, `--post-scale`
+/// applied to `config`.
+fn world_config(
+    args: &[String],
+    mut config: WorldConfig,
+    post_scale: bool,
+) -> Result<WorldConfig, ExitCode> {
+    if let Some(s) = numeric_flag(args, "--scale", positive)? {
+        config.scale = s;
+    }
+    if post_scale {
+        if let Some(p) = numeric_flag(args, "--post-scale", positive)? {
+            config.post_scale = p;
+        }
+    }
+    if let Some(n) = numeric_flag(args, "--seed", any)? {
+        config.seed = n;
+    }
+    Ok(config)
 }
 
 /// `--telemetry-out FILE`: arms the process-global telemetry registry
@@ -87,16 +148,13 @@ fn write_telemetry(out: &str, label: &str) -> bool {
 /// sizes every parallel stage — sharded world generation, the engine's
 /// measurement fan-out, and experiment arms (all bit-identical at any
 /// worker count).
-fn world_flags(args: &[String]) -> (WorldConfig, u64) {
-    let mut config = WorldConfig::paper();
-    config.scale = 0.1;
-    if let Some(s) = parse_flag(args, "--scale").and_then(|v| v.parse().ok()) {
-        config.scale = s;
-    }
-    if let Some(n) = parse_flag(args, "--seed").and_then(|v| v.parse().ok()) {
-        config.seed = n;
-    }
-    if let Some(w) = parse_flag(args, "--threads").and_then(|v| v.parse::<usize>().ok()) {
+fn world_flags(args: &[String]) -> Result<(WorldConfig, u64), ExitCode> {
+    let tenth = WorldConfig {
+        scale: 0.1,
+        ..WorldConfig::paper()
+    };
+    let mut config = world_config(args, tenth, false)?;
+    if let Some(w) = numeric_flag(args, "--threads", any)? {
         config.parallelism = fediscope::synthgen::Parallelism(w);
         if let Err(e) = rayon::ThreadPoolBuilder::new()
             .num_threads(w)
@@ -105,10 +163,8 @@ fn world_flags(args: &[String]) -> (WorldConfig, u64) {
             eprintln!("warning: --threads not applied — {e}");
         }
     }
-    let ticks: u64 = parse_flag(args, "--ticks")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(36);
-    (config, ticks)
+    let ticks = numeric_flag(args, "--ticks", |t: &u64| *t >= 1)?.unwrap_or(36);
+    Ok((config, ticks))
 }
 
 /// Builds the scenario seed extract either from a shard directory
@@ -142,19 +198,18 @@ fn shard(args: &[String]) -> ExitCode {
         eprintln!("shard requires --out DIR");
         return usage();
     };
-    let mut config = WorldConfig::paper();
-    config.scale = 0.1;
-    if let Some(s) = parse_flag(args, "--scale").and_then(|v| v.parse().ok()) {
-        config.scale = s;
-    }
-    if let Some(p) = parse_flag(args, "--post-scale").and_then(|v| v.parse().ok()) {
-        config.post_scale = p;
-    }
-    if let Some(n) = parse_flag(args, "--seed").and_then(|v| v.parse().ok()) {
-        config.seed = n;
-    }
-    if let Some(w) = parse_flag(args, "--threads").and_then(|v| v.parse::<usize>().ok()) {
-        config.parallelism = fediscope::synthgen::Parallelism(w);
+    let tenth = WorldConfig {
+        scale: 0.1,
+        ..WorldConfig::paper()
+    };
+    let mut config = match world_config(args, tenth, true) {
+        Ok(config) => config,
+        Err(code) => return code,
+    };
+    match numeric_flag(args, "--threads", any) {
+        Ok(Some(w)) => config.parallelism = fediscope::synthgen::Parallelism(w),
+        Ok(None) => {}
+        Err(code) => return code,
     }
     eprintln!(
         "sharding world (seed {}, scale {}, post_scale {}) to {out} ...",
@@ -188,14 +243,13 @@ fn main() -> ExitCode {
 /// reported as per-tick prevented-exposure deltas against a designated
 /// baseline arm.
 fn experiment(args: &[String]) -> ExitCode {
-    use fediscope::dynamics::scenarios::{
-        AdoptionModel, BlocklistImportScenario, ImportConfig, InactionScenario,
-        PolicyRolloutScenario, RolloutConfig,
-    };
-    use fediscope::dynamics::{Arm, EngineBuilder, Experiment, Scenario};
+    use fediscope::dynamics::{Arm, EngineBuilder, Experiment};
     use std::sync::Arc;
 
-    let (config, ticks) = world_flags(args);
+    let (config, ticks) = match world_flags(args) {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
     let arm_names: Vec<String> = parse_flag(args, "--arms")
         .unwrap_or_else(|| "inaction,rollout,import-partial".to_string())
         .split(',')
@@ -204,31 +258,6 @@ fn experiment(args: &[String]) -> ExitCode {
         .collect();
     let baseline = parse_flag(args, "--baseline")
         .unwrap_or_else(|| arm_names.first().cloned().unwrap_or_default());
-    // Every arm strips moderation back to the fresh install in `init`,
-    // so all counterfactuals share the same null starting state.
-    let arm_for = |name: &str| -> Option<Arm> {
-        let import = |adoption: AdoptionModel| ImportConfig {
-            adoption,
-            reset_to_default: true,
-            ..ImportConfig::default()
-        };
-        let factory: Box<dyn Fn() -> Box<dyn Scenario> + Send + Sync> = match name {
-            "inaction" => Box::new(|| Box::new(InactionScenario)),
-            "rollout" => {
-                Box::new(|| Box::new(PolicyRolloutScenario::new(RolloutConfig::default())))
-            }
-            "import-full" => Box::new(move || {
-                Box::new(BlocklistImportScenario::new(import(AdoptionModel::Full)))
-            }),
-            "import-partial" => Box::new(move || {
-                Box::new(BlocklistImportScenario::new(import(
-                    AdoptionModel::HeavyTail { alpha: 3.0 },
-                )))
-            }),
-            _ => return None,
-        };
-        Some(Arm::new(name, move || factory()))
-    };
     // Validate the whole arm list before paying for world generation:
     // unknown names, duplicates (Experiment::push would panic on them)
     // and the baseline designation all fail fast with usage.
@@ -238,8 +267,8 @@ fn experiment(args: &[String]) -> ExitCode {
             eprintln!("duplicate arm: {name}");
             return usage();
         }
-        match arm_for(name) {
-            Some(arm) => arms.push(arm),
+        match lookup(name) {
+            Some(entry) => arms.push(Arm::new(name.as_str(), entry.build)),
             None => {
                 eprintln!("unknown arm: {name}");
                 return usage();
@@ -318,38 +347,21 @@ fn experiment(args: &[String]) -> ExitCode {
 }
 
 fn dynamics(args: &[String]) -> ExitCode {
-    use fediscope::dynamics::scenarios::{
-        CascadeConfig, ChurnConfig, ChurnScenario, Composite, DefederationCascadeScenario,
-        PolicyRolloutScenario, RolloutConfig, StormConfig, ToxicityStormScenario,
-    };
     let Some(which) = args.first() else {
         return usage();
     };
-    let (config, ticks) = world_flags(args);
-    // The composed timeline the round-trip and `composite` both run:
-    // a toxicity storm erupting while the §3 outage wave unfolds and a
-    // staged MRF rollout races both.
-    let trio = || {
-        Box::new(
-            Composite::new()
-                .with(Box::new(ToxicityStormScenario::new(StormConfig::default())))
-                .with(Box::new(ChurnScenario::new(ChurnConfig::default())))
-                .with(Box::new(PolicyRolloutScenario::new(
-                    RolloutConfig::default(),
-                ))),
-        )
+    let (config, ticks) = match world_flags(args) {
+        Ok(flags) => flags,
+        Err(code) => return code,
     };
     if which == "census" {
-        return census(args, config, ticks, trio());
+        return census(args, config, ticks);
     }
-    let mut scenario: Box<dyn fediscope::dynamics::Scenario> = match which.as_str() {
-        "rollout" => Box::new(PolicyRolloutScenario::new(RolloutConfig::default())),
-        "cascade" => Box::new(DefederationCascadeScenario::new(CascadeConfig::default())),
-        "churn" => Box::new(ChurnScenario::new(ChurnConfig::default())),
-        "storm" => Box::new(ToxicityStormScenario::new(StormConfig::default())),
-        "composite" => trio(),
-        _ => return usage(),
+    let Some(entry) = lookup(which) else {
+        eprintln!("unknown scenario: {which}");
+        return usage();
     };
+    let mut scenario = (entry.build)();
     let telemetry_out = arm_telemetry(args);
     let seeds = match load_seeds(args, config) {
         Ok(seeds) => seeds,
@@ -404,17 +416,16 @@ fn dynamics(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The dynamics ↔ simnet round-trip: run the composed scenario against
-/// a live network and re-census it mid-decay.
-fn census(
-    args: &[String],
-    config: WorldConfig,
-    ticks: u64,
-    mut scenario: Box<fediscope::dynamics::scenarios::Composite>,
-) -> ExitCode {
-    let every_ticks: u64 = parse_flag(args, "--census-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
+/// The dynamics ↔ simnet round-trip: run the `composite` scenario
+/// (storm + churn + rollout) against a live network and re-census it
+/// mid-decay.
+fn census(args: &[String], config: WorldConfig, ticks: u64) -> ExitCode {
+    let every_ticks = match numeric_flag(args, "--census-every", any) {
+        Ok(every) => every.unwrap_or(6),
+        Err(code) => return code,
+    };
+    let composite = lookup("composite").expect("composite is registered");
+    let mut scenario = (composite.build)();
     let telemetry_out = arm_telemetry(args);
     eprintln!(
         "generating world (seed {}, scale {}) and materialising the live net ...",
@@ -437,8 +448,9 @@ fn census(
         .expect("tokio runtime");
     let result = rt.block_on(async {
         eprintln!(
-            "round-tripping {} over {} instances for {ticks} ticks (census every {every_ticks}) ...",
-            scenario.sub_names().join("+"),
+            "round-tripping {} ({}) over {} instances for {ticks} ticks (census every {every_ticks}) ...",
+            composite.name,
+            composite.about,
             seeds.len(),
         );
         fediscope::census::run_round_trip_seeded(
@@ -492,20 +504,17 @@ fn census(
 }
 
 fn crawl(args: &[String]) -> ExitCode {
-    let mut config = WorldConfig::paper();
-    if let Some(s) = parse_flag(args, "--scale").and_then(|v| v.parse().ok()) {
-        config.scale = s;
-    }
-    if let Some(p) = parse_flag(args, "--post-scale").and_then(|v| v.parse().ok()) {
-        config.post_scale = p;
-    }
-    if let Some(n) = parse_flag(args, "--seed").and_then(|v| v.parse().ok()) {
-        config.seed = n;
-    }
+    let config = match world_config(args, WorldConfig::paper(), true) {
+        Ok(config) => config,
+        Err(code) => return code,
+    };
     // §3 methodology: the real crawl saw truncated Peers responses, so a
     // capped crawl reproduces the directory-thinned census (and its
     // under-count — see `fediscope-analysis::calibration`).
-    let peer_cap = parse_flag(args, "--peer-cap").and_then(|v| v.parse::<usize>().ok());
+    let peer_cap = match numeric_flag::<usize>(args, "--peer-cap", any) {
+        Ok(cap) => cap,
+        Err(code) => return code,
+    };
     let out = parse_flag(args, "--out").unwrap_or_else(|| "dataset.json".to_string());
 
     let rt = tokio::runtime::Builder::new_multi_thread()

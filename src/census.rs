@@ -198,10 +198,7 @@ async fn census_once(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fediscope_dynamics::scenarios::{
-        ChurnConfig, ChurnScenario, Composite, PolicyRolloutScenario, RolloutConfig, StormConfig,
-        ToxicityStormScenario,
-    };
+    use fediscope_dynamics::scenarios::{lookup, ChurnConfig, ChurnScenario};
     use fediscope_simnet::FailureMode;
     use fediscope_synthgen::WorldConfig;
     use std::sync::OnceLock;
@@ -285,15 +282,10 @@ mod tests {
     #[tokio::test(flavor = "multi_thread")]
     async fn composed_round_trip_couples_all_layers() {
         // Storm + churn + rollout in one timeline, censused mid-decay:
-        // the ISSUE's "does a staged MRF rollout keep up with a
-        // toxicity storm during an outage wave?".
-        let mut scenario = Composite::new()
-            .with(Box::new(ToxicityStormScenario::new(StormConfig::default())))
-            .with(Box::new(ChurnScenario::new(ChurnConfig::default())))
-            .with(Box::new(PolicyRolloutScenario::new(
-                RolloutConfig::default(),
-            )));
-        let rt = run_round_trip(world(), &mut scenario, config(24, 6)).await;
+        // does a staged MRF rollout keep up with a toxicity storm
+        // during an outage wave? The registry's `composite`.
+        let mut scenario = (lookup("composite").unwrap().build)();
+        let rt = run_round_trip(world(), scenario.as_mut(), config(24, 6)).await;
         // All three dynamics visible in one trace ...
         let last = rt.trace.ticks.last().unwrap();
         assert!(last.adopted > 0, "rollout progressed");

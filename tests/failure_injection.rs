@@ -217,8 +217,7 @@ mod delivery_reliability {
 
     fn run_at(threads: usize, mode: FailureMode) -> (DynamicsTrace, Vec<u64>, u64) {
         // The shim rayon allows re-sizing the global pool; real rayon
-        // would degrade the sweep to same-size repeats (see the note in
-        // crates/dynamics/tests/determinism.rs).
+        // would degrade the sweep to same-size repeats.
         let _ = rayon::ThreadPoolBuilder::new()
             .num_threads(threads)
             .build_global();
