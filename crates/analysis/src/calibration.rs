@@ -15,8 +15,8 @@
 //! rate limits) makes it reappear: live instances whose every surviving
 //! mention fell beyond the cap are simply absent from the dataset. A
 //! calibrated correction factor turns the thinned observation back into
-//! an estimate of the true population, exactly what §3 needs at
-//! `FEDISCOPE_SCALE=1.0`.
+//! an estimate of the true population, exactly what §3 needs at the
+//! paper's full scale (1.0).
 
 use crate::report::render_table;
 

@@ -139,8 +139,7 @@ impl HarmAnnotations {
     /// Scores every post of every instance with ≥ 1 reject against it.
     ///
     /// The scoring fans out across the global rayon pool (size it with
-    /// `rayon::ThreadPoolBuilder` — the bench harness wires
-    /// `FEDISCOPE_THREADS` / `WorldConfig::parallelism` into it): a
+    /// `rayon::ThreadPoolBuilder`): a
     /// par-iter fold builds per-shard partial maps, then a reduce merges
     /// them. Every instance — and therefore every user, since the paper
     /// scores local timelines — lands wholly inside one shard, so the

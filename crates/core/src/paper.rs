@@ -5,7 +5,7 @@
 //! 1. **Calibration targets** for `fediscope-synthgen` — the synthetic
 //!    fediverse is generated so that *measuring it* reproduces these
 //!    statistics;
-//! 2. **Reference columns** for the experiment harness — every repro bench
+//! 2. **Reference columns** for `fediscope report` — every section
 //!    prints the paper's value next to ours.
 //!
 //! Each constant cites the section/table/figure it comes from. Where the

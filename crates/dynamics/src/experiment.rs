@@ -15,8 +15,8 @@
 //!
 //! The harness adds **zero behavioural drift**: an arm's trace is
 //! bit-identical to a standalone [`DynamicsEngine::run`] of the same
-//! scenario over the same seeds and config — at any `FEDISCOPE_THREADS`
-//! and regardless of arm registration order (arms share nothing mutable;
+//! scenario over the same seeds and config — at any worker count and
+//! regardless of arm registration order (arms share nothing mutable;
 //! execution across the rayon pool only decides *when* an arm runs,
 //! never what it computes). The root `tests/contracts.rs` matrix checks
 //! exactly this for every registered scenario at 1/2/8 workers under

@@ -18,8 +18,7 @@
 //! * [`DynamicsEngine`] — the tick loop: a single-threaded control
 //!   phase applies events in `(time, sequence)` order, then a
 //!   measurement phase fans out per instance across the rayon pool
-//!   (sized by `FEDISCOPE_THREADS` via
-//!   `rayon::ThreadPoolBuilder`), pushing every live neighbor's
+//!   (sized via `rayon::ThreadPoolBuilder`), pushing every live neighbor's
 //!   emissions through the receiver's `MrfPipeline::filter_inbound`
 //!   and the Perspective scorer;
 //! * [`DynamicsTrace`] — per-tick metrics (federation link count,
@@ -50,8 +49,8 @@
 //!
 //! The experiment harness adds **zero behavioural drift**: an arm's
 //! trace is bit-identical to a standalone [`DynamicsEngine::run`] of
-//! the same scenario over the same seeds and config, at any
-//! `FEDISCOPE_THREADS` and under any arm registration order — arms
+//! the same scenario over the same seeds and config, at any worker
+//! count and under any arm registration order — arms
 //! share only immutable seeds, every arm builds its own state, and the
 //! pool decides when an arm runs, never what it computes
 //! (the root `tests/contracts.rs` matrix checks this for every
@@ -112,7 +111,7 @@
 //!   `(time, seq)` total order as every other event; jitter never
 //!   touches the control RNG. Enabling retries therefore perturbs *no*
 //!   other scenario's stream, and traces stay bit-identical at any
-//!   `FEDISCOPE_THREADS` (the contract matrix runs the `retry`
+//!   worker count (the contract matrix runs the `retry`
 //!   scenario at 1/2/8 workers).
 //! * **Dead-letter semantics.** A chain settles exactly once: as
 //!   `recovered` (an attempt found the receiver up — credited to the

@@ -15,7 +15,7 @@
 //! [`RolloutWave::subset_simple`], the core-side counterfactual-arm
 //! primitive. Both paths are pure control-phase load: every event is an
 //! `AdoptWave` mutating a compiled pipeline through the O(delta) MRF
-//! API, which is why `perf_dynamics` floods exactly this scenario.
+//! API, which is why the perf gates bench floods exactly this scenario.
 
 use crate::event::{Event, EventQueue};
 use crate::scenario::Scenario;

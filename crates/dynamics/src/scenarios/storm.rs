@@ -4,8 +4,8 @@
 //! §4.2 targets) multiplies its posting rate for a burst window,
 //! driving the receivers' `MrfPipeline::filter_inbound` and the
 //! Perspective scorer at full rate. This is the engine's saturation
-//! workload: the `perf_dynamics` bench runs exactly this scenario and
-//! gates on ≥ 1 M post-deliveries/sec through the filter path. The
+//! workload: the perf gates bench runs exactly this scenario and gates
+//! on ≥ 8 M post-deliveries/sec through the filter path. The
 //! trace shows the exposure spike and how much of it the already-rolled-
 //! out reject edges absorb.
 

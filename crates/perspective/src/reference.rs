@@ -47,6 +47,56 @@ pub fn analyze_naive(scorer: &Scorer, text: &str) -> AttributeScores {
     scores
 }
 
+/// Common short function words mixed into the benign filler (microblog
+/// posts are not all nouns).
+const FUNCTION_WORDS: &[&str] = &[
+    "the", "a", "and", "with", "this", "that", "from", "they", "have", "were", "when", "your",
+    "time", "will", "over", "like", "them", "some", "while",
+];
+
+/// Offending tokens sprinkled into the harmful tail, covering all three
+/// attributes.
+const HARM_VOCAB: &[&str] = &[
+    "idiot", "scum", "damn", "lewd", "grukk", "nsfw", "hate", "kys", "shite", "porn",
+];
+
+/// A deterministic 2,000-post corpus shaped like campaign traffic: the
+/// workload both engines are compared on, for speed in the perf gates and
+/// bit for bit in `tests/scorer_reference.rs`. Every post is distinct (so
+/// no scanner's comparison pattern can be memorised by the branch
+/// predictor), mostly benign over [`crate::BENIGN_WORDS`] plus function
+/// words, with a 20% harmful tail across all three attributes.
+pub fn mixed_corpus() -> Vec<String> {
+    let benign: Vec<&str> = crate::BENIGN_WORDS
+        .iter()
+        .chain(FUNCTION_WORDS.iter())
+        .copied()
+        .collect();
+    let mut state: u64 = 0x5EED_CAFE_F00D_D00D;
+    let mut next = move |n: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % n
+    };
+    (0..2000)
+        .map(|i| {
+            let len = 10 + next(12);
+            let harmful = i % 10 < 2;
+            let words: Vec<&str> = (0..len)
+                .map(|j| {
+                    if harmful && j % 3 == 0 {
+                        HARM_VOCAB[next(HARM_VOCAB.len())]
+                    } else {
+                        benign[next(benign.len())]
+                    }
+                })
+                .collect();
+            words.join(" ")
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

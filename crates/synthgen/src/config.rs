@@ -5,9 +5,8 @@ use serde::{Deserialize, Serialize};
 /// Worker-thread count for the campaign's parallel phases (annotation,
 /// server materialisation). `Parallelism(0)` means "one per core".
 ///
-/// Threaded through [`WorldConfig`] so a single knob — set explicitly or
-/// via the `FEDISCOPE_THREADS` environment variable in the bench harness
-/// — governs every parallel stage of a run.
+/// Threaded through [`WorldConfig`] so a single knob (the CLI's
+/// `--threads`) governs every parallel stage of a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Parallelism(pub usize);
 

@@ -110,7 +110,7 @@ pub trait WorldSink {
 
 /// Instances generated (and handed to the sink) per streaming chunk, at
 /// most. Fixed — never derived from the pool size — so chunk boundaries
-/// are identical at any `FEDISCOPE_THREADS` and the bit-identity contract
+/// are identical at any worker count and the bit-identity contract
 /// holds trivially.
 pub const WORLDGEN_CHUNK: usize = 512;
 
@@ -223,9 +223,8 @@ impl World {
     /// private RNG stream per skeleton ([`instance_stream_seed`] — the
     /// same seed-splitting scheme as the dynamics engine's delivery
     /// streams). Chunking decides which worker generates an instance,
-    /// never a single draw, so the world is bit-identical at any
-    /// `FEDISCOPE_THREADS` — pinned by the `worldgen_identity` proptest
-    /// in `fediscope-bench`.
+    /// never a single draw, so the world is bit-identical at any worker
+    /// count — pinned by the root `tests/worldgen_identity.rs` proptest.
     ///
     /// This materialises the whole corpus in RAM. At 1.0 scale that is
     /// millions of users and hundreds of thousands of composed posts —
@@ -346,18 +345,6 @@ impl World {
     /// Total generated (sampled) posts.
     pub fn total_posts(&self) -> u64 {
         self.crawled_pleroma().map(|i| i.post_count() as u64).sum()
-    }
-
-    /// The factor converting sampled post counts back to paper scale.
-    ///
-    /// Two knobs thin the corpus independently: `scale` drops whole
-    /// instances (and their full post mass with them) and `post_scale`
-    /// subsamples each surviving user's posts — so the full-scale
-    /// estimate must divide by *both*. (Dividing by `post_scale` alone
-    /// only un-does the per-user sampling and under-extrapolates
-    /// whenever `scale < 1`.)
-    pub fn post_extrapolation(&self) -> f64 {
-        1.0 / (self.config.scale * self.config.post_scale)
     }
 }
 
@@ -1007,21 +994,6 @@ mod tests {
         for inst in world.crawled_pleroma().take(50) {
             let _ = inst.moderation.build_pipeline();
         }
-    }
-
-    #[test]
-    fn extrapolation_factor() {
-        // test_small: scale 0.1 × post_scale 0.002 — the full-scale
-        // factor must undo both thinning knobs, not post_scale alone.
-        let world = small_world();
-        assert!((world.post_extrapolation() - 5000.0).abs() < 1e-9);
-        // At scale 1.0 the factor degenerates to 1 / post_scale.
-        let full = World {
-            config: WorldConfig::paper(),
-            instances: Vec::new(),
-            directory: Vec::new(),
-        };
-        assert!((full.post_extrapolation() - 100.0).abs() < 1e-9);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Number of shards per counter. Comfortably above any worker count the
-/// engine runs with (`FEDISCOPE_THREADS` tops out at 8 in tests; the
+/// engine runs with (tests sweep at most 8 workers; the
 /// round-robin cursor wraps for larger fleets, which only costs shard
 /// sharing, never correctness).
 pub(crate) const SHARDS: usize = 64;

@@ -11,7 +11,7 @@
 //! Instrumentation must be *provably* incapable of changing what the
 //! engine computes. The contract, checked for every registered
 //! scenario by the root `tests/contracts.rs` matrix and re-asserted
-//! inside `perf_dynamics`:
+//! inside the perf gates bench (`crates/bench/benches/gates.rs`):
 //!
 //! * **No feedback.** Nothing in this crate is ever *read* by simulation
 //!   code. Counters, histograms and spans are write-only from the
@@ -19,7 +19,7 @@
 //!   `analysis::render_telemetry`, the server's `/metrics` formatter)
 //!   snapshots them. Telemetry armed vs disarmed therefore yields
 //!   bit-identical [`DynamicsTrace`](../fediscope_dynamics) digests at
-//!   any `FEDISCOPE_THREADS`.
+//!   any worker count.
 //! * **No randomness.** The registry draws from no RNG and seeds
 //!   nothing; wall-clock readings ([`PhaseTimer`]) live strictly outside
 //!   trace digests and RNG streams. Logical [`SimTime`] never passes
@@ -28,9 +28,9 @@
 //!   single `fetch_add(Relaxed)` on a per-worker shard (no CAS loops, no
 //!   locks, no false sharing — shards are cache-line padded). Disarmed,
 //!   every instrumentation point degrades to one relaxed load and a
-//!   predictable branch. The `perf_dynamics` bench gates the armed
-//!   churn flood at ≤ 5 % overhead versus the disarmed baseline
-//!   (`telemetry_acceptance_met` in `BENCH_dynamics.json`).
+//!   predictable branch. The perf gates bench holds the armed churn
+//!   flood to ≤ 5 % overhead versus the disarmed baseline (its
+//!   `telemetry_overhead` gate).
 //! * **Deterministic reads.** [`ShardedCounter`] merges shards in fixed
 //!   shard order on read; `u64` wrapping addition is associative and
 //!   commutative, so a quiescent registry snapshots to the same value

@@ -8,6 +8,7 @@
 //! fediscope report dataset.json headline            # §4/§5 headline stats
 //! fediscope report dataset.json table2              # Table 2 sweep
 //! fediscope report dataset.json fig1                # policy prevalence
+//! fediscope report dataset.json fig4                # rejected instances' scores
 //! fediscope report dataset.json curate              # §7 curated lists
 //! fediscope report dataset.json ablation            # §7 strategy ablation
 //! fediscope dynamics rollout --scale 0.1 --ticks 30 # staged MRF rollout
@@ -23,8 +24,11 @@
 //! fediscope experiment --arms inaction,storm        # any registered scenario is an arm
 //! ```
 //!
-//! Scenario names come from `fediscope_dynamics::scenarios::registry()`;
-//! `fediscope` with no arguments lists them.
+//! Scenario names come from `fediscope_dynamics::scenarios::registry()`
+//! and report sections from `report::SECTIONS`; `fediscope` with no
+//! arguments lists both.
+
+mod report;
 
 use fediscope::dynamics::scenarios::{lookup, registry};
 use fediscope::harness;
@@ -38,7 +42,8 @@ fn usage() -> ExitCode {
     eprintln!(
         "  fediscope crawl [--scale S] [--post-scale P] [--seed N] [--peer-cap K] [--out FILE]"
     );
-    eprintln!("  fediscope report FILE <census|headline|table1|table2|fig1|fig2|fig3|curate|ablation|graph>");
+    let sections: Vec<&str> = report::SECTIONS.iter().map(|(name, _)| *name).collect();
+    eprintln!("  fediscope report FILE <{}>", sections.join("|"));
     eprintln!("  fediscope shard --out DIR [--scale S] [--post-scale P] [--seed N] [--threads W]");
     eprintln!("  fediscope dynamics SCENARIO [--scale S] [--seed N] [--ticks T] [--threads W] [--from-shards DIR] [--out FILE] [--telemetry-out FILE]");
     eprintln!("  fediscope dynamics census [--scale S] [--seed N] [--ticks T] [--census-every C] [--threads W] [--out FILE] [--telemetry-out FILE]");
@@ -564,218 +569,19 @@ fn report(args: &[String]) -> ExitCode {
     let (Some(file), Some(which)) = (args.first(), args.get(1)) else {
         return usage();
     };
-    let dataset = match Dataset::load(file) {
-        Ok(d) => d,
+    // Checked before the dataset is read: at paper scale it is ~70 MB.
+    let Some((_, print)) = report::SECTIONS.iter().find(|(name, _)| name == which) else {
+        eprintln!("unknown report: {which}");
+        return usage();
+    };
+    match Dataset::load(file) {
+        Ok(dataset) => {
+            print(&dataset);
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("cannot load {file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match which.as_str() {
-        "census" => {
-            let rows = fediscope::analysis::headline::crawl_census(&dataset);
-            println!("{}", render_comparisons("§3 census", &rows));
-        }
-        "headline" => {
-            let ann = HarmAnnotations::annotate(&dataset);
-            for (title, rows) in [
-                (
-                    "§4.1 policy impact",
-                    fediscope::analysis::headline::policy_impact(&dataset),
-                ),
-                (
-                    "§4.2 reject graph",
-                    fediscope::analysis::headline::reject_graph(&dataset, &ann),
-                ),
-                (
-                    "§4.2 annotation",
-                    fediscope::analysis::headline::annotation(&dataset, &ann),
-                ),
-                (
-                    "§5 collateral damage",
-                    fediscope::analysis::headline::collateral_damage(&dataset, &ann),
-                ),
-            ] {
-                println!("{}", render_comparisons(title, &rows));
-            }
-        }
-        "table1" => {
-            let ann = HarmAnnotations::annotate(&dataset);
-            let rows = fediscope::analysis::tables::table1_top_rejected(&dataset, &ann);
-            let fmt = |v: Option<f64>| v.map(|x| format!("{x:.2}")).unwrap_or("NA".into());
-            let table: Vec<Vec<String>> = rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.domain.to_string(),
-                        r.rejects.to_string(),
-                        r.users.to_string(),
-                        r.posts.to_string(),
-                        fmt(r.toxicity),
-                        fmt(r.profanity),
-                        fmt(r.sexually_explicit),
-                    ]
-                })
-                .collect();
-            println!(
-                "{}",
-                render_table(
-                    "Table 1",
-                    &["instance", "rejects", "users", "posts", "tox", "prof", "sexual"],
-                    &table
-                )
-            );
-        }
-        "table2" => {
-            let ann = HarmAnnotations::annotate(&dataset);
-            let rows = fediscope::analysis::tables::table2_threshold_sweep(&dataset, &ann);
-            let table: Vec<Vec<String>> = rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        format!("{:.1}", r.threshold),
-                        format!("{:.1}%", r.non_harmful_share * 100.0),
-                    ]
-                })
-                .collect();
-            println!(
-                "{}",
-                render_table("Table 2", &["threshold", "non-harmful"], &table)
-            );
-        }
-        "fig1" => {
-            let rows = fediscope::analysis::figures::fig1_policy_prevalence(&dataset);
-            let table: Vec<Vec<String>> = rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.name.clone(),
-                        r.instances.to_string(),
-                        format!("{:.1}%", r.instance_share * 100.0),
-                        format!("{:.1}%", r.user_share * 100.0),
-                    ]
-                })
-                .collect();
-            println!(
-                "{}",
-                render_table(
-                    "Figure 1",
-                    &["policy", "instances", "inst%", "users%"],
-                    &table
-                )
-            );
-        }
-        "fig2" => {
-            let rows = fediscope::analysis::figures::fig2_targeted_by_action(&dataset);
-            let table: Vec<Vec<String>> = rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.action.to_string(),
-                        r.targeted_pleroma.to_string(),
-                        r.targeted_non_pleroma.to_string(),
-                        r.users_on_targeted.to_string(),
-                    ]
-                })
-                .collect();
-            println!(
-                "{}",
-                render_table(
-                    "Figure 2",
-                    &["action", "pleroma", "non-pleroma", "users"],
-                    &table
-                )
-            );
-        }
-        "fig3" => {
-            let rows = fediscope::analysis::figures::fig3_targeting_by_action(&dataset);
-            let table: Vec<Vec<String>> = rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.action.to_string(),
-                        r.targeting_instances.to_string(),
-                        r.users_on_targeted.to_string(),
-                    ]
-                })
-                .collect();
-            println!(
-                "{}",
-                render_table(
-                    "Figure 3",
-                    &["action", "targeting", "users on targeted"],
-                    &table
-                )
-            );
-        }
-        "curate" => {
-            let ann = HarmAnnotations::annotate(&dataset);
-            let lists = fediscope::analysis::curation::curate(
-                &dataset,
-                &ann,
-                &fediscope::analysis::curation::CurationConfig::default(),
-            );
-            for list in [&lists.no_hate, &lists.no_porn, &lists.no_profanity] {
-                println!("{} ({:?}):", list.name, list.action);
-                for d in &list.entries {
-                    println!("  {d}");
-                }
-            }
-        }
-        "ablation" => {
-            let ann = HarmAnnotations::annotate(&dataset);
-            let rows = fediscope::analysis::ablation::solutions(&dataset, &ann);
-            let table: Vec<Vec<String>> = rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.strategy.name().to_string(),
-                        format!("{:.1}%", r.innocent_blocked * 100.0),
-                        format!("{:.1}%", r.innocent_degraded * 100.0),
-                        format!("{:.1}%", r.harmful_blocked * 100.0),
-                    ]
-                })
-                .collect();
-            println!(
-                "{}",
-                render_table(
-                    "§7 ablation",
-                    &[
-                        "strategy",
-                        "innocent blocked",
-                        "innocent degraded",
-                        "harmful blocked"
-                    ],
-                    &table
-                )
-            );
-        }
-        "graph" => {
-            let rows = fediscope::analysis::ablation::federation_graph(&dataset, 15);
-            let table: Vec<Vec<String>> = rows
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.domain.clone(),
-                        r.rejects.to_string(),
-                        r.audience_lost.to_string(),
-                        format!("{:.1}%", r.peer_loss_share * 100.0),
-                    ]
-                })
-                .collect();
-            println!(
-                "{}",
-                render_table(
-                    "§6 graph damage",
-                    &["instance", "rejects", "audience lost", "peers lost%"],
-                    &table
-                )
-            );
-        }
-        other => {
-            eprintln!("unknown report: {other}");
-            return usage();
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

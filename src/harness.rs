@@ -35,8 +35,7 @@ impl Materialized {
 /// Building a server — installing its users, sorted posts and peer links
 /// — is pure per-instance work, so it fans out across the global rayon
 /// pool. Sizing that pool is the caller's job (one process-wide
-/// `ThreadPoolBuilder::build_global`, as `fediscope-bench`'s
-/// `run_campaign` does from
+/// `ThreadPoolBuilder::build_global`, e.g. from
 /// [`WorldConfig::parallelism`](fediscope_synthgen::WorldConfig)) —
 /// doing it here would clobber or silently fight a pool another phase
 /// already configured. Only the cheap endpoint registration, which

@@ -31,7 +31,7 @@
 //!
 //! The [`harness`] module materialises a generated world into running
 //! servers and drives a crawl — the one-call entry point used by the
-//! examples, the integration tests and the benchmark harness. The
+//! CLI, the examples, the integration tests and the benchmark. The
 //! [`census`] module couples the two layers: it drives a *live* network
 //! from the dynamics event stream (via
 //! [`fediscope_dynamics::LiveNetBridge`]) and re-runs the §3 census
