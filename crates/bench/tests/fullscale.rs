@@ -11,7 +11,7 @@
 //! 1. **Memory budget** — the streamed seed path
 //!    (`ScenarioSeeds::from_config_streamed`) extracts the full paper
 //!    population without materialising the corpus; peak RSS at that
-//!    point must sit under the documented budget (measured ≈ 65 MiB,
+//!    point must sit under the documented budget (measured ≈ 16 MiB,
 //!    gated at 512 MiB), and the whole test — census worlds, live
 //!    servers and all — under 2 GiB.
 //! 2. **§3 under-count** — a directory-thinned census

@@ -18,7 +18,11 @@
 //! builds the same extract without ever materialising the corpus: it
 //! sits as a [`WorldSink`] under [`World::generate_streamed`] and keeps
 //! only the columns, which is what makes 1.0-scale (millions of users)
-//! scenario runs fit in an ordinary container.
+//! scenario runs fit in an ordinary container. It also declares a post
+//! budget of [`SeedKnobs::max_templates`]
+//! ([`WorldSink::post_budget`]), so worldgen composes only the bodies
+//! the templates keep — about a tenth of the corpus at paper scale —
+//! and the extract is still the full world's, column for column.
 
 use crate::config::WorldConfig;
 use crate::world::{GeneratedInstance, GeneratedUser, World, WorldSink};
@@ -215,6 +219,13 @@ impl WorldSink for SeedExtractor {
         self.seeds.templates.push(templates);
         self.peers.push(instance.peers);
     }
+
+    /// [`templates_of`](Self::templates_of) reads the first
+    /// `max_templates` non-empty bodies, and composed bodies are never
+    /// empty, so no later post is read.
+    fn post_budget(&self) -> usize {
+        self.knobs.max_templates
+    }
 }
 
 impl ScenarioSeeds {
@@ -236,9 +247,12 @@ impl ScenarioSeeds {
     /// without ever materialising the corpus: peak memory is the
     /// network-stage skeletons plus one generation chunk of instances
     /// ([`crate::WORLDGEN_CHUNK`], [`crate::WORLDGEN_CHUNK_RECORDS`]) plus
-    /// the columns themselves. Bit-identical to
-    /// `ScenarioSeeds::from_world(&World::generate(config))` — same
-    /// draws, same instances, same columns — at any thread count.
+    /// the columns themselves. Worldgen composes only the first
+    /// [`SeedKnobs::max_templates`] posts of each instance, the ones the
+    /// templates keep. Bit-identical to
+    /// `ScenarioSeeds::from_world_with(&World::generate(config), knobs)`
+    /// — same draws for everything kept, same columns — at any thread
+    /// count.
     pub fn from_config_streamed(config: &WorldConfig, knobs: &SeedKnobs) -> ScenarioSeeds {
         let mut extractor = SeedExtractor::new(knobs, config.seed);
         let _directory = World::generate_streamed(config, &mut extractor);
@@ -261,6 +275,50 @@ impl ScenarioSeeds {
         let mut extractor = SeedExtractor::new(knobs, manifest.seed);
         crate::shard::stream_shard_dir(dir, &mut extractor)?;
         Ok(extractor.finish())
+    }
+
+    /// The first column on which `self` and `other` differ, with the
+    /// instance index where one differs, or `None` when the extracts are
+    /// equal: moderation configs compare by their serialized JSON,
+    /// templates by author and body. The seed paths (streamed,
+    /// materialised, reloaded from shards) are equal by this measure.
+    pub fn first_difference(&self, other: &ScenarioSeeds) -> Option<String> {
+        fn column<T>(name: &str, a: &[T], b: &[T], eq: impl Fn(&T, &T) -> bool) -> Option<String> {
+            if a.len() != b.len() {
+                return Some(format!("{name}: {} vs {} entries", a.len(), b.len()));
+            }
+            let i = a.iter().zip(b).position(|(x, y)| !eq(x, y))?;
+            Some(format!("{name}[{i}]"))
+        }
+        let templates = |a: &Arc<[PostSeed]>, b: &Arc<[PostSeed]>| {
+            a.len() == b.len()
+                && a.iter()
+                    .zip(b.iter())
+                    .all(|(x, y)| x.author == y.author && x.content == y.content)
+        };
+        let json = |m: &InstanceModerationConfig| serde_json::to_string(m).ok();
+        if self.seed != other.seed {
+            return Some(format!("seed: {} vs {}", self.seed, other.seed));
+        }
+        column("domains", &self.domains, &other.domains, PartialEq::eq)
+            .or_else(|| column("pleroma", &self.pleroma, &other.pleroma, PartialEq::eq))
+            .or_else(|| column("failures", &self.failures, &other.failures, PartialEq::eq))
+            .or_else(|| column("users", &self.users, &other.users, PartialEq::eq))
+            .or_else(|| {
+                let (a, b) = (&self.posts_full_scale, &other.posts_full_scale);
+                column("posts_full_scale", a, b, PartialEq::eq)
+            })
+            .or_else(|| {
+                let (a, b) = (&self.rejects_received, &other.rejects_received);
+                column("rejects_received", a, b, PartialEq::eq)
+            })
+            .or_else(|| column("links", &self.links, &other.links, PartialEq::eq))
+            .or_else(|| column("templates", &self.templates, &other.templates, templates))
+            .or_else(|| {
+                column("moderation", &self.moderation, &other.moderation, |a, b| {
+                    json(a) == json(b)
+                })
+            })
     }
 
     /// Number of seeded instances (every column has this length).
@@ -347,38 +405,36 @@ mod tests {
     fn streamed_extraction_matches_materialised() {
         // The memory-bounded path must be the same extract, column for
         // column — this is the contract that lets 1.0-scale runs skip
-        // `World::generate` entirely.
-        let config = WorldConfig::test_small();
-        let via_world = ScenarioSeeds::from_world(&World::generate(config.clone()));
-        let streamed = ScenarioSeeds::from_config_streamed(&config, &SeedKnobs::default());
-        assert_eq!(via_world.seed, streamed.seed);
-        assert_eq!(via_world.domains, streamed.domains);
-        assert_eq!(via_world.pleroma, streamed.pleroma);
-        assert_eq!(via_world.failures, streamed.failures);
-        assert_eq!(via_world.users, streamed.users);
-        assert_eq!(via_world.posts_full_scale, streamed.posts_full_scale);
-        assert_eq!(via_world.rejects_received, streamed.rejects_received);
-        assert_eq!(via_world.links, streamed.links);
-        for (i, (a, b)) in via_world
-            .templates
-            .iter()
-            .zip(&streamed.templates)
-            .enumerate()
-        {
-            assert_eq!(a.len(), b.len(), "template count of instance {i}");
-            for (x, y) in a.iter().zip(b.iter()) {
-                assert_eq!(x.author, y.author);
-                assert_eq!(x.content, y.content);
+        // `World::generate` entirely. The streamed path composes only
+        // `max_templates` posts per instance, so the sweep covers caps
+        // below, at and above typical instance sizes, and worlds
+        // without text (zero templates either way).
+        for generate_text in [true, false] {
+            let config = WorldConfig {
+                generate_text,
+                ..WorldConfig::test_small()
+            };
+            let world = World::generate(config.clone());
+            for max_templates in [1, 5, 32] {
+                let knobs = SeedKnobs {
+                    max_templates,
+                    ..SeedKnobs::default()
+                };
+                // Precondition: the budget must cut some instance short.
+                let cut = world
+                    .instances
+                    .iter()
+                    .any(|i| i.post_count() > max_templates);
+                assert!(cut, "no instance has more than {max_templates} posts");
+                let via_world = ScenarioSeeds::from_world_with(&world, &knobs);
+                let streamed = ScenarioSeeds::from_config_streamed(&config, &knobs);
+                let what = format!("text {generate_text}, max_templates {max_templates}");
+                assert_eq!(via_world.first_difference(&streamed), None, "{what}");
+                assert_eq!(via_world.adoption_order(), streamed.adoption_order());
+                let templates: usize = streamed.templates.iter().map(|t| t.len()).sum();
+                assert_eq!(templates > 0, generate_text, "{what}: template count");
             }
         }
-        for i in 0..via_world.len() {
-            assert_eq!(
-                via_world.outgoing_rejects(i),
-                streamed.outgoing_rejects(i),
-                "moderation of instance {i}"
-            );
-        }
-        assert_eq!(via_world.adoption_order(), streamed.adoption_order());
     }
 
     #[test]

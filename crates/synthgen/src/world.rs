@@ -106,6 +106,22 @@ pub trait WorldSink {
     /// One generated instance. `index` is the world instance index
     /// (`InstanceId` order); calls arrive strictly in index order.
     fn instance(&mut self, index: usize, instance: GeneratedInstance);
+
+    /// Posts per instance the sink reads, at most. Streamed generation
+    /// composes only an instance's first `post_budget` posts in
+    /// generation order (users by index, each user's posts in vec order)
+    /// and skips the rest; every other field of the instance, every user
+    /// included, is the full world's. The kept posts are exactly the
+    /// full instance's prefix, because an instance's posts are the last
+    /// draws on its private stream. Their ids are not the world's: ids
+    /// follow time order over the posts kept. Composed bodies are never
+    /// empty, so a sink that keeps the first `n` non-empty bodies may
+    /// declare a budget of `n` (without `generate_text` every body is
+    /// empty, and it keeps none either way). The default keeps every
+    /// post.
+    fn post_budget(&self) -> usize {
+        usize::MAX
+    }
 }
 
 /// Instances generated (and handed to the sink) per streaming chunk, at
@@ -252,6 +268,10 @@ impl World {
     /// instance alone — independent of what the sink retains. Returns the
     /// seed directory.
     ///
+    /// A sink that reads only a few posts per instance declares so with
+    /// [`WorldSink::post_budget`], and generation skips composing the
+    /// rest; the kept posts are the full world's first ones.
+    ///
     /// `World::generate` is exactly this with a collecting sink, so the
     /// bit-identity contract covers both paths with one digest.
     pub fn generate_streamed(config: &WorldConfig, sink: &mut dyn WorldSink) -> Vec<Domain> {
@@ -295,6 +315,7 @@ impl World {
         let harm_profile = HarmProfile::new();
         let composer = ContentComposer::new();
         let seed = config.seed;
+        let budget = sink.post_budget();
         let mut jobs = jobs.into_iter().peekable();
         loop {
             let batch = next_chunk(&mut jobs, |job| job_records(config, &job.skel));
@@ -307,7 +328,7 @@ impl World {
                     let index = job.index;
                     (
                         index,
-                        generate_instance(config, seed, job, &harm_profile, &composer),
+                        generate_instance(config, seed, job, budget, &harm_profile, &composer),
                     )
                 })
                 .collect();
@@ -348,10 +369,6 @@ impl World {
     }
 }
 
-/// One instance's private generation stage, consuming its [`InstanceJob`]:
-/// the profile, policy config and peer list move into the result — no
-/// per-instance clones. Draw order is exactly the pre-streaming code's,
-/// so digests are unchanged.
 /// The next streaming chunk off `jobs`, in order: as many jobs as fit in
 /// [`WORLDGEN_CHUNK`] instances and [`WORLDGEN_CHUNK_RECORDS`] records,
 /// and at least one while any is left. Empty once `jobs` is.
@@ -400,24 +417,28 @@ fn job_records(config: &WorldConfig, skel: &InstanceSkeleton) -> usize {
     }
 }
 
+/// One instance's private generation stage, consuming its [`InstanceJob`]:
+/// the profile, policy config and peer list move into the result — no
+/// per-instance clones. Draw order is exactly the pre-streaming code's,
+/// so digests are unchanged.
+///
+/// `post_budget` caps the posts composed ([`WorldSink::post_budget`]):
+/// the kept posts are the unbudgeted instance's first `post_budget` in
+/// generation order, with ids reassigned over the kept set (so a
+/// budgeted instance's post ids are not the world's); users and every
+/// other field are unchanged. A composed body is never empty, so a post
+/// budget of `n` keeps the instance's first `n` template bodies.
 fn generate_instance(
     config: &WorldConfig,
     seed: u64,
     job: InstanceJob,
+    post_budget: usize,
     harm_profile: &HarmProfile,
     composer: &ContentComposer,
 ) -> GeneratedInstance {
     let mut rng = SmallRng::seed_from_u64(instance_stream_seed(seed, job.index as u64));
     let users = if generates_users(&job.skel) {
-        generate_users(
-            config,
-            &job.skel,
-            job.character,
-            job.rejected,
-            harm_profile,
-            composer,
-            &mut rng,
-        )
+        generate_users(config, &job, post_budget, harm_profile, composer, &mut rng)
     } else {
         Vec::new()
     };
@@ -547,13 +568,13 @@ fn fix_timelines<R: Rng>(
 
 fn generate_users<R: Rng>(
     config: &WorldConfig,
-    skel: &InstanceSkeleton,
-    character: InstanceCharacter,
-    rejected: bool,
+    job: &InstanceJob,
+    post_budget: usize,
     harm_profile: &HarmProfile,
     composer: &ContentComposer,
     rng: &mut R,
 ) -> Vec<GeneratedUser> {
+    let (skel, character, rejected) = (&job.skel, job.character, job.rejected);
     let n = skel.users_target.max(1);
     let instance_id = skel.profile.id;
     let domain = &skel.profile.domain;
@@ -609,13 +630,19 @@ fn generate_users<R: Rng>(
     // activity weights.
     let base = usize::from(total_posts >= active.len());
     let remainder = total_posts.saturating_sub(base * active.len());
+    // The posts are the stream's last draws, so stopping at the budget
+    // leaves every earlier post exactly as the full instance has it.
     let mut seq: u64 = 0;
     for (pos, &u) in active.iter().enumerate() {
+        if seq as usize == post_budget {
+            break;
+        }
         let share = weights[pos] / weight_sum;
         let mut count = base + (share * remainder as f64).round() as usize;
         if pos == 0 {
             count = count.max(1);
         }
+        let count = count.min(post_budget - seq as usize);
         let user_ref = users[u].user.user_ref();
         let harm = users[u].harm.clone();
         let mut posts = Vec::with_capacity(count);
@@ -1027,6 +1054,65 @@ mod tests {
         assert_eq!(probe.posts, world.total_posts());
         for (inst, streamed) in world.instances.iter().zip(&probe.domains) {
             assert_eq!(inst.profile.domain.as_str(), streamed);
+        }
+    }
+
+    #[test]
+    fn post_budget_keeps_every_user_and_a_post_prefix() {
+        // A budgeted sink gets each instance whole except its posts: all
+        // users, and the full instance's first `budget` posts in
+        // generation order, equal in everything but the id.
+        struct Budgeted {
+            budget: usize,
+            instances: Vec<GeneratedInstance>,
+        }
+        impl WorldSink for Budgeted {
+            fn instance(&mut self, _index: usize, inst: GeneratedInstance) {
+                self.instances.push(inst);
+            }
+            fn post_budget(&self) -> usize {
+                self.budget
+            }
+        }
+        fn json<T: serde::Serialize>(v: &T) -> String {
+            serde_json::to_string(v).expect("world records serialize")
+        }
+        let without_id = |p: &Post| {
+            let mut p = p.clone();
+            p.id = PostId(0);
+            json(&p)
+        };
+        let without_users = |inst: &GeneratedInstance| {
+            let mut inst = inst.clone();
+            inst.users.clear();
+            json(&inst)
+        };
+        let world = small_world();
+        for budget in [0, 3, 32] {
+            let mut sink = Budgeted {
+                budget,
+                instances: Vec::new(),
+            };
+            let directory = World::generate_streamed(&WorldConfig::test_small(), &mut sink);
+            assert_eq!(directory, world.directory);
+            assert_eq!(sink.instances.len(), world.instances.len());
+            let mut cut = 0;
+            for (full, kept) in world.instances.iter().zip(&sink.instances) {
+                assert_eq!(without_users(full), without_users(kept));
+                assert_eq!(full.users.len(), kept.users.len());
+                for (a, b) in full.users.iter().zip(&kept.users) {
+                    assert_eq!(json(&a.user), json(&b.user));
+                    assert_eq!(json(&a.harm), json(&b.harm));
+                }
+                let posts = |inst: &GeneratedInstance| -> Vec<String> {
+                    let all = inst.users.iter().flat_map(|u| &u.posts);
+                    all.take(budget).map(without_id).collect()
+                };
+                assert_eq!(posts(full), posts(kept), "{}", full.profile.domain);
+                assert_eq!(kept.post_count(), full.post_count().min(budget));
+                cut += usize::from(full.post_count() > budget);
+            }
+            assert!(cut > 0, "budget {budget} must cut some instance short");
         }
     }
 

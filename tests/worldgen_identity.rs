@@ -1,4 +1,5 @@
-//! Sharded world generation is bit-identical to the sequential pass.
+//! Sharded world generation is bit-identical to the sequential pass, and
+//! the streamed seed extract is the materialised world's.
 //!
 //! `World::generate` fans its per-instance stage out on the rayon pool;
 //! every skeleton draws from a private RNG stream, so the worker count
@@ -8,9 +9,14 @@
 //! Worker counts are swept inside the test body by resetting the global
 //! rayon pool size between runs (the shim allows it; real rayon would
 //! degrade the sweep to same-size repeats). Nothing else in this test
-//! binary touches the pool, so the sweep is race-free.
+//! binary sets the pool size, so the sweep is race-free.
+//!
+//! `ScenarioSeeds::from_config_streamed` composes only the posts its
+//! templates keep (the extractor's post budget), so a second test checks
+//! it against extraction from the fully generated world, column for
+//! column, at several world seeds.
 
-use fediscope::synthgen::{Parallelism, World, WorldConfig};
+use fediscope::synthgen::{Parallelism, ScenarioSeeds, SeedKnobs, World, WorldConfig};
 use proptest::prelude::*;
 
 /// FNV-1a content digest of a generated world: everything the
@@ -97,5 +103,41 @@ proptest! {
         }
         let other = generate(seed ^ 0x5eed_beef, 1);
         prop_assert_ne!(reference_digest, world_digest(&other));
+    }
+}
+
+/// The streamed extract, which composes only `max_templates` posts per
+/// instance, equals extraction from the whole world at three world
+/// seeds and at the default and a one-template cap.
+#[test]
+fn budgeted_streamed_seeds_equal_the_materialised_extract() {
+    for seed in [1534, 77, 3] {
+        let config = WorldConfig {
+            seed,
+            scale: 0.1,
+            post_scale: 0.002,
+            ..WorldConfig::paper()
+        };
+        let world = World::generate(config.clone());
+        for max_templates in [1, SeedKnobs::default().max_templates] {
+            let knobs = SeedKnobs {
+                max_templates,
+                ..SeedKnobs::default()
+            };
+            assert!(
+                world
+                    .instances
+                    .iter()
+                    .any(|i| i.post_count() > max_templates),
+                "seed {seed}: the budget of {max_templates} must cut some instance short"
+            );
+            let materialised = ScenarioSeeds::from_world_with(&world, &knobs);
+            let streamed = ScenarioSeeds::from_config_streamed(&config, &knobs);
+            assert_eq!(
+                materialised.first_difference(&streamed),
+                None,
+                "seed {seed}, max_templates {max_templates}"
+            );
+        }
     }
 }
