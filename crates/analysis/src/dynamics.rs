@@ -8,8 +8,12 @@
 //! destroys. Everything consumes only the engine's trace — the analysis
 //! side never reaches into engine state, mirroring how the rest of this
 //! crate only reads the crawler's dataset.
+//!
+//! Toxic mass stays in integer exposure units until a `render_*`
+//! function prints it as score mass with [`exposure_score`].
 
 use crate::report::render_table;
+use fediscope_dynamics::exposure_score;
 use fediscope_dynamics::{CensusSnapshot, DynamicsTrace, ExperimentResult, TraceDelta};
 
 /// One row of the per-tick time series.
@@ -35,10 +39,19 @@ pub struct DynamicsRow {
     pub rejected_share: f64,
     /// Deliveries lost to down receivers.
     pub failed: u64,
-    /// Toxic mass that got through.
-    pub toxic_exposure: f64,
-    /// Toxic mass the pipelines prevented.
-    pub exposure_prevented: f64,
+    /// Toxic mass that got through, in exposure units.
+    pub toxic_exposure: u64,
+    /// Toxic mass the pipelines prevented, in exposure units.
+    pub exposure_prevented: u64,
+}
+
+/// `part / whole`, or 0 when `whole` is 0.
+fn share(part: f64, whole: u64) -> f64 {
+    if whole > 0 {
+        part / whole as f64
+    } else {
+        0.0
+    }
 }
 
 /// The per-tick series of a trace.
@@ -54,11 +67,7 @@ pub fn dynamics_timeseries(trace: &DynamicsTrace) -> Vec<DynamicsRow> {
             adopted: t.adopted,
             events: t.events,
             delivered: t.delivered,
-            rejected_share: if t.delivered > 0 {
-                t.rejected as f64 / t.delivered as f64
-            } else {
-                0.0
-            },
+            rejected_share: share(t.rejected as f64, t.delivered),
             failed: t.failed,
             toxic_exposure: t.toxic_exposure,
             exposure_prevented: t.exposure_prevented,
@@ -70,10 +79,10 @@ pub fn dynamics_timeseries(trace: &DynamicsTrace) -> Vec<DynamicsRow> {
 /// configs) kept out of users' timelines.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreventionSummary {
-    /// Toxic mass accepted over the run.
-    pub exposure: f64,
-    /// Toxic mass rejected over the run.
-    pub prevented: f64,
+    /// Toxic mass accepted over the run, in exposure units.
+    pub exposure: u64,
+    /// Toxic mass rejected over the run, in exposure units.
+    pub prevented: u64,
     /// `prevented / (prevented + exposure)` — the headline number a
     /// rollout scenario is after.
     pub prevented_share: f64,
@@ -91,7 +100,7 @@ pub fn prevention_summary(trace: &DynamicsTrace) -> PreventionSummary {
     PreventionSummary {
         exposure,
         prevented,
-        prevented_share: if mass > 0.0 { prevented / mass } else { 0.0 },
+        prevented_share: share(prevented as f64, mass),
         links: (trace.initial_links(), trace.final_links()),
         deliveries: (
             trace.total_delivered(),
@@ -178,22 +187,22 @@ pub fn render_census(snapshots: &[CensusSnapshot]) -> String {
 }
 
 /// The `k` instances with the highest accumulated toxic exposure, as
-/// `(instance index, exposure)` — descending, ties by index.
-pub fn top_exposed(trace: &DynamicsTrace, k: usize) -> Vec<(usize, f64)> {
+/// `(instance index, exposure units)` — descending, ties by index.
+pub fn top_exposed(trace: &DynamicsTrace, k: usize) -> Vec<(usize, u64)> {
     let n = trace
         .ticks
         .iter()
         .map(|t| t.per_instance_exposure.len())
         .max()
         .unwrap_or(0);
-    let mut totals = vec![0.0_f64; n];
+    let mut totals = vec![0_u64; n];
     for t in &trace.ticks {
         for (i, &e) in t.per_instance_exposure.iter().enumerate() {
             totals[i] += e;
         }
     }
-    let mut ranked: Vec<(usize, f64)> = totals.into_iter().enumerate().collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+    let mut ranked: Vec<(usize, u64)> = totals.into_iter().enumerate().collect();
+    ranked.sort_by_key(|&(i, e)| (std::cmp::Reverse(e), i));
     ranked.truncate(k);
     ranked
 }
@@ -213,8 +222,8 @@ pub fn render_dynamics(trace: &DynamicsTrace) -> String {
                 r.delivered.to_string(),
                 format!("{:.1}%", r.rejected_share * 100.0),
                 r.failed.to_string(),
-                format!("{:.1}", r.toxic_exposure),
-                format!("{:.1}", r.exposure_prevented),
+                format!("{:.1}", exposure_score(r.toxic_exposure)),
+                format!("{:.1}", exposure_score(r.exposure_prevented)),
             ]
         })
         .collect();
@@ -281,11 +290,7 @@ pub fn reliability_timeseries(trace: &DynamicsTrace) -> Vec<ReliabilityRow> {
                 dead_lettered: t.dead_lettered,
                 cumulative_recovered: recovered_acc,
                 cumulative_dead_lettered: dead_acc,
-                recovery_share: if settled > 0 {
-                    recovered_acc as f64 / settled as f64
-                } else {
-                    0.0
-                },
+                recovery_share: share(recovered_acc as f64, settled),
             }
         })
         .collect()
@@ -338,13 +343,14 @@ pub struct AttributionRow {
     pub baseline: bool,
     /// Deliveries the arm's pipelines rejected over the run.
     pub blocked: u64,
-    /// Toxic mass the arm's users were exposed to.
-    pub exposure: f64,
+    /// Toxic mass the arm's users were exposed to, in exposure units.
+    pub exposure: u64,
     /// Extra deliveries blocked relative to the baseline.
     pub blocked_vs_baseline: i64,
-    /// Toxic mass kept out relative to the baseline (positive = the
-    /// arm's users saw less) — the headline counterfactual number.
-    pub prevented_vs_baseline: f64,
+    /// Toxic mass kept out relative to the baseline, in exposure units
+    /// (positive = the arm's users saw less) — the headline
+    /// counterfactual number.
+    pub prevented_vs_baseline: i64,
     /// Share of the baseline's exposure the arm prevented.
     pub prevented_share: f64,
     /// Final-tick federation-link difference vs. the baseline
@@ -363,7 +369,7 @@ pub fn experiment_attribution(result: &ExperimentResult) -> Vec<AttributionRow> 
         blocked: baseline.trace.total_rejected(),
         exposure: baseline_exposure,
         blocked_vs_baseline: 0,
-        prevented_vs_baseline: 0.0,
+        prevented_vs_baseline: 0,
         prevented_share: 0.0,
         links_vs_baseline: 0,
     }];
@@ -377,11 +383,7 @@ pub fn experiment_attribution(result: &ExperimentResult) -> Vec<AttributionRow> 
             exposure: arm.trace.total_exposure(),
             blocked_vs_baseline: delta.blocked_deliveries(),
             prevented_vs_baseline: prevented,
-            prevented_share: if baseline_exposure > 0.0 {
-                prevented / baseline_exposure
-            } else {
-                0.0
-            },
+            prevented_share: share(prevented as f64, baseline_exposure),
             links_vs_baseline: delta.final_links(),
         });
     }
@@ -406,9 +408,9 @@ pub fn render_delta(delta: &TraceDelta) -> String {
                 format!("{:+}", t.blocked),
                 format!("{:+}", t.failed),
                 format!("{:+}", t.adopted),
-                format!("{:+.1}", t.toxic_exposure),
-                format!("{:.1}", -t.toxic_exposure),
-                format!("{:.1}", cum),
+                format!("{:+.1}", exposure_score(t.toxic_exposure)),
+                format!("{:.1}", exposure_score(t.prevented_vs_baseline())),
+                format!("{:.1}", exposure_score(cum)),
                 format!("{:+}", t.recovered),
                 format!("{:+}", t.dead_lettered),
             ]
@@ -451,9 +453,9 @@ pub fn render_experiment(result: &ExperimentResult) -> String {
                     r.arm
                 },
                 r.blocked.to_string(),
-                format!("{:.1}", r.exposure),
+                format!("{:.1}", exposure_score(r.exposure)),
                 format!("{:+}", r.blocked_vs_baseline),
-                format!("{:.1}", r.prevented_vs_baseline),
+                format!("{:.1}", exposure_score(r.prevented_vs_baseline)),
                 format!("{:.1}%", r.prevented_share * 100.0),
                 format!("{:+}", r.links_vs_baseline),
             ]
@@ -503,13 +505,13 @@ mod tests {
             rejected,
             failed: 3,
             rejected_authors: rejected.min(2),
-            toxic_exposure: 2.0 * tick as f64,
-            exposure_prevented: 1.0 * tick as f64,
+            toxic_exposure: 20 * tick,
+            exposure_prevented: 10 * tick,
             retried: tick * 4,
             recovered: tick * 2,
             dead_lettered: tick,
             failure_mix: vec![0; 5],
-            per_instance_exposure: vec![0.5, 1.5 * tick as f64],
+            per_instance_exposure: vec![5, 15 * tick],
         };
         DynamicsTrace {
             scenario: "unit".into(),
@@ -527,7 +529,7 @@ mod tests {
         let rows = dynamics_timeseries(&trace());
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].links, 30);
-        assert!((rows[1].rejected_share - 0.25).abs() < 1e-12);
+        assert_eq!(rows[1].rejected_share, 0.25);
         assert_eq!(rows[1].events, 3, "control-phase events flow through");
         assert_eq!(rows[2].day, 0, "tick 2 is 8h in — still campaign day 0");
     }
@@ -535,9 +537,9 @@ mod tests {
     #[test]
     fn summary_aggregates_prevention() {
         let s = prevention_summary(&trace());
-        assert!((s.exposure - 6.0).abs() < 1e-12);
-        assert!((s.prevented - 3.0).abs() < 1e-12);
-        assert!((s.prevented_share - 1.0 / 3.0).abs() < 1e-12);
+        assert_eq!(s.exposure, 60);
+        assert_eq!(s.prevented, 30);
+        assert_eq!(s.prevented_share, 1.0 / 3.0);
         assert_eq!(s.links, (30, 25));
         assert_eq!(s.deliveries, (300, 75, 9));
     }
@@ -546,10 +548,8 @@ mod tests {
     fn top_exposed_ranks_descending() {
         let top = top_exposed(&trace(), 2);
         assert_eq!(top.len(), 2);
-        // Instance 1 accumulated 0 + 1.5 + 3.0 = 4.5; instance 0: 1.5.
-        assert_eq!(top[0].0, 1);
-        assert!((top[0].1 - 4.5).abs() < 1e-12);
-        assert_eq!(top[1].0, 0);
+        // Instance 1 accumulated 0 + 15 + 30 = 45; instance 0: 15.
+        assert_eq!(top, vec![(1, 45), (0, 15)]);
     }
 
     #[test]
@@ -566,7 +566,7 @@ mod tests {
         assert_eq!(rows[2].dead_lettered, 2);
         assert_eq!(rows[2].cumulative_recovered, 6);
         assert_eq!(rows[2].cumulative_dead_lettered, 3);
-        assert!((rows[2].recovery_share - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!(rows[2].recovery_share, 2.0 / 3.0);
     }
 
     #[test]
@@ -610,13 +610,13 @@ mod tests {
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].undercount, 0);
         assert_eq!(rows[1].undercount, 8);
-        assert!((rows[1].undercount_share - 0.08).abs() < 1e-12);
+        assert_eq!(rows[1].undercount_share, 0.08);
         assert_eq!(rows[1].taxonomy, [11, 8, 3, 1, 1]);
         assert_eq!(rows[2].day, 2, "tick 12 of 4h ticks is day 2");
     }
 
     fn experiment() -> ExperimentResult {
-        let arm_trace = |scenario: &str, exposure_scale: f64, rejected: u64| {
+        let arm_trace = |scenario: &str, exposure_scale: u64, rejected: u64| {
             let tick = |tick: u64| TickTrace {
                 tick,
                 at: SimTime(fediscope_core::time::CAMPAIGN_START.0 + tick * 14_400),
@@ -629,8 +629,8 @@ mod tests {
                 rejected,
                 failed: 0,
                 rejected_authors: rejected.min(2),
-                toxic_exposure: exposure_scale * (tick + 1) as f64,
-                exposure_prevented: rejected as f64 * 0.1,
+                toxic_exposure: exposure_scale * (tick + 1),
+                exposure_prevented: rejected * 100_000_000,
                 retried: rejected / 4,
                 recovered: rejected / 10,
                 dead_lettered: rejected / 20,
@@ -649,11 +649,11 @@ mod tests {
             arms: vec![
                 ArmRun {
                     name: "inaction".into(),
-                    trace: arm_trace("inaction", 4.0, 0),
+                    trace: arm_trace("inaction", 4_000_000_000, 0),
                 },
                 ArmRun {
                     name: "rollout".into(),
-                    trace: arm_trace("rollout", 1.0, 20),
+                    trace: arm_trace("rollout", 1_000_000_000, 20),
                 },
             ],
         }
@@ -669,8 +669,8 @@ mod tests {
         let rollout = &rows[1];
         assert!(!rollout.baseline);
         // Baseline exposure 4+8+12 = 24, arm 1+2+3 = 6: prevented 18.
-        assert!((rollout.prevented_vs_baseline - 18.0).abs() < 1e-12);
-        assert!((rollout.prevented_share - 0.75).abs() < 1e-12);
+        assert_eq!(rollout.prevented_vs_baseline, 18_000_000_000);
+        assert_eq!(rollout.prevented_share, 0.75);
         assert_eq!(rollout.blocked_vs_baseline, 60);
         assert_eq!(rollout.links_vs_baseline, 0);
     }

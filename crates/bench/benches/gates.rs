@@ -561,7 +561,7 @@ fn dynamics(gates: &mut Gates, seeds: &Arc<ScenarioSeeds>) {
     }
     let delta = arms.delta("rollout").expect("rollout arm");
     assert!(
-        delta.prevented_exposure() > 0.0 && delta.blocked_deliveries() > 0,
+        delta.prevented_exposure() > 0 && delta.blocked_deliveries() > 0,
         "the paired delta must attribute prevention to the rollout arm"
     );
     let experiment_deliveries = experiment_delivered(&arms);

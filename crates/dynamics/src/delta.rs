@@ -28,7 +28,7 @@ use fediscope_core::time::SimTime;
 use serde::Serialize;
 
 /// One tick's paired difference, every field arm − baseline.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TickDelta {
     /// Tick index (0-based, identical in both traces).
     pub tick: u64,
@@ -48,11 +48,11 @@ pub struct TickDelta {
     pub blocked: i64,
     /// Δ deliveries lost to down receivers.
     pub failed: i64,
-    /// Δ accepted toxic mass. Negative when the arm exposed users to
-    /// less toxicity than the baseline.
-    pub toxic_exposure: f64,
-    /// Δ rejected toxic mass.
-    pub exposure_prevented: f64,
+    /// Δ accepted toxic mass, in exposure units. Negative when the arm
+    /// exposed users to less toxicity than the baseline.
+    pub toxic_exposure: i64,
+    /// Δ rejected toxic mass, in exposure units.
+    pub exposure_prevented: i64,
     /// Δ retry attempts that rescheduled (zero unless an arm enables
     /// the reliability layer).
     pub retried: i64,
@@ -69,13 +69,13 @@ impl TickDelta {
     /// Toxic mass this tick of the baseline run that the arm kept out
     /// of timelines: `baseline exposure − arm exposure`, the positive
     /// reading of [`toxic_exposure`](Self::toxic_exposure).
-    pub fn prevented_vs_baseline(&self) -> f64 {
+    pub fn prevented_vs_baseline(&self) -> i64 {
         -self.toxic_exposure
     }
 }
 
 /// A whole paired comparison: one [`TickDelta`] per tick.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TraceDelta {
     /// Name of the baseline arm (the subtrahend).
     pub baseline: String,
@@ -134,8 +134,8 @@ impl TraceDelta {
             accepted: d(a.accepted, b.accepted),
             blocked: d(a.rejected, b.rejected),
             failed: d(a.failed, b.failed),
-            toxic_exposure: a.toxic_exposure - b.toxic_exposure,
-            exposure_prevented: a.exposure_prevented - b.exposure_prevented,
+            toxic_exposure: d(a.toxic_exposure, b.toxic_exposure),
+            exposure_prevented: d(a.exposure_prevented, b.exposure_prevented),
             retried: d(a.retried, b.retried),
             recovered: d(a.recovered, b.recovered),
             dead_lettered: d(a.dead_lettered, b.dead_lettered),
@@ -148,9 +148,10 @@ impl TraceDelta {
         }
     }
 
-    /// Total toxic mass the arm kept out relative to the baseline
-    /// (positive = the arm's users saw less toxicity).
-    pub fn prevented_exposure(&self) -> f64 {
+    /// Total toxic mass the arm kept out relative to the baseline, in
+    /// exposure units (positive = the arm's users saw less toxicity):
+    /// exactly the baseline's total exposure minus the arm's.
+    pub fn prevented_exposure(&self) -> i64 {
         self.ticks.iter().map(|t| t.prevented_vs_baseline()).sum()
     }
 
@@ -183,8 +184,8 @@ impl TraceDelta {
     /// ([`TickDelta::prevented_vs_baseline`] partial sums) — the curve
     /// a rollout scenario is after: how prevention accrues as waves
     /// land.
-    pub fn cumulative_prevented(&self) -> Vec<f64> {
-        let mut acc = 0.0;
+    pub fn cumulative_prevented(&self) -> Vec<i64> {
+        let mut acc = 0;
         self.ticks
             .iter()
             .map(|t| {
@@ -199,7 +200,7 @@ impl TraceDelta {
 mod tests {
     use super::*;
 
-    fn trace(scenario: &str, seed: u64, exposures: &[f64], rejected: &[u64]) -> DynamicsTrace {
+    fn trace(scenario: &str, seed: u64, exposures: &[u64], rejected: &[u64]) -> DynamicsTrace {
         let ticks = exposures
             .iter()
             .zip(rejected)
@@ -217,7 +218,7 @@ mod tests {
                 failed: 2,
                 rejected_authors: rej.min(3),
                 toxic_exposure: exposure,
-                exposure_prevented: rej as f64 * 0.5,
+                exposure_prevented: rej * 5,
                 retried: rej / 2,
                 recovered: rej / 5,
                 dead_lettered: rej / 10,
@@ -234,26 +235,23 @@ mod tests {
 
     #[test]
     fn paired_diffs_tick_by_tick() {
-        let baseline = trace("inaction", 7, &[4.0, 6.0, 8.0], &[0, 0, 0]);
-        let arm = trace("rollout", 7, &[4.0, 3.0, 1.0], &[0, 10, 25]);
+        let baseline = trace("inaction", 7, &[4, 6, 8], &[0, 0, 0]);
+        let arm = trace("rollout", 7, &[4, 3, 1], &[0, 10, 25]);
         let delta = TraceDelta::paired(&baseline, &arm);
         assert_eq!(delta.baseline, "inaction");
         assert_eq!(delta.arm, "rollout");
         assert_eq!(delta.ticks.len(), 3);
         // Tick 0 is identical; the rollout has not landed yet.
         assert_eq!(delta.ticks[0].blocked, 0);
-        assert!((delta.ticks[0].toxic_exposure).abs() < 1e-12);
-        // Tick 2: 25 more blocked, 7.0 less exposure.
+        assert_eq!(delta.ticks[0].toxic_exposure, 0);
+        // Tick 2: 25 more blocked, 7 units less exposure.
         assert_eq!(delta.ticks[2].blocked, 25);
-        assert!((delta.ticks[2].toxic_exposure - (-7.0)).abs() < 1e-12);
-        assert!((delta.ticks[2].prevented_vs_baseline() - 7.0).abs() < 1e-12);
+        assert_eq!(delta.ticks[2].toxic_exposure, -7);
+        assert_eq!(delta.ticks[2].prevented_vs_baseline(), 7);
         // Totals and the cumulative curve.
-        assert!((delta.prevented_exposure() - 10.0).abs() < 1e-12);
+        assert_eq!(delta.prevented_exposure(), 10);
         assert_eq!(delta.blocked_deliveries(), 35);
-        let cumulative = delta.cumulative_prevented();
-        assert!((cumulative[0] - 0.0).abs() < 1e-12);
-        assert!((cumulative[1] - 3.0).abs() < 1e-12);
-        assert!((cumulative[2] - 10.0).abs() < 1e-12);
+        assert_eq!(delta.cumulative_prevented(), vec![0, 3, 10]);
         // The reliability columns diff like everything else: the arm's
         // per-tick retried/recovered/dead-lettered minus the baseline's
         // (all zero here), with run totals on the accessors.
@@ -270,31 +268,31 @@ mod tests {
 
     #[test]
     fn identical_traces_have_zero_delta() {
-        let a = trace("x", 3, &[1.0, 2.0], &[5, 6]);
+        let a = trace("x", 3, &[1, 2], &[5, 6]);
         let delta = TraceDelta::paired(&a, &a.clone());
         assert!(delta.ticks.iter().all(|t| {
             t.links == 0
                 && t.delivered == 0
                 && t.blocked == 0
-                && t.toxic_exposure == 0.0
-                && t.exposure_prevented == 0.0
+                && t.toxic_exposure == 0
+                && t.exposure_prevented == 0
         }));
-        assert_eq!(delta.prevented_exposure(), 0.0);
+        assert_eq!(delta.prevented_exposure(), 0);
     }
 
     #[test]
     #[should_panic(expected = "tick budget")]
     fn mismatched_tick_budgets_refuse_to_pair() {
-        let a = trace("a", 1, &[1.0], &[0]);
-        let b = trace("b", 1, &[1.0, 2.0], &[0, 0]);
+        let a = trace("a", 1, &[1], &[0]);
+        let b = trace("b", 1, &[1, 2], &[0, 0]);
         TraceDelta::paired(&a, &b);
     }
 
     #[test]
     #[should_panic(expected = "engine seed")]
     fn mismatched_seeds_refuse_to_pair() {
-        let a = trace("a", 1, &[1.0], &[0]);
-        let b = trace("b", 2, &[1.0], &[0]);
+        let a = trace("a", 1, &[1], &[0]);
+        let b = trace("b", 2, &[1], &[0]);
         TraceDelta::paired(&a, &b);
     }
 }

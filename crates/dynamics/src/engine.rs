@@ -3,7 +3,7 @@
 //!
 //! # Determinism
 //!
-//! Three properties make a run bit-reproducible at any thread count:
+//! Two properties make a run bit-reproducible at any thread count:
 //!
 //! 1. **Total event order.** The control phase is single-threaded and
 //!    consumes the queue in `(time, sequence)` order; all state
@@ -12,10 +12,9 @@
 //!    derives a fresh RNG per `(seed, tick, sender)` — never from a
 //!    shared stream — so which worker processes which instance cannot
 //!    change a single draw.
-//! 3. **Ordered reduction.** Per-instance metrics are collected into a
-//!    vector in instance order and summed sequentially; the f64
-//!    accumulation order is therefore fixed regardless of how the rayon
-//!    pool chunked the work.
+//!
+//! Every per-instance metric is an integer (toxic mass in the exposure
+//! units of [`crate::trace`]), so reductions are exact in any order.
 //!
 //! # The two-stage (sender-majorized) measurement phase
 //!
@@ -24,22 +23,21 @@
 //! measurement path ([`MeasureMode::Batched`]) exploits that:
 //!
 //! - **Stage 1 — parallel over senders.** Each sender's tick emissions
-//!   are drawn exactly once into a [`SenderBatch`]: run-length groups of
-//!   `(template slot, draw count)` in draw order, plus one memoized
-//!   `scorer.analyze` toxicity per *distinct* template. Scorer calls drop
-//!   from O(edges × emissions) to O(senders × distinct templates).
-//! - **Stage 2 — parallel over receivers.** Each up receiver consumes its
-//!   neighbors' batches in the same neighbor order and the same draw
-//!   order as the per-post path. MRF verdicts are memoized per
-//!   `(receiver, sender, distinct template)` and obtained from
+//!   are drawn exactly once into a [`SenderBatch`]: one entry per
+//!   *distinct* template with its draw count and one memoized
+//!   `scorer.analyze` toxicity. Scorer calls drop from
+//!   O(edges × emissions) to O(senders × distinct templates).
+//! - **Stage 2 — parallel over receivers.** Each up receiver judges its
+//!   neighbors' distinct templates once each, in the same neighbor order
+//!   and first-draw order as the per-post path, with
 //!   [`MrfPipeline::filter_inbound`] on the borrowed template: a stage
 //!   that actually rewrites *this* activity clones it once, and the walk
 //!   continues from the clone.
 //!
-//! Bit-identity with the reference path holds because the draws are the
-//! same RNG stream, integer counters are multiplied by run length (exact),
-//! and the f64 exposure columns still accumulate one addition per
-//! emission in draw order. The per-post path is retained as
+//! Identity with the reference path holds because the draws are the
+//! same RNG stream and every column is an integer: a template drawn
+//! `count` times adds `count` times its quantised toxicity, exactly what
+//! `count` single additions give. The per-post path is retained as
 //! [`MeasureMode::Reference`] and serves as the differential oracle in
 //! tests.
 //!
@@ -51,7 +49,7 @@ use crate::sink::EventSink;
 use crate::state::{NetworkState, RetryPolicy, SharedColumns};
 use fediscope_simnet::FailureClass;
 
-use crate::trace::{DynamicsTrace, TickTrace};
+use crate::trace::{quantise_score, DynamicsTrace, TickTrace};
 use fediscope_core::mrf::{Inbound, NullActorDirectory, PolicyContext};
 use fediscope_core::time::{SimDuration, SimTime, CAMPAIGN_START, SNAPSHOT_INTERVAL};
 use fediscope_perspective::Scorer;
@@ -129,8 +127,8 @@ struct InstanceTick {
     rejected: u64,
     failed: u64,
     rejected_authors: u64,
-    exposure: f64,
-    prevented: f64,
+    exposure: u64,
+    prevented: u64,
 }
 
 /// A reusable engine factory over one shared seed extract.
@@ -595,8 +593,7 @@ impl DynamicsEngine {
         self.finish(scenario, ticks)
     }
 
-    /// Sequentially folds per-instance metrics into a [`TickTrace`] —
-    /// fixed order, so float sums never depend on the thread count.
+    /// Folds per-instance metrics into a [`TickTrace`].
     ///
     /// An empty `metrics` slice is the idle (zero-emission) tick: all
     /// delivery metrics are zero and the per-instance exposure row is
@@ -623,8 +620,8 @@ impl DynamicsEngine {
             rejected: 0,
             failed: 0,
             rejected_authors: 0,
-            toxic_exposure: 0.0,
-            exposure_prevented: 0.0,
+            toxic_exposure: 0,
+            exposure_prevented: 0,
             retried: self.tick_retried,
             recovered: self.tick_recovered,
             dead_lettered: self.tick_dead_lettered,
@@ -632,7 +629,7 @@ impl DynamicsEngine {
             per_instance_exposure: Vec::with_capacity(self.state.len()),
         };
         if metrics.is_empty() {
-            t.per_instance_exposure = vec![0.0; self.state.len()];
+            t.per_instance_exposure = vec![0; self.state.len()];
             self.observe_tick(&t, metrics);
             return t;
         }
@@ -745,7 +742,7 @@ fn measure_receiver_reference(
         for _ in 0..emissions {
             let template = &sender.templates[draws.gen_range(0..sender.templates.len())];
             m.delivered += 1;
-            let toxic = scorer.analyze(&template.content).max();
+            let toxic = quantise_score(scorer.analyze(&template.content).max());
             let mut activity = template.activity.clone();
             activity.published = now;
             if let Some(post) = activity.note_mut() {
@@ -775,28 +772,22 @@ fn measure_receiver_reference(
 /// One sender's pre-drawn tick emissions (stage 1 of the batched
 /// measurement phase), shared read-only by every receiver in stage 2.
 ///
-/// Columns are SoA: `distinct`/`toxic` hold one entry per distinct
-/// template drawn this tick (first-draw order), `run_slot`/`run_len`
-/// run-length encode the draw sequence as groups of consecutive
-/// identical draws. Replaying the runs in order reproduces the per-post
-/// path's draw order exactly.
+/// Columns are SoA, one entry per distinct template drawn this tick, in
+/// first-draw order.
 #[derive(Debug, Default)]
 struct SenderBatch {
     /// Distinct template indices into the sender's template table.
     distinct: Vec<u32>,
-    /// Memoized `scorer.analyze(..).max()` per distinct template
-    /// (parallel to `distinct`).
-    toxic: Vec<f64>,
-    /// Per run: index into `distinct`.
-    run_slot: Vec<u32>,
-    /// Per run: how many consecutive draws hit that template.
-    run_len: Vec<u32>,
+    /// How many of the tick's draws hit each distinct template.
+    count: Vec<u64>,
+    /// Memoized `scorer.analyze(..).max()` per distinct template, in
+    /// exposure units.
+    toxic: Vec<u64>,
 }
 
 /// Draws sender `s`'s emissions for `tick` once and scores each distinct
-/// template once. The RNG stream is exactly the one every receiver used
-/// to replay in the reference path, so consuming the runs in order is
-/// bit-identical to re-drawing.
+/// template once. The RNG stream is exactly the one every receiver
+/// replays in the reference path.
 fn build_sender_batch(
     state: &NetworkState,
     config: &DynamicsConfig,
@@ -811,64 +802,46 @@ fn build_sender_batch(
     }
     let sender = &state.instances[s];
     let mut draws = SmallRng::seed_from_u64(delivery_seed(config.seed, tick, s as u64));
-    let mut last_slot = u32::MAX;
     for _ in 0..emissions {
         let t = draws.gen_range(0..sender.templates.len()) as u32;
         // Linear scan: the distinct set is bounded by the emission cap
         // (default 64) and is usually far smaller.
-        let slot = match batch.distinct.iter().position(|&d| d == t) {
-            Some(i) => i as u32,
+        match batch.distinct.iter().position(|&d| d == t) {
+            Some(i) => batch.count[i] += 1,
             None => {
                 batch.distinct.push(t);
+                batch.count.push(1);
+                let content = &sender.templates[t as usize].content;
                 batch
                     .toxic
-                    .push(scorer.analyze(&sender.templates[t as usize].content).max());
-                (batch.distinct.len() - 1) as u32
+                    .push(quantise_score(scorer.analyze(content).max()));
             }
-        };
-        if slot == last_slot {
-            *batch.run_len.last_mut().expect("run exists") += 1;
-        } else {
-            batch.run_slot.push(slot);
-            batch.run_len.push(1);
-            last_slot = slot;
         }
     }
     batch
 }
 
-/// Per-thread reusable scratch for stage 2 — cleared, never reallocated,
-/// between the receivers one thread measures. The rayon shim spawns
-/// scoped worker threads per parallel call, so a worker's scratch lives
-/// for one tick's stage 2; only the calling thread's persists across
-/// ticks.
-struct MeasureScratch {
-    /// Distinct `(sender, author)` pairs rejected this receiver-tick.
-    rejected_authors: HashSet<(u32, u64)>,
-    /// Verdict memo per distinct-template slot of the current neighbor:
-    /// 0 = unjudged, 1 = pass, 2 = reject.
-    verdicts: Vec<u8>,
-}
-
 thread_local! {
-    static MEASURE_SCRATCH: RefCell<MeasureScratch> = RefCell::new(MeasureScratch {
-        rejected_authors: HashSet::new(),
-        verdicts: Vec::new(),
-    });
+    /// Per-thread reusable set of the `(sender, author)` pairs one
+    /// receiver rejected this tick — cleared, never reallocated, between
+    /// the receivers one thread measures. The rayon shim spawns scoped
+    /// worker threads per parallel call, so a worker's set lives for one
+    /// tick's stage 2; only the calling thread's persists across ticks.
+    static MEASURE_SCRATCH: RefCell<HashSet<(u32, u64)>> = RefCell::new(HashSet::new());
 }
 
-/// One receiver's tick, batched path (stage 2): consume every live
-/// neighbor's [`SenderBatch`] in the reference path's neighbor and draw
-/// order. One MRF verdict per `(receiver, sender, distinct template)`,
-/// judged on the borrowed template: it is cloned only if a stage rewrites
-/// it.
+/// One receiver's tick, batched path (stage 2): one MRF verdict per
+/// `(receiver, sender, distinct template)`, judged on the borrowed
+/// template (it is cloned only if a stage rewrites it) in the order the
+/// per-post path first meets each template, and credited with the
+/// template's whole draw count.
 fn measure_receiver_batched(
     state: &NetworkState,
     batches: &[SenderBatch],
     emissions: &[u64],
     now: SimTime,
     r: usize,
-    scratch: &mut MeasureScratch,
+    rejected_authors: &mut HashSet<(u32, u64)>,
 ) -> InstanceTick {
     let mut m = InstanceTick::default();
     let receiver = &state.instances[r];
@@ -883,48 +856,25 @@ fn measure_receiver_batched(
     }
     let actors = NullActorDirectory;
     let ctx = PolicyContext::new(&receiver.domain, now, &actors);
-    scratch.rejected_authors.clear();
+    rejected_authors.clear();
     for &s in state.neighbors(r) {
         let batch = &batches[s as usize];
-        if batch.distinct.is_empty() {
-            continue;
-        }
         let sender = &state.instances[s as usize];
-        scratch.verdicts.clear();
-        scratch.verdicts.resize(batch.distinct.len(), 0);
-        for (&slot, &len) in batch.run_slot.iter().zip(&batch.run_len) {
-            let slot = slot as usize;
-            let toxic = batch.toxic[slot];
-            let len = len as u64;
-            m.delivered += len;
-            let pass = match scratch.verdicts[slot] {
-                1 => true,
-                2 => false,
-                _ => {
-                    let template = &sender.templates[batch.distinct[slot] as usize];
-                    let mut activity = Inbound::borrowed(&template.activity, now);
-                    let pass = receiver
-                        .pipeline
-                        .filter_inbound(&ctx, &mut activity)
-                        .is_ok();
-                    scratch.verdicts[slot] = if pass { 1 } else { 2 };
-                    pass
-                }
-            };
-            if pass {
-                m.accepted += len;
-                // f64 bit-identity: one addition per emission in draw
-                // order, exactly as the reference path accumulates.
-                for _ in 0..len {
-                    m.exposure += toxic;
-                }
+        for ((&t, &count), &toxic) in batch.distinct.iter().zip(&batch.count).zip(&batch.toxic) {
+            let template = &sender.templates[t as usize];
+            let mut activity = Inbound::borrowed(&template.activity, now);
+            m.delivered += count;
+            if receiver
+                .pipeline
+                .filter_inbound(&ctx, &mut activity)
+                .is_ok()
+            {
+                m.accepted += count;
+                m.exposure += count * toxic;
             } else {
-                m.rejected += len;
-                for _ in 0..len {
-                    m.prevented += toxic;
-                }
-                let author = sender.templates[batch.distinct[slot] as usize].author;
-                if scratch.rejected_authors.insert((s, author)) {
+                m.rejected += count;
+                m.prevented += count * toxic;
+                if rejected_authors.insert((s, template.author)) {
                     m.rejected_authors += 1;
                 }
             }
@@ -987,11 +937,11 @@ mod tests {
         let trace = engine.run(&mut Steady);
         assert_eq!(trace.ticks.len(), 6);
         assert!(trace.total_delivered() > 0, "live links must carry posts");
-        assert!(trace.total_exposure() > 0.0, "some toxicity gets through");
+        assert!(trace.total_exposure() > 0, "some toxicity gets through");
         // The seed world already runs its full configs: rejections and
         // prevented exposure are nonzero from tick zero.
         assert!(trace.total_rejected() > 0);
-        assert!(trace.total_prevented() > 0.0);
+        assert!(trace.total_prevented() > 0);
         // Steady state: links never change without events.
         assert_eq!(trace.initial_links(), trace.final_links());
     }

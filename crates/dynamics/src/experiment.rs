@@ -192,7 +192,7 @@ impl Experiment {
 }
 
 /// One arm's completed run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ArmRun {
     /// The arm name.
     pub name: String,
@@ -202,7 +202,7 @@ pub struct ArmRun {
 }
 
 /// Every arm's trace plus the baseline designation.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ExperimentResult {
     /// The shared engine seed.
     pub seed: u64,
@@ -296,12 +296,13 @@ mod tests {
         // The rollout blocks deliveries the inaction baseline accepts,
         // and keeps toxic mass out of timelines.
         assert!(delta.blocked_deliveries() > 0);
-        assert!(delta.prevented_exposure() > 0.0);
+        assert!(delta.prevented_exposure() > 0);
         // Prevention accrues: the cumulative curve is non-decreasing
         // once adoption starts, and ends at the total.
         let cumulative = delta.cumulative_prevented();
-        assert!(
-            (cumulative.last().unwrap() - delta.prevented_exposure()).abs() < 1e-9,
+        assert_eq!(
+            *cumulative.last().unwrap(),
+            delta.prevented_exposure(),
             "cumulative curve must end at the total"
         );
         // Identical traffic in both arms: same deliveries tick by tick
@@ -332,7 +333,7 @@ mod tests {
         // Two arms of the same scenario: deltas are exactly zero.
         let delta = result.delta("b").unwrap();
         assert_eq!(delta.blocked_deliveries(), 0);
-        assert_eq!(delta.prevented_exposure(), 0.0);
+        assert_eq!(delta.prevented_exposure(), 0);
         // The baseline has no delta against itself.
         assert!(result.delta("a").is_none());
     }

@@ -78,8 +78,9 @@
 //! Same seeds + same scenario ⇒ **bit-identical trace at any thread
 //! count**, by construction: all mutation happens in the totally-ordered
 //! control phase; measurement randomness derives per `(seed, tick,
-//! sender)` rather than from any shared stream; and per-instance floats
-//! are reduced in fixed instance order. The root `tests/contracts.rs`
+//! sender)` rather than from any shared stream; and every trace column
+//! is an integer (toxic mass in exposure units, see [`exposure_score`]),
+//! so reductions are exact in any order. The root `tests/contracts.rs`
 //! matrix runs every registered scenario at 1, 2 and 8 workers and
 //! checks whole traces with [`DynamicsTrace::first_divergence`].
 //!
@@ -159,7 +160,7 @@ pub use experiment::{Arm, ArmRun, Experiment, ExperimentResult};
 pub use scenario::Scenario;
 pub use sink::EventSink;
 pub use state::{InstanceState, NetworkState, PostTemplate, RetryPolicy, SharedColumns};
-pub use trace::{failure_mix_index, Divergence, DynamicsTrace, TickTrace};
+pub use trace::{exposure_score, failure_mix_index, Divergence, DynamicsTrace, TickTrace};
 
 #[cfg(test)]
 pub(crate) mod testutil {

@@ -202,7 +202,7 @@ mod tests {
         // Deliveries are lost to churn *while* the rollout prevents
         // exposure — the composed interaction the trio exists for.
         assert!(trace.ticks.iter().map(|t| t.failed).sum::<u64>() > 0);
-        assert!(trace.total_prevented() > 0.0);
+        assert!(trace.total_prevented() > 0);
     }
 
     #[test]

@@ -180,8 +180,8 @@ mod tests {
             assert_eq!(td.accepted, 0);
             assert_eq!(td.blocked, 0);
             assert_eq!(td.failed, 0);
-            assert_eq!(td.toxic_exposure, 0.0);
-            assert_eq!(td.exposure_prevented, 0.0);
+            assert_eq!(td.toxic_exposure, 0);
+            assert_eq!(td.exposure_prevented, 0);
         }
         assert!(delta.recovered_deliveries() > 0);
         assert!(delta.dead_lettered_deliveries() > 0);

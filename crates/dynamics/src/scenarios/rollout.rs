@@ -153,7 +153,7 @@ mod tests {
         assert!(trace.ticks.iter().all(|t| t.adopted == 0));
         // Stripped pipelines still run the fresh-install defaults, which
         // reject nothing by domain: exposure flows freely.
-        assert!(trace.total_exposure() > 0.0);
+        assert!(trace.total_exposure() > 0);
     }
 
     #[test]
@@ -183,7 +183,7 @@ mod tests {
             trace.ticks.last().unwrap().adopted,
             scenario.adopters() as u64
         );
-        assert!(trace.total_prevented() > 0.0);
+        assert!(trace.total_prevented() > 0);
     }
 
     #[test]

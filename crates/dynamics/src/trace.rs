@@ -1,17 +1,42 @@
 //! Per-tick metrics — the engine's observable output.
 //!
 //! A [`DynamicsTrace`] is the contract the determinism guarantee is
-//! stated over: the same seeds and scenario must produce a bit-identical
-//! trace at any worker-thread count. [`DynamicsTrace::digest`] folds
-//! every field (floats by bit pattern) into one `u64` so tests and
-//! benches can compare whole runs cheaply.
+//! stated over: the same seeds and scenario must produce an identical
+//! trace at any worker-thread count. Every field is an integer, so
+//! derived `==` is the exact check and [`DynamicsTrace::digest`] folds
+//! every field into one `u64` so tests and benches can compare whole
+//! runs cheaply.
+//!
+//! Toxic mass is counted in integer exposure units: [`quantise_score`]
+//! turns a post's score into units and [`exposure_score`] turns units
+//! back into score mass for display. Nothing else knows the unit.
 
 use fediscope_core::time::SimTime;
 use fediscope_simnet::FailureMode;
 use serde::Serialize;
 
+/// Exposure units per unit of score: toxic mass is counted in
+/// nano-scores.
+const UNITS_PER_SCORE: f64 = 1e9;
+
+/// Quantises one post's toxicity (its max attribute score, in `[0, 1]`)
+/// to exposure units, rounding to nearest, so each delivery is off by at
+/// most 5e-10 of a score. A delivery adds at most `1e9` units, so even
+/// paper-scale `storm` (≈27 M deliveries per run) totals at most
+/// 2.7e16 units: about 680× below `u64::MAX`, and 340× below `i64::MAX`
+/// for the differences in a [`crate::TickDelta`].
+pub(crate) fn quantise_score(score: f64) -> u64 {
+    (score * UNITS_PER_SCORE).round() as u64
+}
+
+/// Exposure units (a trace total or a signed delta) as score mass, for
+/// display.
+pub fn exposure_score(units: impl Into<i128>) -> f64 {
+    units.into() as f64 / UNITS_PER_SCORE
+}
+
 /// Everything measured in one tick.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TickTrace {
     /// Tick index (0-based).
     pub tick: u64,
@@ -35,10 +60,12 @@ pub struct TickTrace {
     pub failed: u64,
     /// Distinct `(receiver, author)` pairs rejected this tick.
     pub rejected_authors: u64,
-    /// Toxic mass (max attribute score) of accepted deliveries.
-    pub toxic_exposure: f64,
-    /// Toxic mass the pipelines kept out (rejected deliveries).
-    pub exposure_prevented: f64,
+    /// Toxic mass (max attribute score) of accepted deliveries, in
+    /// exposure units.
+    pub toxic_exposure: u64,
+    /// Toxic mass the pipelines kept out (rejected deliveries), in
+    /// exposure units.
+    pub exposure_prevented: u64,
     /// Retry attempts that fired and rescheduled (receiver still in a
     /// transient outage, budget left). Zero unless the run enabled the
     /// reliability layer.
@@ -50,13 +77,13 @@ pub struct TickTrace {
     pub dead_lettered: u64,
     /// Down instances by §3 failure mode: `[404, 403, 502, 503, 410]`.
     pub failure_mix: Vec<u64>,
-    /// Accepted toxic mass per receiving instance (seed index order).
-    pub per_instance_exposure: Vec<f64>,
+    /// Accepted toxic mass per receiving instance (seed index order), in
+    /// exposure units; sums to `toxic_exposure`.
+    pub per_instance_exposure: Vec<u64>,
 }
 
 impl TickTrace {
-    /// Every scalar column by name, floats by bit pattern, in digest
-    /// order.
+    /// Every scalar column by name, in digest order.
     fn columns(&self) -> [(&'static str, u64); 16] {
         [
             ("tick", self.tick),
@@ -70,8 +97,8 @@ impl TickTrace {
             ("rejected", self.rejected),
             ("failed", self.failed),
             ("rejected_authors", self.rejected_authors),
-            ("toxic_exposure", self.toxic_exposure.to_bits()),
-            ("exposure_prevented", self.exposure_prevented.to_bits()),
+            ("toxic_exposure", self.toxic_exposure),
+            ("exposure_prevented", self.exposure_prevented),
             ("retried", self.retried),
             ("recovered", self.recovered),
             ("dead_lettered", self.dead_lettered),
@@ -94,20 +121,10 @@ pub struct Divergence {
     pub index: Option<usize>,
 }
 
-/// Index of the first differing element of two sequences, counting a
+/// Index of the first differing element of two slices, counting a
 /// length mismatch as a difference at the shorter length.
-fn first_mismatch(
-    mut a: impl Iterator<Item = u64>,
-    mut b: impl Iterator<Item = u64>,
-) -> Option<usize> {
-    let mut i = 0;
-    loop {
-        match (a.next(), b.next()) {
-            (None, None) => return None,
-            (x, y) if x != y => return Some(i),
-            _ => i += 1,
-        }
-    }
+fn first_mismatch(a: &[u64], b: &[u64]) -> Option<usize> {
+    (0..a.len().max(b.len())).find(|&i| a.get(i) != b.get(i))
 }
 
 /// Index of a failure mode in [`TickTrace::failure_mix`].
@@ -123,7 +140,7 @@ pub fn failure_mix_index(mode: FailureMode) -> Option<usize> {
 }
 
 /// A whole run: scenario name, seed, and one [`TickTrace`] per tick.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct DynamicsTrace {
     /// Scenario that produced the trace.
     pub scenario: String,
@@ -134,8 +151,8 @@ pub struct DynamicsTrace {
 }
 
 impl DynamicsTrace {
-    /// FNV-1a over every field, floats by bit pattern. Two traces are
-    /// bit-identical iff their digests match (up to hash collisions —
+    /// FNV-1a over every field. Two traces are identical iff their
+    /// digests match (up to hash collisions —
     /// [`first_divergence`](Self::first_divergence) is the exact check).
     pub fn digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -151,20 +168,15 @@ impl DynamicsTrace {
             for (_, v) in t.columns() {
                 word(v);
             }
-            for &c in &t.failure_mix {
-                word(c);
-            }
-            for &e in &t.per_instance_exposure {
-                word(e.to_bits());
+            for &v in t.failure_mix.iter().chain(&t.per_instance_exposure) {
+                word(v);
             }
         }
         h
     }
 
-    /// The first place `self` and `other` differ, or `None` when they are
-    /// bit-identical. Floats compare by bit pattern, as in
-    /// [`digest`](Self::digest), so `-0.0` and `0.0` differ here although
-    /// derived `==` calls them equal.
+    /// The first place `self` and `other` differ, or `None` exactly when
+    /// `self == other`.
     pub fn first_divergence(&self, other: &DynamicsTrace) -> Option<Divergence> {
         let at = |tick, field, index| Some(Divergence { tick, field, index });
         if self.scenario != other.scenario {
@@ -175,20 +187,20 @@ impl DynamicsTrace {
         }
         for (i, (a, b)) in self.ticks.iter().zip(&other.ticks).enumerate() {
             let (a_cols, b_cols) = (a.columns(), b.columns());
-            if let Some(k) = first_mismatch(a_cols.iter().map(|c| c.1), b_cols.iter().map(|c| c.1))
-            {
+            if let Some(k) = a_cols.iter().zip(&b_cols).position(|(x, y)| x.1 != y.1) {
                 return at(Some(i), a_cols[k].0, None);
             }
-            let mix = first_mismatch(a.failure_mix.iter().copied(), b.failure_mix.iter().copied());
-            if mix.is_some() {
-                return at(Some(i), "failure_mix", mix);
-            }
-            let exposure = first_mismatch(
-                a.per_instance_exposure.iter().map(|e| e.to_bits()),
-                b.per_instance_exposure.iter().map(|e| e.to_bits()),
-            );
-            if exposure.is_some() {
-                return at(Some(i), "per_instance_exposure", exposure);
+            for (field, x, y) in [
+                ("failure_mix", &a.failure_mix, &b.failure_mix),
+                (
+                    "per_instance_exposure",
+                    &a.per_instance_exposure,
+                    &b.per_instance_exposure,
+                ),
+            ] {
+                if let Some(k) = first_mismatch(x, y) {
+                    return at(Some(i), field, Some(k));
+                }
             }
         }
         if self.ticks.len() != other.ticks.len() {
@@ -207,13 +219,13 @@ impl DynamicsTrace {
         self.ticks.iter().map(|t| t.rejected).sum()
     }
 
-    /// Total toxic mass that got through.
-    pub fn total_exposure(&self) -> f64 {
+    /// Total toxic mass that got through, in exposure units.
+    pub fn total_exposure(&self) -> u64 {
         self.ticks.iter().map(|t| t.toxic_exposure).sum()
     }
 
-    /// Total toxic mass the pipelines prevented.
-    pub fn total_prevented(&self) -> f64 {
+    /// Total toxic mass the pipelines prevented, in exposure units.
+    pub fn total_prevented(&self) -> u64 {
         self.ticks.iter().map(|t| t.exposure_prevented).sum()
     }
 
@@ -247,7 +259,7 @@ impl DynamicsTrace {
 mod tests {
     use super::*;
 
-    fn tick(tick: u64, exposure: f64) -> TickTrace {
+    fn tick(tick: u64, exposure: u64) -> TickTrace {
         TickTrace {
             tick,
             at: SimTime(tick * 100),
@@ -261,7 +273,7 @@ mod tests {
             failed: 0,
             rejected_authors: 1,
             toxic_exposure: exposure,
-            exposure_prevented: 0.5,
+            exposure_prevented: 5,
             retried: 3,
             recovered: 2,
             dead_lettered: 1,
@@ -275,12 +287,12 @@ mod tests {
         let a = DynamicsTrace {
             scenario: "x".into(),
             seed: 1,
-            ticks: vec![tick(0, 1.0), tick(1, 2.0)],
+            ticks: vec![tick(0, 10), tick(1, 20)],
         };
         let mut b = a.clone();
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a, b);
-        b.ticks[1].toxic_exposure += 1e-9;
+        b.ticks[1].toxic_exposure += 1;
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a, b);
         // The reliability columns are digested too.
@@ -290,10 +302,10 @@ mod tests {
     }
 
     #[test]
-    fn first_divergence_locates_negative_zero() {
-        let mut ticks: Vec<TickTrace> = (0..3).map(|i| tick(i, 1.0)).collect();
+    fn first_divergence_locates_one_unit() {
+        let mut ticks: Vec<TickTrace> = (0..3).map(|i| tick(i, 10)).collect();
         for t in &mut ticks {
-            t.per_instance_exposure = vec![0.5, 0.25, 0.0, 0.0, 1.0];
+            t.per_instance_exposure = vec![5, 2, 0, 0, 3];
         }
         let a = DynamicsTrace {
             scenario: "x".into(),
@@ -302,10 +314,10 @@ mod tests {
         };
         assert_eq!(a.first_divergence(&a.clone()), None);
         let mut b = a.clone();
-        b.ticks[2].per_instance_exposure[3] = -0.0;
-        assert_eq!(a, b, "derived == treats -0.0 as 0.0");
+        b.ticks[2].per_instance_exposure[3] = 1;
+        assert_ne!(a, b);
         assert_ne!(a.digest(), b.digest());
-        let d = a.first_divergence(&b).expect("bit patterns differ");
+        let d = a.first_divergence(&b).expect("one unit differs");
         assert_eq!(
             (d.tick, d.field, d.index),
             (Some(2), "per_instance_exposure", Some(3))
@@ -320,17 +332,26 @@ mod tests {
         let t = DynamicsTrace {
             scenario: "x".into(),
             seed: 1,
-            ticks: vec![tick(0, 1.0), tick(1, 2.0)],
+            ticks: vec![tick(0, 10), tick(1, 20)],
         };
         assert_eq!(t.total_delivered(), 40);
         assert_eq!(t.total_rejected(), 4);
         assert_eq!(t.total_retried(), 6);
         assert_eq!(t.total_recovered(), 4);
         assert_eq!(t.total_dead_lettered(), 2);
-        assert!((t.total_exposure() - 3.0).abs() < 1e-12);
-        assert!((t.total_prevented() - 1.0).abs() < 1e-12);
+        assert_eq!(t.total_exposure(), 30);
+        assert_eq!(t.total_prevented(), 10);
         assert_eq!(t.initial_links(), 10);
         assert_eq!(t.final_links(), 10);
+    }
+
+    #[test]
+    fn scores_quantise_to_the_nearest_unit() {
+        assert_eq!(quantise_score(0.0), 0);
+        assert_eq!(quantise_score(1.0), 1_000_000_000);
+        assert_eq!(quantise_score(0.123_456_789_4), 123_456_789);
+        assert_eq!(exposure_score(quantise_score(0.25)), 0.25);
+        assert_eq!(exposure_score(-1_500_000_000_i64), -1.5);
     }
 
     #[test]

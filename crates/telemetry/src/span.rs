@@ -27,7 +27,7 @@ pub enum Phase {
     RetryDrain,
     /// Parallel measurement fan-out across receivers.
     Measurement,
-    /// Tick close: fixed-order reduction + trace row emission.
+    /// Tick close: per-instance reduction + trace row emission.
     TickClose,
     /// One bridge census pass (live-crawl round trip).
     Census,

@@ -16,7 +16,7 @@
 
 use fediscope::census::{run_round_trip_seeded, RoundTripConfig};
 use fediscope::dynamics::scenarios::lookup;
-use fediscope::dynamics::{CensusCadence, DynamicsConfig};
+use fediscope::dynamics::{exposure_score, CensusCadence, DynamicsConfig};
 use fediscope::prelude::*;
 
 fn main() {
@@ -84,8 +84,8 @@ fn main() {
         summary.deliveries.0,
         summary.deliveries.1,
         summary.deliveries.2,
-        summary.exposure,
-        summary.prevented,
+        exposure_score(summary.exposure),
+        exposure_score(summary.prevented),
         summary.prevented_share * 100.0
     );
 }

@@ -8,7 +8,7 @@
 //! ```
 
 use fediscope::dynamics::scenarios::{CascadeConfig, DefederationCascadeScenario};
-use fediscope::dynamics::{DynamicsConfig, DynamicsEngine};
+use fediscope::dynamics::{exposure_score, DynamicsConfig, DynamicsEngine};
 use fediscope::prelude::*;
 use fediscope_core::time::SimDuration;
 
@@ -61,7 +61,7 @@ fn main() {
                 row.links,
                 row.delivered,
                 row.rejected_share * 100.0,
-                row.exposure_prevented
+                exposure_score(row.exposure_prevented)
             );
         }
     }

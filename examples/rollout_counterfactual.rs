@@ -24,7 +24,7 @@
 //! ```
 
 use fediscope::dynamics::scenarios::lookup;
-use fediscope::dynamics::{Arm, DynamicsConfig, EngineBuilder, Experiment};
+use fediscope::dynamics::{exposure_score, Arm, DynamicsConfig, EngineBuilder, Experiment};
 use fediscope::prelude::*;
 use std::sync::Arc;
 
@@ -71,7 +71,7 @@ fn main() {
             "{:>14}: prevented {:.1} exposure that the inaction world delivered \
              ({} extra blocked deliveries)",
             delta.arm,
-            delta.prevented_exposure(),
+            exposure_score(delta.prevented_exposure()),
             delta.blocked_deliveries(),
         );
     }

@@ -30,6 +30,7 @@
 
 mod report;
 
+use fediscope::dynamics::exposure_score;
 use fediscope::dynamics::scenarios::{lookup, registry};
 use fediscope::harness;
 use fediscope::prelude::*;
@@ -319,7 +320,7 @@ fn experiment(args: &[String]) -> ExitCode {
             "{} vs {}: prevented exposure {:.1} ({} extra blocked deliveries, {:+} links at the final tick)",
             delta.arm,
             delta.baseline,
-            delta.prevented_exposure(),
+            exposure_score(delta.prevented_exposure()),
             delta.blocked_deliveries(),
             delta.final_links(),
         );
@@ -394,8 +395,8 @@ fn dynamics(args: &[String]) -> ExitCode {
         summary.deliveries.0,
         summary.deliveries.1,
         summary.deliveries.2,
-        summary.exposure,
-        summary.prevented,
+        exposure_score(summary.exposure),
+        exposure_score(summary.prevented),
         summary.prevented_share * 100.0
     );
     if let Some(path) = &telemetry_out {

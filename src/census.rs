@@ -290,7 +290,7 @@ mod tests {
         let last = rt.trace.ticks.last().unwrap();
         assert!(last.adopted > 0, "rollout progressed");
         assert!(last.failure_mix.iter().sum::<u64>() > 0, "churn hit");
-        assert!(rt.trace.total_prevented() > 0.0, "rollout prevented");
+        assert!(rt.trace.total_prevented() > 0, "rollout prevented");
         // ... while the census under-counts the decaying fleet.
         let last_census = rt.census.last().unwrap();
         assert!(last_census.undercount() >= 0);

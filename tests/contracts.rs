@@ -13,7 +13,10 @@
 //! Each row runs at 1, 2 and 8 worker threads, under its [`Variant`]s,
 //! at every engine seed in [`SEEDS`], and every cell must show no
 //! [`DynamicsTrace::first_divergence`] from the canonical trace: the
-//! batched run at one thread.
+//! batched run at one thread. Exposure is integer, so two sums must hold
+//! exactly: each canonical tick's `toxic_exposure` is the sum of its
+//! `per_instance_exposure`, and each experiment delta's prevented
+//! exposure is the difference of the two arms' total exposure.
 //!
 //! Pool resizing and telemetry arming are process-global, so the whole
 //! matrix is one test body.
@@ -287,14 +290,35 @@ fn every_scenario_gives_one_trace_under_every_variant() {
                 check(r, si, trace, Variant::Arm, threads);
             }
             let mut by_arm = result.deltas();
+            // Prevention is exact: each arm's delta is the difference of
+            // the two arms' total exposure.
+            let baseline_total = result.baseline().trace.total_exposure() as i64;
+            for delta in &by_arm {
+                let arm_total = result.arm(&delta.arm).unwrap().trace.total_exposure() as i64;
+                assert_eq!(
+                    delta.prevented_exposure(),
+                    baseline_total - arm_total,
+                    "{}, seed {seed}",
+                    delta.arm
+                );
+            }
             by_arm.sort_by(|a, b| a.arm.cmp(&b.arm));
             if deltas[si].is_empty() {
                 let rollout = by_arm.iter().find(|d| d.arm == "rollout").unwrap();
-                assert!(rollout.prevented_exposure() > 0.0, "seed {seed}");
+                assert!(rollout.prevented_exposure() > 0, "seed {seed}");
                 assert!(rollout.blocked_deliveries() > 0, "seed {seed}");
                 deltas[si] = by_arm;
             } else {
                 assert_eq!(by_arm, deltas[si], "{threads} threads, seed {seed}");
+            }
+        }
+    }
+    // A tick's exposure is exactly the sum of its per-instance row.
+    for (row, traces) in rows.iter().zip(&canonical) {
+        for trace in traces {
+            for t in &trace.ticks {
+                let sum: u64 = t.per_instance_exposure.iter().sum();
+                assert_eq!(t.toxic_exposure, sum, "{}: tick {}", row.0, t.tick);
             }
         }
     }
