@@ -273,7 +273,7 @@ impl MrfPipeline {
     /// only at the first stage that changes it, and the walk continues
     /// from there. Bulk simulation judges millions of borrowed templates
     /// this way; the surviving (possibly rewritten) activity stays in
-    /// `activity`. The proptests in [`super::proptests`] pin verdict,
+    /// `activity`. The proptests in the `proptests` module pin verdict,
     /// surviving activity and side effects against `filter` across the
     /// catalog.
     pub fn filter_inbound(

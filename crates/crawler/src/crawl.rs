@@ -28,7 +28,7 @@ pub struct CrawlerConfig {
     /// handful of rounds).
     pub snapshot_rounds: usize,
     /// Extra attempts granted to an outcome-deciding census probe that
-    /// hits a *transient* §3 failure (502/503, refused connections).
+    /// hits a *transient* §3 failure (502/503).
     /// Permanent answers (404/403/410, unknown hosts) are always taken
     /// at face value on the first probe. The default single retry
     /// shrinks the census under-count from gateway flaps without
@@ -177,9 +177,9 @@ async fn snapshot(net: &SimNet, domain: &Domain, at: SimTime) -> Option<Metadata
 }
 
 /// One outcome-deciding census probe with a bounded transient-retry
-/// budget: a response in the transient §3 class (5xx) or a transient
-/// network error is re-probed up to [`CrawlerConfig::transient_retries`]
-/// extra times; anything permanent returns immediately.
+/// budget: a response in the transient §3 class (5xx) is re-probed up
+/// to [`CrawlerConfig::transient_retries`] extra times; anything
+/// permanent, and an unknown host, returns immediately.
 ///
 /// Every attempt is observed through the telemetry registry: a
 /// per-§3-class probe counter plus a [simulated-latency](probe_latency)
@@ -211,12 +211,8 @@ fn probe_class(outcome: &Result<HttpResponse, NetError>) -> ProbeClass {
             Some(FailureClass::Transient) => ProbeClass::Transient,
             Some(FailureClass::Permanent) => ProbeClass::Permanent,
         },
-        Err(e) => match e.class() {
-            // A refused connection is a live-but-flapping box; an
-            // unknown host never produced an HTTP conversation at all.
-            FailureClass::Transient => ProbeClass::Transient,
-            FailureClass::Permanent => ProbeClass::NetError,
-        },
+        // An unknown host never produced an HTTP conversation at all.
+        Err(NetError::UnknownHost(_)) => ProbeClass::NetError,
     }
 }
 

@@ -421,7 +421,7 @@ impl DynamicsEngine {
     /// lets `scenario` prepare state and schedule its opening events, and
     /// re-syncs any attached sink to the post-`init` state (scenarios
     /// rewrite state directly in `init` — failure resets, moderation
-    /// strips — which never flows through [`Self::apply`]).
+    /// strips — which never flows through `apply`).
     ///
     /// [`Self::run`] calls this internally; call it directly only when
     /// driving the tick loop by hand via [`Self::step`] — the

@@ -3,13 +3,13 @@
 use crate::server::InstanceServer;
 use fediscope_activitypub::Mailman;
 use fediscope_core::model::{Activity, Post};
-use fediscope_simnet::{FailureClass, HttpRequest, SimNet};
+use fediscope_simnet::{FailureClass, HttpRequest, NetError, SimNet};
 use std::sync::Arc;
 use tokio::sync::Semaphore;
 
 /// Per-class outcome of one delivery fan-out: how many inbox POSTs
-/// succeeded, how many failed in a way a retry could clear (5xx,
-/// connection refused), and how many failed permanently (4xx, dead DNS).
+/// succeeded, how many failed in a way a retry could clear (5xx), and
+/// how many failed permanently (4xx, dead DNS).
 ///
 /// Real Pleroma's federator publisher makes exactly this distinction —
 /// transient failures go back on the retry queue, permanent ones are
@@ -87,13 +87,12 @@ impl Federator {
     /// Delivers an already-published activity; returns the per-class
     /// [`DeliveryReport`].
     ///
-    /// The inbox POSTs go out concurrently, bounded to [`MAX_IN_FLIGHT`]
-    /// in-flight requests at a time, so one slow peer no longer stalls the
-    /// whole fan-out. Ordering guarantees are unchanged: each target
-    /// receives at most one POST per activity (the target set is a set),
-    /// and `SimNet` serves every instance through a single ordered queue,
-    /// so per-target delivery order across successive `deliver` calls is
-    /// the call order, exactly as with the old sequential loop.
+    /// The inbox POSTs go out concurrently, at most `MAX_IN_FLIGHT` (16)
+    /// at a time, so one slow peer does not stall the whole fan-out. Each
+    /// target receives at most one POST per activity (the target set is
+    /// a set), and a call returns only once every one of its POSTs has
+    /// been answered, so per-target delivery order across successive
+    /// `deliver` calls is the call order.
     pub async fn deliver(&self, activity: &Activity) -> DeliveryReport {
         let targets = self
             .server
@@ -121,14 +120,14 @@ impl Federator {
                 let req = HttpRequest::post_bytes("/inbox", body);
                 match net.request(&target, req).await {
                     Ok(resp) => FailureClass::of_status(resp.status),
-                    Err(e) => Some(e.class()),
+                    Err(NetError::UnknownHost(_)) => Some(FailureClass::Permanent),
                 }
             }));
         }
         let mut report = DeliveryReport::default();
         for handle in handles {
-            // A panicked delivery task never answered — count it as a
-            // transient failure, like a dropped connection.
+            // A delivery task whose handler panicked never answered —
+            // count it as a transient failure, like a dropped connection.
             report.record(handle.await.unwrap_or(Some(FailureClass::Transient)));
         }
         report

@@ -2,9 +2,10 @@
 //!
 //! An in-memory simulated network standing in for the Internet the paper's
 //! crawler ran over. Instances register HTTP-style endpoints under their
-//! domain; clients issue requests by domain and get responses back over
-//! tokio channels (one serving task per instance — requests to the same
-//! instance are processed in order, like a single-queue server).
+//! domain; clients issue requests by domain, and [`SimNet::request`] calls
+//! the endpoint in place on the requesting task. Nothing runs in the
+//! background, so registering needs no runtime, and dropping the network
+//! frees its endpoints at once.
 //!
 //! The network injects the exact failure taxonomy of §3 — for the 236
 //! unreachable Pleroma instances: 110×404, 84×403, 24×502, 11×503, 7×410 —

@@ -8,10 +8,10 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use tokio::sync::{mpsc, oneshot};
 
-/// A served HTTP endpoint. Handlers are synchronous and must be fast —
-/// they run on the instance's serving task.
+/// A served HTTP endpoint. Handlers are synchronous and must be fast:
+/// [`SimNet::request`] calls them inline on the requesting task, and
+/// requests to one endpoint from several tasks may run concurrently.
 pub trait Endpoint: Send + Sync + 'static {
     /// Handles one request.
     fn handle(&self, req: HttpRequest) -> HttpResponse;
@@ -30,39 +30,24 @@ where
 }
 
 /// Why a request failed before producing an HTTP response.
+///
+/// Its retry class is always [`FailureClass::Permanent`]: a missing DNS
+/// entry never resolves differently.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NetError {
     /// No endpoint registered under the domain (DNS failure).
     UnknownHost(Domain),
-    /// The instance's serving task is gone (connection refused).
-    ConnectionRefused(Domain),
 }
 
 impl fmt::Display for NetError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             NetError::UnknownHost(d) => write!(f, "unknown host: {d}"),
-            NetError::ConnectionRefused(d) => write!(f, "connection refused: {d}"),
-        }
-    }
-}
-
-impl NetError {
-    /// Retry classification: a dead serving task ([`NetError::ConnectionRefused`])
-    /// may restart, so it is transient; a missing DNS entry
-    /// ([`NetError::UnknownHost`]) never resolves differently, so it is
-    /// permanent.
-    pub fn class(&self) -> FailureClass {
-        match self {
-            NetError::UnknownHost(_) => FailureClass::Permanent,
-            NetError::ConnectionRefused(_) => FailureClass::Transient,
         }
     }
 }
 
 impl std::error::Error for NetError {}
-
-type ServingChannel = mpsc::UnboundedSender<(HttpRequest, oneshot::Sender<HttpResponse>)>;
 
 /// The status codes the simulated fediverse ever answers with: the §3
 /// failure taxonomy plus the success/client-error codes the API surface
@@ -231,7 +216,7 @@ impl std::ops::Index<FailureMode> for FailureTaxonomy {
 
 /// The simulated network. Cheap to clone via `Arc`.
 pub struct SimNet {
-    endpoints: RwLock<HashMap<Domain, ServingChannel>>,
+    endpoints: RwLock<HashMap<Domain, Arc<dyn Endpoint>>>,
     failures: RwLock<HashMap<Domain, FailureMode>>,
     stats: NetStats,
 }
@@ -252,20 +237,11 @@ impl SimNet {
         }
     }
 
-    /// Registers `endpoint` under `domain`, spawning its serving task.
-    /// Requires a tokio runtime. Re-registering a domain replaces the old
-    /// endpoint (its task drains and exits once the old channel drops).
+    /// Registers `endpoint` under `domain`. Needs no runtime: requests
+    /// call the endpoint in place. Re-registering a domain replaces the
+    /// old endpoint.
     pub fn register(&self, domain: Domain, endpoint: Arc<dyn Endpoint>) {
-        let (tx, mut rx) =
-            mpsc::unbounded_channel::<(HttpRequest, oneshot::Sender<HttpResponse>)>();
-        tokio::spawn(async move {
-            while let Some((req, reply)) = rx.recv().await {
-                // The receiver may have given up (crawler timeout); a failed
-                // send is not an error.
-                let _ = reply.send(endpoint.handle(req));
-            }
-        });
-        self.endpoints.write().insert(domain, tx);
+        self.endpoints.write().insert(domain, endpoint);
     }
 
     /// Convenience: register a closure endpoint.
@@ -305,7 +281,8 @@ impl SimNet {
         &self.stats
     }
 
-    /// Issues a request to `domain`.
+    /// Issues a request to `domain`, calling its endpoint on the
+    /// caller's task.
     ///
     /// Failure-injected domains answer their forced status without ever
     /// reaching the endpoint — exactly how a dead or auth-walled instance
@@ -321,31 +298,16 @@ impl SimNet {
             self.stats.record_status(status);
             return Ok(HttpResponse::status(status));
         }
-        let tx = {
-            let endpoints = self.endpoints.read();
-            match endpoints.get(domain) {
-                Some(tx) => tx.clone(),
-                None => {
-                    self.stats.net_errors.fetch_add(1, Ordering::Relaxed);
-                    return Err(NetError::UnknownHost(domain.clone()));
-                }
+        let endpoint = match self.endpoints.read().get(domain) {
+            Some(endpoint) => Arc::clone(endpoint),
+            None => {
+                self.stats.net_errors.fetch_add(1, Ordering::Relaxed);
+                return Err(NetError::UnknownHost(domain.clone()));
             }
         };
-        let (reply_tx, reply_rx) = oneshot::channel();
-        if tx.send((req, reply_tx)).is_err() {
-            self.stats.net_errors.fetch_add(1, Ordering::Relaxed);
-            return Err(NetError::ConnectionRefused(domain.clone()));
-        }
-        match reply_rx.await {
-            Ok(resp) => {
-                self.stats.record_status(resp.status);
-                Ok(resp)
-            }
-            Err(_) => {
-                self.stats.net_errors.fetch_add(1, Ordering::Relaxed);
-                Err(NetError::ConnectionRefused(domain.clone()))
-            }
-        }
+        let resp = endpoint.handle(req);
+        self.stats.record_status(resp.status);
+        Ok(resp)
     }
 
     /// GET convenience wrapper.
@@ -529,8 +491,8 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn host_registry_queries() {
+    #[test]
+    fn host_registry_queries() {
         let net = SimNet::new();
         assert_eq!(net.host_count(), 0);
         let d = Domain::new("a.example");

@@ -236,7 +236,7 @@ impl World {
     /// timelines, directory, peers) run sequentially on the master RNG
     /// stream; the expensive per-instance stage (users, harm profiles,
     /// content-composed posts) shards across the rayon pool with a
-    /// private RNG stream per skeleton ([`instance_stream_seed`] — the
+    /// private RNG stream per skeleton (`instance_stream_seed` — the
     /// same seed-splitting scheme as the dynamics engine's delivery
     /// streams). Chunking decides which worker generates an instance,
     /// never a single draw, so the world is bit-identical at any worker

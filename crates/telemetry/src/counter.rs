@@ -35,7 +35,7 @@ thread_local! {
     static HOME_SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) % SHARDS;
 }
 
-/// A lock-free counter sharded across [`SHARDS`] cache-line-padded
+/// A lock-free counter sharded across `SHARDS` (64) cache-line-padded
 /// atomics. Writes are one relaxed `fetch_add` on the calling thread's
 /// home shard; reads merge all shards in shard order.
 pub struct ShardedCounter {

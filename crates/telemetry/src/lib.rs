@@ -22,7 +22,7 @@
 //!   any worker count.
 //! * **No randomness.** The registry draws from no RNG and seeds
 //!   nothing; wall-clock readings ([`PhaseTimer`]) live strictly outside
-//!   trace digests and RNG streams. Logical [`SimTime`] never passes
+//!   trace digests and RNG streams. Logical `SimTime` never passes
 //!   through this crate.
 //! * **Hot-path cost is one relaxed atomic.** A counter increment is a
 //!   single `fetch_add(Relaxed)` on a per-worker shard (no CAS loops, no
@@ -122,8 +122,7 @@ pub enum HotCounter {
     DeadLetteredBatches,
     /// Crawler probes answered 2xx.
     ProbesSuccess,
-    /// Crawler probes answered a transient §3 status (502/503) or a
-    /// transient network error (connection refused).
+    /// Crawler probes answered a transient §3 status (502/503).
     ProbesTransient,
     /// Crawler probes answered a permanent §3 status (404/403/410).
     ProbesPermanent,
@@ -225,7 +224,7 @@ impl GaugeId {
 pub enum ProbeClass {
     /// 2xx answers.
     Success,
-    /// Transient failures (502/503, refused connections).
+    /// Transient failures (502/503).
     Transient,
     /// Permanent failures (404/403/410).
     Permanent,

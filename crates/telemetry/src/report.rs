@@ -132,7 +132,7 @@ pub struct RunReport {
     /// Crawler probe latency by §3 status class, in [`ProbeClass::ALL`]
     /// order.
     pub probe_latency: Vec<ProbeLatencySnapshot>,
-    /// Top-[`TOP_K`] instances by delivered volume (blocked volume,
+    /// Top-`TOP_K` (10) instances by delivered volume (blocked volume,
     /// then seed index, break ties).
     pub top_instances: Vec<InstanceVolume>,
 }

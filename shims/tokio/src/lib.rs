@@ -1,11 +1,11 @@
 //! Offline shim for the `tokio` surface this workspace uses.
 //!
 //! A global fixed-size worker pool drives spawned tasks; wakers re-queue
-//! tasks, so pending tasks cost nothing while parked (serving tasks in
-//! the simulated network block on their channels exactly as under real
-//! tokio). `block_on` drives the root future on the calling thread with
-//! park/unpark. There is no I/O reactor or timer wheel — the workspace's
-//! futures only ever await channels, semaphores and join handles.
+//! tasks, so pending tasks cost nothing while parked (a delivery task
+//! waiting for a semaphore permit, say). `block_on` drives the root
+//! future on the calling thread with park/unpark. There is no I/O
+//! reactor or timer wheel — the workspace's futures only ever await
+//! semaphores and join handles.
 
 pub mod runtime;
 pub mod sync;

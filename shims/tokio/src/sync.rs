@@ -1,4 +1,4 @@
-//! Async synchronization: unbounded mpsc, oneshot, and a semaphore.
+//! Async synchronization: a counting semaphore.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -6,233 +6,6 @@ use std::future::Future;
 use std::pin::Pin;
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
-
-/// Unbounded multi-producer single-consumer channel.
-pub mod mpsc {
-    use super::*;
-
-    struct Shared<T> {
-        queue: VecDeque<T>,
-        recv_waker: Option<Waker>,
-        senders: usize,
-        receiver_alive: bool,
-    }
-
-    /// Sending half.
-    pub struct UnboundedSender<T> {
-        shared: Arc<Mutex<Shared<T>>>,
-    }
-
-    /// Receiving half.
-    pub struct UnboundedReceiver<T> {
-        shared: Arc<Mutex<Shared<T>>>,
-    }
-
-    /// Error: the receiver is gone.
-    #[derive(Debug)]
-    pub struct SendError<T>(pub T);
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("channel closed")
-        }
-    }
-
-    impl<T: fmt::Debug> std::error::Error for SendError<T> {}
-
-    /// Creates an unbounded channel.
-    pub fn unbounded_channel<T>() -> (UnboundedSender<T>, UnboundedReceiver<T>) {
-        let shared = Arc::new(Mutex::new(Shared {
-            queue: VecDeque::new(),
-            recv_waker: None,
-            senders: 1,
-            receiver_alive: true,
-        }));
-        (
-            UnboundedSender {
-                shared: Arc::clone(&shared),
-            },
-            UnboundedReceiver { shared },
-        )
-    }
-
-    impl<T> Clone for UnboundedSender<T> {
-        fn clone(&self) -> Self {
-            self.shared.lock().unwrap().senders += 1;
-            UnboundedSender {
-                shared: Arc::clone(&self.shared),
-            }
-        }
-    }
-
-    impl<T> Drop for UnboundedSender<T> {
-        fn drop(&mut self) {
-            let mut shared = self.shared.lock().unwrap();
-            shared.senders -= 1;
-            if shared.senders == 0 {
-                // Wake the receiver so `recv` observes the closure.
-                if let Some(waker) = shared.recv_waker.take() {
-                    drop(shared);
-                    waker.wake();
-                }
-            }
-        }
-    }
-
-    impl<T> UnboundedSender<T> {
-        /// Sends a value; fails if the receiver was dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            let mut shared = self.shared.lock().unwrap();
-            if !shared.receiver_alive {
-                return Err(SendError(value));
-            }
-            shared.queue.push_back(value);
-            if let Some(waker) = shared.recv_waker.take() {
-                drop(shared);
-                waker.wake();
-            }
-            Ok(())
-        }
-    }
-
-    impl<T> Drop for UnboundedReceiver<T> {
-        fn drop(&mut self) {
-            self.shared.lock().unwrap().receiver_alive = false;
-        }
-    }
-
-    impl<T> UnboundedReceiver<T> {
-        /// Receives the next value; `None` once all senders are dropped
-        /// and the queue is drained.
-        pub fn recv(&mut self) -> Recv<'_, T> {
-            Recv { receiver: self }
-        }
-
-        /// Non-blocking receive attempt.
-        pub fn try_recv(&mut self) -> Option<T> {
-            self.shared.lock().unwrap().queue.pop_front()
-        }
-    }
-
-    /// Future returned by [`UnboundedReceiver::recv`].
-    pub struct Recv<'a, T> {
-        receiver: &'a mut UnboundedReceiver<T>,
-    }
-
-    impl<'a, T> Future for Recv<'a, T> {
-        type Output = Option<T>;
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            let mut shared = self.receiver.shared.lock().unwrap();
-            if let Some(value) = shared.queue.pop_front() {
-                return Poll::Ready(Some(value));
-            }
-            if shared.senders == 0 {
-                return Poll::Ready(None);
-            }
-            shared.recv_waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
-/// One-shot value channel.
-pub mod oneshot {
-    use super::*;
-
-    /// Error: the sender was dropped without sending.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            f.write_str("oneshot sender dropped")
-        }
-    }
-
-    impl std::error::Error for RecvError {}
-
-    struct Shared<T> {
-        value: Option<T>,
-        waker: Option<Waker>,
-        sender_alive: bool,
-        receiver_alive: bool,
-    }
-
-    /// Sending half.
-    pub struct Sender<T> {
-        shared: Arc<Mutex<Shared<T>>>,
-    }
-
-    /// Receiving half (a future).
-    pub struct Receiver<T> {
-        shared: Arc<Mutex<Shared<T>>>,
-    }
-
-    /// Creates a oneshot channel.
-    pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Mutex::new(Shared {
-            value: None,
-            waker: None,
-            sender_alive: true,
-            receiver_alive: true,
-        }));
-        (
-            Sender {
-                shared: Arc::clone(&shared),
-            },
-            Receiver { shared },
-        )
-    }
-
-    impl<T> Sender<T> {
-        /// Sends the value, consuming the sender. Fails with the value if
-        /// the receiver is gone.
-        pub fn send(self, value: T) -> Result<(), T> {
-            let mut shared = self.shared.lock().unwrap();
-            if !shared.receiver_alive {
-                return Err(value);
-            }
-            shared.value = Some(value);
-            if let Some(waker) = shared.waker.take() {
-                drop(shared);
-                waker.wake();
-            }
-            Ok(())
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut shared = self.shared.lock().unwrap();
-            shared.sender_alive = false;
-            if let Some(waker) = shared.waker.take() {
-                drop(shared);
-                waker.wake();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            self.shared.lock().unwrap().receiver_alive = false;
-        }
-    }
-
-    impl<T> Future for Receiver<T> {
-        type Output = Result<T, RecvError>;
-        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-            let mut shared = self.shared.lock().unwrap();
-            if let Some(value) = shared.value.take() {
-                return Poll::Ready(Ok(value));
-            }
-            if !shared.sender_alive {
-                return Poll::Ready(Err(RecvError));
-            }
-            shared.waker = Some(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
 
 /// Error acquiring from a closed semaphore (the shim never closes).
 #[derive(Debug)]

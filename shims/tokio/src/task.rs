@@ -37,8 +37,7 @@ impl<T> JoinHandle<T> {
         self.state.lock().unwrap().result.is_some()
     }
 
-    /// Aborting is a no-op in the shim (tasks are short-lived or exit
-    /// when their channels close).
+    /// Aborting is a no-op in the shim (tasks are short-lived).
     pub fn abort(&self) {}
 }
 
@@ -224,7 +223,7 @@ impl<'a, T> Future for JoinNext<'a, T> {
 mod tests {
     use super::*;
     use crate::runtime::Runtime;
-    use crate::sync::oneshot;
+    use crate::sync::Semaphore;
 
     #[test]
     fn join_set_returns_every_result_once_then_none() {
@@ -249,15 +248,17 @@ mod tests {
     #[test]
     fn join_set_yields_in_completion_order() {
         Runtime::new().unwrap().block_on(async {
-            let (tx, rx) = oneshot::channel::<()>();
+            // No permits: the first task parks until one is added.
+            let gate = Arc::new(Semaphore::new(0));
+            let parked = Arc::clone(&gate);
             let mut set = JoinSet::new();
             set.spawn(async move {
-                rx.await.unwrap();
+                let _permit = parked.acquire().await.unwrap();
                 "waited"
             });
             set.spawn(async { "ready" });
             assert_eq!(set.join_next().await.unwrap().unwrap(), "ready");
-            tx.send(()).unwrap();
+            gate.add_permits(1);
             assert_eq!(set.join_next().await.unwrap().unwrap(), "waited");
             assert!(set.join_next().await.is_none());
         });

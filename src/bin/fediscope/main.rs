@@ -175,14 +175,14 @@ fn world_flags(args: &[String]) -> Result<(WorldConfig, u64), ExitCode> {
 
 /// Builds the scenario seed extract either from a shard directory
 /// (`--from-shards DIR`, written by `fediscope shard`) or by generating
-/// the world in-process. A shard load never materialises the corpus —
-/// records stream one at a time from `world.ndjson` — and ignores
-/// `--scale/--seed`: the shard manifest is authoritative for both.
+/// the world in-process. Neither materialises the corpus — records
+/// stream one at a time — and a shard load ignores `--scale/--seed`:
+/// the shard manifest is authoritative for both.
 fn load_seeds(args: &[String], config: WorldConfig) -> Result<ScenarioSeeds, ExitCode> {
-    use fediscope::synthgen::SeedKnobs;
+    let knobs = fediscope::synthgen::SeedKnobs::default();
     if let Some(dir) = parse_flag(args, "--from-shards") {
         eprintln!("loading world from shards at {dir} ...");
-        ScenarioSeeds::from_shards(std::path::Path::new(&dir), &SeedKnobs::default()).map_err(|e| {
+        ScenarioSeeds::from_shards(std::path::Path::new(&dir), &knobs).map_err(|e| {
             eprintln!("cannot load shards from {dir}: {e}");
             ExitCode::FAILURE
         })
@@ -191,7 +191,7 @@ fn load_seeds(args: &[String], config: WorldConfig) -> Result<ScenarioSeeds, Exi
             "generating world (seed {}, scale {}) ...",
             config.seed, config.scale
         );
-        Ok(ScenarioSeeds::from_world(&World::generate(config)))
+        Ok(ScenarioSeeds::from_config_streamed(&config, &knobs))
     }
 }
 

@@ -5,9 +5,8 @@
 //! population systematically under-counts the true one. This module
 //! closes the loop between the two halves of the toolkit that can
 //! reproduce that: the dynamics engine evolves the fleet
-//! (`GoDown`/`Recover`/`Defederate` events), a
-//! [`LiveNetBridge`](fediscope_dynamics::LiveNetBridge) mirrors every
-//! transition onto a live [`SimNet`](fediscope_simnet::SimNet), and the
+//! (`GoDown`/`Recover`/`Defederate` events), a [`LiveNetBridge`] mirrors
+//! every transition onto a live [`SimNet`](fediscope_simnet::SimNet), and the
 //! §3 crawler re-censuses that network between ticks at a configurable
 //! [`CensusCadence`]. The result is the under-count bias table the
 //! static campaign cannot produce: observed vs. true instance counts,
@@ -25,7 +24,7 @@
 //! use fediscope::dynamics::scenarios::{ChurnConfig, ChurnScenario};
 //! use fediscope_synthgen::{World, WorldConfig};
 //!
-//! # #[tokio::main(flavor = "multi_thread")] async fn main() {
+//! # #[tokio::main(flavor = "current_thread")] async fn main() {
 //! let world = World::generate(WorldConfig::test_small());
 //! let mut scenario = ChurnScenario::new(ChurnConfig::default());
 //! let rt = run_round_trip(&world, &mut scenario, RoundTripConfig::default()).await;
@@ -73,8 +72,8 @@ pub struct RoundTrip {
 /// Materialises `world` onto a live [`SimNet`](fediscope_simnet::SimNet)
 /// (every instance served, seed failures injected), runs `scenario`
 /// through a bridged engine, and re-censuses the network at the
-/// configured cadence. Requires a multi-thread tokio runtime (endpoint
-/// serving tasks must progress while this future awaits crawls).
+/// configured cadence. Needs a tokio runtime of either flavour, since
+/// the crawler spawns its probe tasks; endpoints answer on those tasks.
 pub async fn run_round_trip(
     world: &World,
     scenario: &mut dyn Scenario,
@@ -297,7 +296,7 @@ mod tests {
         assert!(last_census.true_up < rt.census[0].true_up);
     }
 
-    #[tokio::test(flavor = "multi_thread")]
+    #[tokio::test(flavor = "current_thread")]
     async fn bridged_trace_matches_unbridged_run() {
         // The round-trip must not perturb the engine: same seed, same
         // scenario ⇒ the bridged trace equals a plain engine run.

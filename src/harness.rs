@@ -38,10 +38,10 @@ impl Materialized {
 /// `ThreadPoolBuilder::build_global`, e.g. from
 /// [`WorldConfig::parallelism`](fediscope_synthgen::WorldConfig)) —
 /// doing it here would clobber or silently fight a pool another phase
-/// already configured. Only the cheap endpoint registration, which
-/// spawns each instance's serving task, stays sequential.
+/// already configured. Only the cheap endpoint registration stays sequential.
 ///
-/// Requires a tokio runtime (endpoint registration spawns serving tasks).
+/// Needs no runtime: registration only records each endpoint, and
+/// dropping the [`Materialized`] frees every server at once.
 pub fn materialize(world: &World) -> Materialized {
     materialize_inner(world, false)
 }
@@ -54,8 +54,8 @@ pub fn materialize(world: &World) -> Materialized {
 /// the injection), which is all a static campaign needs. A dynamics
 /// round-trip needs more: churn scenarios *recover* instances over
 /// time, and a `LiveNetBridge` clearing the injection must uncover a
-/// working endpoint, not an unknown host. Same server-building fan-out,
-/// same runtime requirement.
+/// working endpoint, not an unknown host. Same server-building fan-out;
+/// no runtime either.
 pub fn materialize_full(world: &World) -> Materialized {
     materialize_inner(world, true)
 }
@@ -162,6 +162,18 @@ mod tests {
             .await
             .unwrap();
         assert!(resp.is_success(), "recovered casualty must serve");
+    }
+
+    #[test]
+    fn servers_die_with_the_network() {
+        // Outside any runtime: nothing but the `Materialized` holds a
+        // server, so dropping it frees every one of them straight away.
+        let world = fediscope_synthgen::World::generate(WorldConfig::test_small());
+        let m = materialize(&world);
+        let servers: Vec<_> = m.servers.values().map(Arc::downgrade).collect();
+        assert!(!servers.is_empty());
+        drop(m);
+        assert!(servers.iter().all(|s| s.strong_count() == 0));
     }
 
     #[tokio::test]

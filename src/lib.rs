@@ -7,25 +7,25 @@
 //!
 //! The workspace splits into substrates and apparatus:
 //!
-//! * [`core`](fediscope_core) — domain model and the complete Pleroma MRF
+//! * [`core`] — domain model and the complete Pleroma MRF
 //!   policy engine (every in-built policy, the Figure 7 custom policies,
 //!   and the §7 strawman proposals);
-//! * [`activitypub`](fediscope_activitypub) — the federation substrate:
+//! * [`activitypub`] — the federation substrate:
 //!   follow graph, timelines, delivery fan-out;
-//! * [`simnet`](fediscope_simnet) — an in-memory network with the §3
+//! * [`simnet`] — an in-memory network with the §3
 //!   failure taxonomy;
-//! * [`server`](fediscope_server) — Pleroma/Mastodon instance servers with
+//! * [`server`] — Pleroma/Mastodon instance servers with
 //!   the crawled API surface;
-//! * [`perspective`](fediscope_perspective) — the Perspective-API
+//! * [`perspective`] — the Perspective-API
 //!   substitute scoring toxicity / profanity / sexually-explicit content;
-//! * [`synthgen`](fediscope_synthgen) — the calibrated synthetic fediverse;
-//! * [`crawler`](fediscope_crawler) — the §3 measurement campaign;
-//! * [`dynamics`](fediscope_dynamics) — the deterministic discrete-event
+//! * [`synthgen`] — the calibrated synthetic fediverse;
+//! * [`crawler`] — the §3 measurement campaign;
+//! * [`dynamics`] — the deterministic discrete-event
 //!   engine for time-evolving scenarios (policy rollouts, defederation
 //!   cascades, instance churn, toxicity storms, blocklist imports), plus
 //!   the counterfactual experiment layer: paired arms over one shared
 //!   world with exact per-tick trace deltas against a baseline arm;
-//! * [`analysis`](fediscope_analysis) — every figure, table and headline
+//! * [`analysis`] — every figure, table and headline
 //!   statistic of the paper, plus the §6/§7 extension studies and the
 //!   dynamics time-series tables.
 //!
