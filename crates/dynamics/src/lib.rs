@@ -10,7 +10,10 @@
 //!
 //! * [`EventQueue`] — a time-bucketed calendar future-event list over
 //!   logical [`fediscope_core::time::SimTime`] ticks (no wall clock
-//!   anywhere; O(1) pops in exact `(time, seq)` order);
+//!   anywhere; O(1) pops in exact `(time, seq)` order). A bucket holds
+//!   single events and runs: a run is one blocklist import's adoptions
+//!   at one instant, scheduled as one entry with its sequence numbers
+//!   reserved, and expanded one event per pop;
 //! * [`NetworkState`] — the mutable network (per-instance moderation
 //!   configs with compiled [`fediscope_core::mrf::MrfPipeline`]s,
 //!   federation links, §3 failure modes, post templates), built from

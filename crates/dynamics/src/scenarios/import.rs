@@ -9,15 +9,22 @@
 //! ([`heavy_tail_fraction`]): most admins import a sliver, a few import
 //! nearly everything.
 //!
-//! Full imports schedule one shared [`RolloutWave`] per chunk to every
-//! importer (`Arc` refcount bump — one artifact, many admins); partial
-//! imports clone per-adopter subset waves through
+//! Each import schedules one [`Run`] per instant its chunks land at:
+//! the ordered `AdoptWave` adoptions of that instant, which the queue
+//! expands one event at a time as they fall due. A full import's run is
+//! the instant's shared [`RolloutWave`]s over the shared importer list
+//! (`Arc` refcount bumps — one artifact, many admins), so scheduling
+//! costs O(importers + union), not one queue entry per adoption. A
+//! partial import's run lists the instant's kept `(importer, wave)`
+//! pairs, cloning per-adopter subset waves through
 //! [`RolloutWave::subset_simple`], the core-side counterfactual-arm
-//! primitive. Both paths are pure control-phase load: every event is an
-//! `AdoptWave` mutating a compiled pipeline through the O(delta) MRF
-//! API, which is why the perf gates bench floods exactly this scenario.
+//! primitive. Either way the queue pops exactly the `(time, seq)`
+//! sequence that scheduling each adoption on its own would give. Both
+//! arms are pure control-phase load: every event is an `AdoptWave`
+//! mutating a compiled pipeline through the O(delta) MRF API, which is
+//! why the perf gates bench floods exactly this scenario.
 
-use crate::event::{Event, EventQueue};
+use crate::event::{EventQueue, Run};
 use crate::scenario::Scenario;
 use crate::state::NetworkState;
 use fediscope_core::id::Domain;
@@ -46,9 +53,14 @@ pub fn heavy_tail_fraction(u: f64, alpha: f64) -> f64 {
     // curve; negative sends u^alpha above 1): the result always stays a
     // fraction, so a mis-typed alpha degrades to heavier adoption
     // instead of breaking the [MIN, 1] contract downstream code pins.
-    u.clamp(0.0, 1.0)
-        .powf(alpha)
-        .clamp(MIN_ADOPTION_FRACTION, 1.0)
+    // A NaN alpha (or u) would pass through both clamps, so it degrades
+    // the same way: to full adoption.
+    let f = u.clamp(0.0, 1.0).powf(alpha);
+    if f.is_nan() {
+        1.0
+    } else {
+        f.clamp(MIN_ADOPTION_FRACTION, 1.0)
+    }
 }
 
 /// How much of the circulating list each adopter imports.
@@ -167,11 +179,11 @@ impl Scenario for BlocklistImportScenario {
             }
         }
         self.union_size = union.len();
-        let importers: Vec<u32> = (0..state.len())
+        let importers: Arc<[u32]> = (0..state.len())
             .filter(|&i| state.instances[i].pleroma)
             .map(|i| i as u32)
             .collect();
-        // One shared wave per chunk: a full import schedules it to every
+        // One shared wave per chunk: a full import hands it to every
         // importer by refcount bump, exactly how a circulating blocklist
         // is one artifact applied by many admins.
         let waves: Vec<(Arc<RolloutWave>, usize)> = union
@@ -191,19 +203,54 @@ impl Scenario for BlocklistImportScenario {
                 )
             })
             .collect();
+        // Wave `pos` lands at `start + window·pos/n`; waves that land at
+        // one instant (a window shorter than the wave count) form one
+        // run there. `instant[pos]` indexes `instants`.
         let n = waves.len().max(1) as u64;
+        let mut instants: Vec<(SimTime, std::ops::Range<usize>)> = Vec::new();
+        let mut instant = Vec::with_capacity(waves.len());
+        for pos in 0..waves.len() {
+            let at = start + SimDuration(self.config.window.0 * pos as u64 / n);
+            match instants.last_mut() {
+                Some((last, range)) if *last == at => range.end = pos + 1,
+                _ => instants.push((at, pos..pos + 1)),
+            }
+            instant.push(instants.len() - 1);
+        }
         // Per-adopter draws come off the control stream in importer
-        // index order — deterministic, and independent of chunking.
-        for &i in &importers {
-            let fraction = match self.config.adoption {
-                AdoptionModel::Full => 1.0,
-                AdoptionModel::HeavyTail { alpha } => heavy_tail_fraction(rng.gen(), alpha),
-            };
+        // index order — deterministic, and independent of chunking. A
+        // full import still draws each importer's (unused) keep seed:
+        // both models take one keep seed per importer from the caller's
+        // stream, which a caller may go on drawing from after `init`.
+        let AdoptionModel::HeavyTail { alpha } = self.config.adoption else {
+            for _ in importers.iter() {
+                rng.gen::<u64>();
+            }
+            self.fractions
+                .extend(std::iter::repeat_n(1.0, importers.len()));
+            self.scheduled_events += (importers.len() * waves.len()) as u64;
+            let stride = waves.len() as u64;
+            queue.schedule_runs(instants.into_iter().map(|(at, range)| {
+                let first = range.start as u64;
+                let shared = waves[range].iter().map(|(w, _)| Arc::clone(w)).collect();
+                (
+                    at,
+                    Run::shared(Arc::clone(&importers), shared, first, stride),
+                )
+            }));
+            return;
+        };
+        // A partial import lists each instant's kept adoptions; offsets
+        // count adoptions importer-major, wave-minor, so a run holding
+        // several waves interleaves them as one adopter after another.
+        let mut runs: Vec<Vec<(u64, u32, Arc<RolloutWave>)>> = vec![Vec::new(); instants.len()];
+        let mut offset = 0u64;
+        for &i in importers.iter() {
+            let fraction = heavy_tail_fraction(rng.gen(), alpha);
             self.fractions.push(fraction);
             let mut keep_rng = SmallRng::seed_from_u64(rng.gen());
             for (pos, (wave, entries)) in waves.iter().enumerate() {
-                let at = start + SimDuration(self.config.window.0 * pos as u64 / n);
-                let scheduled = if fraction >= 1.0 {
+                let kept = if fraction >= 1.0 {
                     Some(Arc::clone(wave))
                 } else {
                     // Fork a per-(adopter, wave) stream, count the keeps,
@@ -228,12 +275,19 @@ impl Scenario for BlocklistImportScenario {
                         ))
                     }
                 };
-                if let Some(wave) = scheduled {
-                    self.scheduled_events += 1;
-                    queue.schedule(at, Event::AdoptWave { instance: i, wave });
+                if let Some(wave) = kept {
+                    runs[instant[pos]].push((offset, i, wave));
+                    offset += 1;
                 }
             }
         }
+        self.scheduled_events += offset;
+        queue.schedule_runs(
+            instants
+                .into_iter()
+                .zip(runs)
+                .map(|((at, _), items)| (at, Run::listed(items))),
+        );
     }
 }
 
@@ -275,25 +329,53 @@ mod tests {
         // past full adoption (negative exponents invert the curve).
         assert_eq!(heavy_tail_fraction(0.5, -2.0), 1.0);
         assert_eq!(heavy_tail_fraction(0.0, -2.0), 1.0);
+        // NaN degrades to full adoption too, never to a NaN fraction.
+        assert_eq!(heavy_tail_fraction(0.5, f64::NAN), 1.0);
+        assert_eq!(heavy_tail_fraction(0.0, f64::NAN), 1.0);
+        assert_eq!(heavy_tail_fraction(f64::NAN, 3.0), 1.0);
     }
 
     #[test]
     fn full_import_converges_everyone_to_the_union() {
-        let (trace, scenario) = run(
-            ImportConfig {
-                chunk: 16,
-                window: SimDuration::days(2),
-                adoption: AdoptionModel::Full,
-                reset_to_default: false,
+        let mut engine = DynamicsEngine::new(
+            DynamicsConfig {
+                ticks: 18,
+                ..DynamicsConfig::default()
             },
-            18,
+            seeds(),
         );
+        let mut scenario = BlocklistImportScenario::new(ImportConfig {
+            chunk: 16,
+            window: SimDuration::days(2),
+            adoption: AdoptionModel::Full,
+            reset_to_default: false,
+        });
+        let trace = engine.run(&mut scenario);
         assert!(scenario.union_size() > 0);
         assert!(scenario.adoption_fractions().iter().all(|&f| f == 1.0));
         assert!(trace.ticks.iter().map(|t| t.events).sum::<u64>() >= scenario.scheduled_events());
         // Every Pleroma importer ends with the whole union rejected.
-        let last = trace.ticks.last().unwrap();
-        assert!(last.adopted > 0);
+        let state = engine.state();
+        let mut union = std::collections::HashSet::new();
+        for inst in &state.instances {
+            if let Some(simple) = inst.target.simple.as_ref() {
+                union.extend(simple.targets(SimpleAction::Reject).iter().cloned());
+            }
+        }
+        assert_eq!(union.len(), scenario.union_size());
+        let importers: Vec<_> = state.instances.iter().filter(|i| i.pleroma).collect();
+        assert_eq!(importers.len(), scenario.adoption_fractions().len());
+        for inst in importers {
+            let simple = inst.simple().expect("an importer runs the Simple stage");
+            for domain in &union {
+                assert!(
+                    simple.matches(SimpleAction::Reject, domain),
+                    "{} does not reject {}",
+                    inst.domain.as_str(),
+                    domain.as_str()
+                );
+            }
+        }
     }
 
     #[test]
