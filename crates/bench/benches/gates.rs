@@ -19,13 +19,12 @@
 //! themselves. Engine rates are best-of-n over the fifth-scale bench
 //! world. Worldgen timings and memory readings are on the paper's full
 //! population, the latter from the counting allocator below.
+//!
+//! Every engine workload is built from registry scenarios
+//! (`scenarios::lookup`), so the contract matrix (`tests/contracts.rs`)
+//! checks each shape these gates time.
 
-use fediscope_core::time::SimDuration;
-use fediscope_dynamics::scenarios::{
-    AdoptionModel, BlocklistImportScenario, CascadeConfig, ChurnConfig, ChurnScenario, Composite,
-    DefederationCascadeScenario, ImportConfig, InactionScenario, PolicyRolloutScenario,
-    ReliabilityScenario, RolloutConfig, StormConfig, ToxicityStormScenario,
-};
+use fediscope_dynamics::scenarios::{lookup, Composite};
 use fediscope_dynamics::{
     Arm, DynamicsConfig, DynamicsEngine, DynamicsTrace, EngineBuilder, EventSink, Experiment,
     ExperimentResult, LiveNetBridge, NetworkState, Scenario, SharedColumns,
@@ -353,13 +352,9 @@ fn bridge(engine: &mut DynamicsEngine) {
     engine.attach_sink(Box::new(bridge));
 }
 
-/// Burst from tick 1 to the end: nearly the whole run is storm.
-fn saturation_storm() -> ToxicityStormScenario {
-    ToxicityStormScenario::new(StormConfig {
-        start_offset: SimDuration::hours(4),
-        duration: SimDuration::days(30),
-        multiplier: 12.0,
-    })
+/// A fresh build of the registry scenario called `name`.
+fn build(name: &str) -> Box<dyn Scenario> {
+    (lookup(name).expect("a registered scenario").build)()
 }
 
 /// A 10-tick bridged run of `scenario`.
@@ -370,7 +365,7 @@ fn bridged_run(seeds: &ScenarioSeeds, scenario: &mut dyn Scenario) -> DynamicsTr
 }
 
 fn run_storm(seeds: &ScenarioSeeds) -> DynamicsTrace {
-    bridged_run(seeds, &mut saturation_storm())
+    bridged_run(seeds, build("saturation-storm").as_mut())
 }
 
 /// Best-of-`n` bridged-storm rate over states built by `make_state`,
@@ -382,60 +377,16 @@ fn storm_rate_over(n: usize, seeds: &ScenarioSeeds, make_state: impl Fn() -> Net
         let mut engine = DynamicsEngine::from_state(engine_config(seeds, 10), make_state());
         bridge(&mut engine);
         let start = Instant::now();
-        let delivered = engine.run(&mut saturation_storm()).total_delivered();
+        let delivered = engine
+            .run(build("saturation-storm").as_mut())
+            .total_delivered();
         best = best.max(delivered as f64 / start.elapsed().as_secs_f64());
     }
     best
 }
 
-/// A pure control-phase flood: repeated transient outages and recoveries
-/// at every healthy instance. Flood runs cap emissions to zero.
-fn churn_flood() -> Box<dyn Scenario> {
-    Box::new(ChurnScenario::new(ChurnConfig {
-        transient_p: 0.95,
-        rounds: 8,
-        ..ChurnConfig::default()
-    }))
-}
-
-/// The churn flood with the delivery-reliability layer armed: every
-/// outage also opens per-sender retry chains on the calendar queue.
-fn retry_flood() -> Box<dyn Scenario> {
-    Box::new(
-        Composite::new()
-            .with(Box::new(ReliabilityScenario::default()))
-            .with(churn_flood()),
-    )
-}
-
-/// Every event a policy mutation through the O(delta) API: full-union
-/// and §4.2 subsampled blocklist imports, a high-imitation cascade and a
-/// staged rollout.
-fn policy_flood() -> Box<dyn Scenario> {
-    let import = |adoption| ImportConfig {
-        chunk: 1,
-        window: SimDuration::days(5),
-        adoption,
-        reset_to_default: false,
-    };
-    Box::new(
-        Composite::new()
-            .with(Box::new(BlocklistImportScenario::new(import(
-                AdoptionModel::Full,
-            ))))
-            .with(Box::new(BlocklistImportScenario::new(import(
-                AdoptionModel::HeavyTail { alpha: 3.0 },
-            ))))
-            .with(Box::new(DefederationCascadeScenario::new(CascadeConfig {
-                imitation_p: 0.9,
-                ..CascadeConfig::default()
-            })))
-            .with(Box::new(PolicyRolloutScenario::new(
-                RolloutConfig::default(),
-            ))),
-    )
-}
-
+/// A 40-tick run with emissions capped to zero: a flood is all control
+/// phase.
 fn flood_engine(seeds: &ScenarioSeeds) -> DynamicsEngine {
     DynamicsEngine::new(
         DynamicsConfig {
@@ -446,8 +397,8 @@ fn flood_engine(seeds: &ScenarioSeeds) -> DynamicsEngine {
     )
 }
 
-fn run_flood(seeds: &ScenarioSeeds, make: fn() -> Box<dyn Scenario>) -> DynamicsTrace {
-    flood_engine(seeds).run(make().as_mut())
+fn run_flood(seeds: &ScenarioSeeds, name: &str) -> DynamicsTrace {
+    flood_engine(seeds).run(build(name).as_mut())
 }
 
 fn events(trace: &DynamicsTrace) -> u64 {
@@ -457,12 +408,12 @@ fn events(trace: &DynamicsTrace) -> u64 {
 /// Best-of-`n` control-phase rate and the events per run. Engine
 /// construction stays outside the clock: state setup is not the control
 /// phase.
-fn flood_rate(n: usize, seeds: &ScenarioSeeds, make: fn() -> Box<dyn Scenario>) -> (u64, f64) {
+fn flood_rate(n: usize, seeds: &ScenarioSeeds, name: &str) -> (u64, f64) {
     let mut best = 0.0_f64;
     let mut per_run = 0;
     for _ in 0..n {
         let mut engine = flood_engine(seeds);
-        let mut scenario = make();
+        let mut scenario = build(name);
         let start = Instant::now();
         let trace = engine.run(scenario.as_mut());
         let secs = start.elapsed().as_secs_f64();
@@ -472,19 +423,14 @@ fn flood_rate(n: usize, seeds: &ScenarioSeeds, make: fn() -> Box<dyn Scenario>) 
     (per_run, best)
 }
 
-/// The experiment's arms: the saturation storm over an inaction
-/// baseline, and the same storm racing a staged rollout. One definition
-/// for the arms and their standalone zero-drift runs.
+/// The experiment's arms: the saturation storm over the `inaction`
+/// baseline, and the same storm racing a staged `rollout`. One
+/// definition for the arms and their standalone zero-drift runs.
 fn experiment_arm(name: &str) -> Box<dyn Scenario> {
-    let other: Box<dyn Scenario> = match name {
-        "no_rollout" => Box::new(InactionScenario),
-        "rollout" => Box::new(PolicyRolloutScenario::new(RolloutConfig::default())),
-        other => panic!("unknown experiment arm {other}"),
-    };
     Box::new(
         Composite::new()
-            .with(Box::new(saturation_storm()))
-            .with(other),
+            .with(build("saturation-storm"))
+            .with(build(name)),
     )
 }
 
@@ -497,9 +443,9 @@ fn experiment(seeds: &Arc<ScenarioSeeds>) -> Experiment {
         engine_config(seeds, 10),
         Arc::clone(seeds),
     ))
-    .with_arm(Arm::new("no_rollout", || experiment_arm("no_rollout")).with_sink(sink))
+    .with_arm(Arm::new("inaction", || experiment_arm("inaction")).with_sink(sink))
     .with_arm(Arm::new("rollout", || experiment_arm("rollout")).with_sink(sink))
-    .with_baseline("no_rollout")
+    .with_baseline("inaction")
 }
 
 fn experiment_delivered(result: &ExperimentResult) -> u64 {
@@ -522,11 +468,9 @@ fn dynamics(gates: &mut Gates, seeds: &Arc<ScenarioSeeds>) {
     // The composed round-trip workload: storm + §3 outages + rollout.
     let composite = || {
         let mut scenario = Composite::new()
-            .with(Box::new(saturation_storm()))
-            .with(Box::new(ChurnScenario::new(ChurnConfig::default())))
-            .with(Box::new(PolicyRolloutScenario::new(
-                RolloutConfig::default(),
-            )));
+            .with(build("saturation-storm"))
+            .with(build("churn"))
+            .with(build("rollout"));
         bridged_run(seeds, &mut scenario)
     };
     let composite_trace = composite();
@@ -576,11 +520,11 @@ fn dynamics(gates: &mut Gates, seeds: &Arc<ScenarioSeeds>) {
     let experiment_rate = best_rate(3, || experiment_delivered(&experiment.run()));
 
     assert_eq!(
-        run_flood(seeds, policy_flood).digest(),
-        run_flood(seeds, policy_flood).digest(),
+        run_flood(seeds, "delta-flood").digest(),
+        run_flood(seeds, "delta-flood").digest(),
         "policy floods must be reproducible"
     );
-    let (churn_events, churn_rate) = flood_rate(5, seeds, churn_flood);
+    let (churn_events, churn_rate) = flood_rate(5, seeds, "churn-flood");
     assert!(
         churn_events > 10_000,
         "the flood must exercise the queue ({churn_events} events)"
@@ -588,12 +532,12 @@ fn dynamics(gates: &mut Gates, seeds: &Arc<ScenarioSeeds>) {
 
     // Observe, never perturb: the armed trace equals the disarmed one,
     // then the armed rate is taken back to back with the disarmed one.
-    let disarmed_digest = run_flood(seeds, churn_flood).digest();
+    let disarmed_digest = run_flood(seeds, "churn-flood").digest();
     let telemetry = fediscope_telemetry::Telemetry::global();
     telemetry.reset();
     telemetry.arm();
     assert_eq!(
-        run_flood(seeds, churn_flood).digest(),
+        run_flood(seeds, "churn-flood").digest(),
         disarmed_digest,
         "arming telemetry must not perturb the flood trace"
     );
@@ -601,25 +545,28 @@ fn dynamics(gates: &mut Gates, seeds: &Arc<ScenarioSeeds>) {
         telemetry.counter(fediscope_telemetry::HotCounter::EventsApplied) > 0,
         "the armed flood must record readings"
     );
-    let (_, armed_rate) = flood_rate(5, seeds, churn_flood);
+    let (_, armed_rate) = flood_rate(5, seeds, "churn-flood");
     telemetry.disarm();
     telemetry.reset();
 
-    let policy = run_flood(seeds, policy_flood);
+    // The `policy_flood` gate times the four delta writers alone; the
+    // six-part `policy-flood` adds `retry-flood`, which `retry_storm`
+    // times.
+    let policy = run_flood(seeds, "delta-flood");
     assert!(
         policy.final_links() < policy.initial_links(),
         "the policy flood must sever federation links"
     );
-    let (policy_events, policy_rate) = flood_rate(5, seeds, policy_flood);
+    let (policy_events, policy_rate) = flood_rate(5, seeds, "delta-flood");
     assert!(
         policy_events > 10_000,
         "the policy flood must exercise the delta API ({policy_events} events)"
     );
 
-    let retry = run_flood(seeds, retry_flood);
+    let retry = run_flood(seeds, "retry-flood");
     assert_eq!(
         retry.digest(),
-        run_flood(seeds, retry_flood).digest(),
+        run_flood(seeds, "retry-flood").digest(),
         "retry storms must be reproducible"
     );
     assert!(
@@ -630,7 +577,7 @@ fn dynamics(gates: &mut Gates, seeds: &Arc<ScenarioSeeds>) {
         retry.total_dead_lettered() > 0,
         "the retry storm must dead-letter batches"
     );
-    let (retry_events, retry_rate) = flood_rate(5, seeds, retry_flood);
+    let (retry_events, retry_rate) = flood_rate(5, seeds, "retry-flood");
     assert!(
         retry_events > 10_000,
         "the retry storm must exercise the queue ({retry_events} events)"

@@ -5,7 +5,9 @@
 //!
 //! [`registry`] is the one catalog of runnable scenarios: the CLI's
 //! `dynamics <name>` and `experiment --arms` look names up in it, and
-//! the root `tests/contracts.rs` matrix checks every entry.
+//! the root `tests/contracts.rs` matrix checks every entry. It also
+//! holds every storm and flood shape the gates bench, the root tests and
+//! the benchmark run, so each shape's parameters live here once.
 
 mod cascade;
 mod churn;
@@ -30,6 +32,7 @@ pub use rollout::{InactionScenario, PolicyRolloutScenario, RolloutConfig};
 pub use storm::{StormConfig, ToxicityStormScenario};
 
 use crate::scenario::Scenario;
+use fediscope_core::time::SimDuration;
 
 /// One runnable scenario: its name, a one-line description, and a
 /// constructor that builds a fresh instance for each run.
@@ -53,7 +56,65 @@ fn import_arm(adoption: AdoptionModel) -> Box<dyn Scenario> {
     }))
 }
 
-static REGISTRY: [Entry; 10] = [
+/// `subs` as one flat [`Composite`], in order. A sub's control stream
+/// follows its name and its place among same-name subs, so a nested
+/// composite draws other streams: shapes compose by concatenating subs.
+fn compose(subs: impl IntoIterator<Item = Box<dyn Scenario>>) -> Box<dyn Scenario> {
+    Box::new(subs.into_iter().fold(Composite::new(), Composite::with))
+}
+
+/// A 12× burst from the fourth hour for 30 days: every tick of a
+/// shorter run after the first is storm.
+fn saturation_storm() -> Box<dyn Scenario> {
+    Box::new(ToxicityStormScenario::new(StormConfig {
+        start_offset: SimDuration::hours(4),
+        duration: SimDuration::days(30),
+        multiplier: 12.0,
+    }))
+}
+
+/// Eight rounds of transient outages at nearly every healthy instance.
+fn flood_churn() -> ChurnConfig {
+    ChurnConfig {
+        transient_p: 0.95,
+        rounds: 8,
+        ..ChurnConfig::default()
+    }
+}
+
+/// Churn with the delivery-reliability layer armed: every outage also
+/// opens per-sender retry chains on the calendar queue.
+fn retrying(churn: ChurnConfig) -> [Box<dyn Scenario>; 2] {
+    [
+        Box::new(ReliabilityScenario::default()),
+        Box::new(ChurnScenario::new(churn)),
+    ]
+}
+
+/// Every writer of the MRF delta API, on top of the seed configs: full
+/// and heavy-tailed blocklist imports one target per event, a
+/// high-imitation defederation cascade and a staged rollout.
+fn delta_writers() -> [Box<dyn Scenario>; 4] {
+    let import = |adoption| {
+        Box::new(BlocklistImportScenario::new(ImportConfig {
+            chunk: 1,
+            window: SimDuration::days(5),
+            adoption,
+            reset_to_default: false,
+        }))
+    };
+    [
+        import(AdoptionModel::Full),
+        import(AdoptionModel::HeavyTail { alpha: 3.0 }),
+        Box::new(DefederationCascadeScenario::new(CascadeConfig {
+            imitation_p: 0.9,
+            ..CascadeConfig::default()
+        })),
+        Box::new(PolicyRolloutScenario::new(RolloutConfig::default())),
+    ]
+}
+
+static REGISTRY: [Entry; 15] = [
     Entry {
         name: "inaction",
         about: "null arm: moderation stripped to the fresh install, nothing changes",
@@ -110,14 +171,10 @@ static REGISTRY: [Entry; 10] = [
         name: "retry",
         about: "churn at ten times the transient-outage rate, delivery retries armed",
         build: || {
-            Box::new(
-                Composite::new()
-                    .with(Box::new(ReliabilityScenario::default()))
-                    .with(Box::new(ChurnScenario::new(ChurnConfig {
-                        transient_p: 0.5,
-                        ..ChurnConfig::default()
-                    }))),
-            )
+            compose(retrying(ChurnConfig {
+                transient_p: 0.5,
+                ..ChurnConfig::default()
+            }))
         },
     },
     Entry {
@@ -129,6 +186,31 @@ static REGISTRY: [Entry; 10] = [
         name: "import-partial",
         about: "admins import heavy-tailed subsets of it (§4.2), from the fresh install",
         build: || import_arm(AdoptionModel::HeavyTail { alpha: 3.0 }),
+    },
+    Entry {
+        name: "saturation-storm",
+        about: "12x storm from the fourth hour for 30 days: nearly every tick saturated",
+        build: saturation_storm,
+    },
+    Entry {
+        name: "churn-flood",
+        about: "eight rounds of transient outages at 95% of instances",
+        build: || Box::new(ChurnScenario::new(flood_churn())),
+    },
+    Entry {
+        name: "retry-flood",
+        about: "churn-flood with delivery retries armed",
+        build: || compose(retrying(flood_churn())),
+    },
+    Entry {
+        name: "delta-flood",
+        about: "full and heavy-tailed imports one domain per event, 0.9 cascade, rollout",
+        build: || compose(delta_writers()),
+    },
+    Entry {
+        name: "policy-flood",
+        about: "delta-flood and retry-flood in one flat timeline",
+        build: || compose(delta_writers().into_iter().chain(retrying(flood_churn()))),
     },
 ];
 

@@ -5,9 +5,9 @@ use fediscope_core::config::InstanceModerationConfig;
 use fediscope_core::id::{ActivityId, Domain, UserId, UserRef};
 use fediscope_core::model::{Activity, ActivityKind, ActivityPayload, InstanceProfile, Post, User};
 use fediscope_core::mrf::{
-    ActorDirectory, FilterOutcome, Inbound, MrfPipeline, PolicyContext, RejectReason, SideEffect,
+    ActorDirectory, FilterOutcome, Inbound, MrfPipeline, PolicyContext, RejectReason,
 };
-use fediscope_core::time::{SimDuration, SimTime};
+use fediscope_core::time::SimTime;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
@@ -52,7 +52,6 @@ struct State {
     outbox: Outbox,
     clock: SimTime,
     next_activity: u64,
-    effect_log: Vec<SideEffect>,
 }
 
 /// A simulated instance server (Pleroma or Mastodon, per its profile).
@@ -80,7 +79,6 @@ impl InstanceServer {
                 outbox: Outbox::new(),
                 clock: fediscope_core::time::CAMPAIGN_START,
                 next_activity: 1,
-                effect_log: Vec::new(),
             }),
             stats: ServerStats::default(),
         }
@@ -296,8 +294,8 @@ impl InstanceServer {
     }
 
     /// Shared setup and accounting around one pipeline invocation: snap a
-    /// directory view, build the policy context, run `invoke`, then drain
-    /// its side effects into the stats counter and effect log. The traced
+    /// directory view, build the policy context, run `invoke`, then count
+    /// its side effects into the stats counter. The traced
     /// and untraced entry points below differ only in the `invoke` they
     /// pass, so any future context or accounting change lands in both.
     fn with_pipeline<R>(
@@ -307,17 +305,11 @@ impl InstanceServer {
     ) -> R {
         // The pipeline borrows the directory immutably while we hold the
         // write lock; split borrows via a snapshot directory view.
-        let dir = DirectoryView {
-            users: &st.users,
-            local: &self.profile.domain,
-        };
+        let dir = DirectoryView { users: &st.users };
         let ctx = PolicyContext::new(&self.profile.domain, st.clock, &dir);
         let out = invoke(&st.pipeline, &ctx);
-        let effects = ctx.take_effects();
-        self.stats
-            .effects
-            .fetch_add(effects.len() as u64, Ordering::Relaxed);
-        st.effect_log.extend(effects);
+        let effects = ctx.take_effects().len() as u64;
+        self.stats.effects.fetch_add(effects, Ordering::Relaxed);
         out
     }
 
@@ -370,11 +362,6 @@ impl InstanceServer {
         }
     }
 
-    /// Side effects the pipeline has emitted so far (drained).
-    pub fn drain_effects(&self) -> Vec<SideEffect> {
-        std::mem::take(&mut self.state.write().effect_log)
-    }
-
     /// Read access to the timelines (for the API layer and tests).
     pub fn with_timelines<R>(&self, f: impl FnOnce(&Timelines) -> R) -> R {
         f(&self.state.read().timelines)
@@ -419,7 +406,6 @@ impl InstanceServer {
 /// knows synchronously at filter time.
 struct DirectoryView<'a> {
     users: &'a HashMap<UserId, User>,
-    local: &'a Domain,
 }
 
 impl ActorDirectory for DirectoryView<'_> {
@@ -433,21 +419,14 @@ impl ActorDirectory for DirectoryView<'_> {
         self.users.get(&actor.user).map(|u| u.created)
     }
     fn mrf_tags(&self, actor: &UserRef) -> Vec<String> {
-        if &actor.domain == self.local {
-            self.users
-                .get(&actor.user)
-                .map(|u| u.mrf_tags.clone())
-                .unwrap_or_default()
-        } else {
-            // Tags are admin-local; for remote actors the *local* admin's
-            // tag store is keyed by the remote ref. We keep remote tags in
-            // the same table keyed by user id (globally unique), so this
-            // lookup works for tagged remote accounts too.
-            self.users
-                .get(&actor.user)
-                .map(|u| u.mrf_tags.clone())
-                .unwrap_or_default()
-        }
+        // Tags are admin-local; for remote actors the *local* admin's tag
+        // store is keyed by the remote ref. We keep remote tags in the
+        // same table keyed by user id (globally unique), so one lookup
+        // serves local and tagged remote accounts alike.
+        self.users
+            .get(&actor.user)
+            .map(|u| u.mrf_tags.clone())
+            .unwrap_or_default()
     }
     fn report_count(&self, actor: &UserRef) -> u32 {
         self.users
@@ -455,12 +434,6 @@ impl ActorDirectory for DirectoryView<'_> {
             .map(|u| u.report_count)
             .unwrap_or(0)
     }
-}
-
-/// Builds an account-age helper used by tests.
-#[allow(dead_code)]
-fn account_age(user: &User, now: SimTime) -> SimDuration {
-    now.since(user.created)
 }
 
 #[cfg(test)]

@@ -51,7 +51,7 @@ fn usage() -> ExitCode {
     eprintln!("  fediscope experiment [--arms A,B,..] [--baseline NAME] [--scale S] [--seed N] [--ticks T] [--threads W] [--from-shards DIR] [--out FILE] [--telemetry-out FILE]");
     eprintln!("      scenarios (dynamics SCENARIO, --arms):");
     for entry in registry() {
-        eprintln!("        {:<16}{}", entry.name, entry.about);
+        eprintln!("        {:<18}{}", entry.name, entry.about);
     }
     eprintln!("      census runs composite against a live network, re-censused mid-run");
     eprintln!("      --scale and --post-scale must be finite and > 0; --ticks at least 1");

@@ -1,7 +1,8 @@
 //! The contract matrix: every scenario a user can run must give one
 //! canonical trace however it is run.
 //!
-//! Rows are every [`registry`] entry plus three test-only worlds:
+//! Rows are every [`registry`] entry (the gates' and the benchmark's
+//! storm and flood shapes among them) plus three test-only worlds:
 //! `with-rewriters` (a rewriting MRF policy in every third pipeline, so
 //! the batched path takes its copy-on-write clone fallback and the
 //! interned state diverges from its intern pool at init),

@@ -145,7 +145,7 @@ mod delivery_reliability {
     //! rayon-pool users), so each runs at the thread counts it names.
 
     use fediscope::core::time::SimDuration;
-    use fediscope::dynamics::scenarios::{StormConfig, ToxicityStormScenario};
+    use fediscope::dynamics::scenarios::lookup;
     use fediscope::dynamics::{
         DynamicsConfig, DynamicsEngine, DynamicsTrace, Event, EventQueue, LiveNetBridge,
         NetworkState, RetryPolicy, Scenario,
@@ -295,12 +295,7 @@ mod delivery_reliability {
         let mut engine = DynamicsEngine::new(config, seeds());
         let bridge = LiveNetBridge::new(Arc::new(SimNet::new()), engine.state());
         engine.attach_sink(Box::new(bridge));
-        let mut storm = ToxicityStormScenario::new(StormConfig {
-            start_offset: SimDuration::hours(4),
-            duration: SimDuration::days(1),
-            multiplier: 12.0,
-        });
-        engine.run(&mut storm)
+        engine.run((lookup("saturation-storm").unwrap().build)().as_mut())
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! config-side API, and at run end every instance's live pipeline must
 //! equal a fresh compile of its reference config: same stage kinds,
 //! same `SimplePolicy` target lists, same verdicts on both filter paths.
+//! It runs the registry's `delta-flood`, and `policy-flood`, whose
+//! deltas interleave with outages and retries.
 
 use fediscope::core::catalog::PolicyKind;
 use fediscope::core::config::InstanceModerationConfig;
@@ -14,11 +16,8 @@ use fediscope::core::id::{ActivityId, Domain, PostId, UserId, UserRef};
 use fediscope::core::model::{Activity, MediaAttachment, MediaKind, Post};
 use fediscope::core::mrf::policies::SimpleAction;
 use fediscope::core::mrf::{Inbound, MrfPipeline, NullActorDirectory, PolicyContext};
-use fediscope::core::time::{SimDuration, SimTime};
-use fediscope::dynamics::scenarios::{
-    AdoptionModel, BlocklistImportScenario, CascadeConfig, Composite, DefederationCascadeScenario,
-    ImportConfig, PolicyRolloutScenario, RolloutConfig,
-};
+use fediscope::core::time::SimTime;
+use fediscope::dynamics::scenarios::lookup;
 use fediscope::dynamics::{DynamicsConfig, DynamicsEngine, Event, EventSink, NetworkState};
 use fediscope::synthgen::{ScenarioSeeds, World, WorldConfig};
 use std::cell::RefCell;
@@ -68,31 +67,6 @@ impl EventSink for MirrorSink {
     }
 }
 
-/// The policy-flood shape on a small world: full and heavy-tailed
-/// imports one target per event, a high-imitation cascade, a rollout.
-fn flood() -> Composite {
-    let import = |adoption| ImportConfig {
-        chunk: 1,
-        window: SimDuration::days(5),
-        adoption,
-        reset_to_default: false,
-    };
-    Composite::new()
-        .with(Box::new(BlocklistImportScenario::new(import(
-            AdoptionModel::Full,
-        ))))
-        .with(Box::new(BlocklistImportScenario::new(import(
-            AdoptionModel::HeavyTail { alpha: 3.0 },
-        ))))
-        .with(Box::new(DefederationCascadeScenario::new(CascadeConfig {
-            imitation_p: 0.9,
-            ..CascadeConfig::default()
-        })))
-        .with(Box::new(PolicyRolloutScenario::new(
-            RolloutConfig::default(),
-        )))
-}
-
 /// A post from `origin` with one media attachment, so reject, media and
 /// NSFW targets all bite.
 fn post_from(origin: &Domain, n: u64) -> Activity {
@@ -124,6 +98,14 @@ fn verdicts(pipeline: &MrfPipeline, local: &Domain, activity: &Activity) -> (Str
 #[test]
 fn live_pipelines_match_a_mirrored_reference_compile() {
     let seeds = ScenarioSeeds::from_world(&World::generate(WorldConfig::test_small()));
+    for name in ["delta-flood", "policy-flood"] {
+        check_mirror(&seeds, name);
+    }
+}
+
+/// A 60-tick flood of the registry scenario `name` with the mirror
+/// attached, then every live pipeline against its mirror's compile.
+fn check_mirror(seeds: &ScenarioSeeds, name: &str) {
     let config = DynamicsConfig {
         seed: seeds.seed,
         ticks: 60,
@@ -131,10 +113,13 @@ fn live_pipelines_match_a_mirrored_reference_compile() {
         ..DynamicsConfig::default()
     };
     let mirror = Mirror::default();
-    let mut engine = DynamicsEngine::new(config, &seeds);
+    let mut engine = DynamicsEngine::new(config, seeds);
     engine.attach_sink(Box::new(MirrorSink(Rc::clone(&mirror))));
-    let trace = engine.run(&mut flood());
-    assert!(trace.ticks.iter().map(|t| t.events).sum::<u64>() > 0);
+    let trace = engine.run((lookup(name).expect("registered").build)().as_mut());
+    assert!(
+        trace.ticks.iter().map(|t| t.events).sum::<u64>() > 0,
+        "{name}"
+    );
 
     let state = engine.state();
     let mirror = mirror.borrow();
@@ -163,26 +148,36 @@ fn live_pipelines_match_a_mirrored_reference_compile() {
     let mut blocked = 0;
     for (inst, reference) in state.instances.iter().zip(mirror.iter()) {
         let fresh = reference.build_pipeline();
-        assert_eq!(inst.pipeline.kinds(), fresh.kinds(), "{}", inst.domain);
-        assert_eq!(inst.enabled(), &reference.enabled[..], "{}", inst.domain);
+        assert_eq!(
+            inst.pipeline.kinds(),
+            fresh.kinds(),
+            "{name} {}",
+            inst.domain
+        );
+        assert_eq!(
+            inst.enabled(),
+            &reference.enabled[..],
+            "{name} {}",
+            inst.domain
+        );
         for action in SimpleAction::ALL {
             let live = inst.simple().map_or(&[][..], |s| s.targets(action));
             let want = reference
                 .simple
                 .as_ref()
                 .map_or(&[][..], |s| s.targets(action));
-            assert_eq!(live, want, "{} {}", inst.domain, action.label());
+            assert_eq!(live, want, "{name} {} {}", inst.domain, action.label());
         }
         for activity in &activities {
             let live = verdicts(&inst.pipeline, &inst.domain, activity);
             assert_eq!(
                 live,
                 verdicts(&fresh, &inst.domain, activity),
-                "{}",
+                "{name} {}",
                 inst.domain
             );
             blocked += live.0.starts_with("Reject") as usize;
         }
     }
-    assert!(blocked > 0, "the flood must leave rejecting pipelines");
+    assert!(blocked > 0, "{name} must leave rejecting pipelines");
 }
