@@ -23,10 +23,11 @@
 //! measurement path ([`MeasureMode::Batched`]) exploits that:
 //!
 //! - **Stage 1 — parallel over senders.** Each sender's tick emissions
-//!   are drawn exactly once into a [`SenderBatch`]: one entry per
-//!   *distinct* template with its draw count and one memoized
-//!   `scorer.analyze` toxicity. Scorer calls drop from
-//!   O(edges × emissions) to O(senders × distinct templates).
+//!   are drawn exactly once into a [`SenderBatch`]: one (template, draw
+//!   count) pair per *distinct* template. Stage 1 only draws: every
+//!   template was scored once, when its column was built
+//!   ([`PostTemplate::toxic`]), so a run makes one scorer call per
+//!   template whatever its tick count.
 //! - **Stage 2 — parallel over receivers.** Each up receiver judges its
 //!   neighbors' distinct templates once each, in the same neighbor order
 //!   and first-draw order as the per-post path, with
@@ -36,11 +37,13 @@
 //!
 //! Identity with the reference path holds because the draws are the
 //! same RNG stream and every column is an integer: a template drawn
-//! `count` times adds `count` times its quantised toxicity, exactly what
-//! `count` single additions give. The per-post path is retained as
-//! [`MeasureMode::Reference`] and serves as the differential oracle in
-//! tests.
+//! `count` times adds `count` times its stored quantised toxicity,
+//! exactly what `count` single additions give. The per-post path is
+//! retained as [`MeasureMode::Reference`] and serves as the differential
+//! oracle in tests: it scores every emission afresh, so it also checks
+//! every stored score it draws.
 //!
+//! [`PostTemplate::toxic`]: crate::PostTemplate::toxic
 //! [`MrfPipeline::filter_inbound`]: fediscope_core::mrf::MrfPipeline::filter_inbound
 
 use crate::event::{Event, EventQueue};
@@ -70,8 +73,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasureMode {
     /// Two-stage sender-majorized batching: draw each sender's emissions
-    /// once, score once per distinct template, memoize MRF verdicts per
-    /// `(receiver, sender, template)`.
+    /// once, read each template's stored score, take one MRF verdict per
+    /// `(receiver, sender, distinct template)`.
     Batched,
     /// The original per-post path: every `(receiver, sender)` edge
     /// replays the sender's draws and clones + filters every emission.
@@ -520,24 +523,21 @@ impl DynamicsEngine {
             self.state.refresh_emissions(self.config.emission_cap);
         }
         let state = &self.state;
-        let scorer = &self.scorer;
         let config = &self.config;
-        let mut fresh_scores = 0u64;
         let metrics: Vec<InstanceTick> = {
             let _measure = PhaseTimer::start_on(telemetry, Phase::Measurement);
             match config.measure {
                 MeasureMode::Reference => (0..state.len())
                     .into_par_iter()
-                    .map(|r| measure_receiver_reference(state, config, scorer, tick, now, r))
+                    .map(|r| measure_receiver_reference(state, config, &self.scorer, tick, now, r))
                     .collect(),
                 MeasureMode::Batched => {
-                    // Stage 1: one batch per sender — draws + scores once.
+                    // Stage 1: one batch per sender — its draws, once.
                     let emissions = state.emissions_col();
                     let batches: Vec<SenderBatch> = (0..state.len())
                         .into_par_iter()
-                        .map(|s| build_sender_batch(state, config, scorer, tick, s, emissions[s]))
+                        .map(|s| build_sender_batch(state, config, tick, s, emissions[s]))
                         .collect();
-                    fresh_scores = batches.iter().map(|b| b.distinct.len() as u64).sum();
                     // Stage 2: receivers consume the shared batches.
                     (0..state.len())
                         .into_par_iter()
@@ -560,13 +560,9 @@ impl DynamicsEngine {
         let _close = PhaseTimer::start_on(telemetry, Phase::TickClose);
         let trace = self.aggregate(tick, now, events, &metrics);
         // Counter-only accounting (never read back by simulation code):
-        // every delivery beyond the fresh per-distinct analyses was
-        // served from a stage-1 memo.
+        // every batched delivery read its template's stored score.
         if config.measure == MeasureMode::Batched && telemetry.armed() {
-            telemetry.add(
-                HotCounter::ScorerMemoHits,
-                trace.delivered.saturating_sub(fresh_scores),
-            );
+            telemetry.add(HotCounter::ScorerMemoHits, trace.delivered);
         }
         Some(trace)
     }
@@ -770,52 +766,36 @@ fn measure_receiver_reference(
 }
 
 /// One sender's pre-drawn tick emissions (stage 1 of the batched
-/// measurement phase), shared read-only by every receiver in stage 2.
-///
-/// Columns are SoA, one entry per distinct template drawn this tick, in
-/// first-draw order.
-#[derive(Debug, Default)]
-struct SenderBatch {
-    /// Distinct template indices into the sender's template table.
-    distinct: Vec<u32>,
-    /// How many of the tick's draws hit each distinct template.
-    count: Vec<u64>,
-    /// Memoized `scorer.analyze(..).max()` per distinct template, in
-    /// exposure units.
-    toxic: Vec<u64>,
-}
+/// measurement phase), shared read-only by every receiver in stage 2:
+/// one `(template index, draw count)` pair per distinct template drawn
+/// this tick, in first-draw order.
+type SenderBatch = Vec<(u32, u64)>;
 
-/// Draws sender `s`'s emissions for `tick` once and scores each distinct
-/// template once. The RNG stream is exactly the one every receiver
-/// replays in the reference path.
+/// Draws sender `s`'s emissions for `tick` once, counting each distinct
+/// template's draws. The RNG stream is exactly the one every receiver
+/// replays in the reference path. A silent sender's batch allocates
+/// nothing; an emitting one's allocates once, since it can hold at most
+/// `min(emissions, templates)` pairs.
 fn build_sender_batch(
     state: &NetworkState,
     config: &DynamicsConfig,
-    scorer: &Scorer,
     tick: u64,
     s: usize,
     emissions: u64,
 ) -> SenderBatch {
-    let mut batch = SenderBatch::default();
     if emissions == 0 {
-        return batch;
+        return SenderBatch::new();
     }
-    let sender = &state.instances[s];
+    let templates = state.instances[s].templates.len();
+    let mut batch = SenderBatch::with_capacity((emissions as usize).min(templates));
     let mut draws = SmallRng::seed_from_u64(delivery_seed(config.seed, tick, s as u64));
     for _ in 0..emissions {
-        let t = draws.gen_range(0..sender.templates.len()) as u32;
+        let t = draws.gen_range(0..templates) as u32;
         // Linear scan: the distinct set is bounded by the emission cap
         // (default 64) and is usually far smaller.
-        match batch.distinct.iter().position(|&d| d == t) {
-            Some(i) => batch.count[i] += 1,
-            None => {
-                batch.distinct.push(t);
-                batch.count.push(1);
-                let content = &sender.templates[t as usize].content;
-                batch
-                    .toxic
-                    .push(quantise_score(scorer.analyze(content).max()));
-            }
+        match batch.iter_mut().find(|(d, _)| *d == t) {
+            Some((_, count)) => *count += 1,
+            None => batch.push((t, 1)),
         }
     }
     batch
@@ -858,9 +838,8 @@ fn measure_receiver_batched(
     let ctx = PolicyContext::new(&receiver.domain, now, &actors);
     rejected_authors.clear();
     for &s in state.neighbors(r) {
-        let batch = &batches[s as usize];
         let sender = &state.instances[s as usize];
-        for ((&t, &count), &toxic) in batch.distinct.iter().zip(&batch.count).zip(&batch.toxic) {
+        for &(t, count) in &batches[s as usize] {
             let template = &sender.templates[t as usize];
             let mut activity = Inbound::borrowed(&template.activity, now);
             m.delivered += count;
@@ -870,10 +849,10 @@ fn measure_receiver_batched(
                 .is_ok()
             {
                 m.accepted += count;
-                m.exposure += count * toxic;
+                m.exposure += count * template.toxic;
             } else {
                 m.rejected += count;
-                m.prevented += count * toxic;
+                m.prevented += count * template.toxic;
                 if rejected_authors.insert((s, template.author)) {
                     m.rejected_authors += 1;
                 }

@@ -158,22 +158,17 @@ impl Scenario for Composite {
 mod tests {
     use super::*;
     use crate::engine::{DynamicsConfig, DynamicsEngine};
-    use crate::scenarios::{
-        ChurnConfig, ChurnScenario, PolicyRolloutScenario, RolloutConfig, StormConfig,
-        ToxicityStormScenario,
-    };
+    use crate::scenarios::lookup;
     use crate::testutil::seeds;
 
-    fn trio() -> Composite {
-        Composite::new()
-            .with(Box::new(ToxicityStormScenario::new(StormConfig::default())))
-            .with(Box::new(ChurnScenario::new(ChurnConfig::default())))
-            .with(Box::new(PolicyRolloutScenario::new(
-                RolloutConfig::default(),
-            )))
+    /// The registry's `subs`, composed in the given order.
+    fn composed(subs: [&str; 3]) -> Composite {
+        subs.into_iter().fold(Composite::new(), |c, name| {
+            c.with((lookup(name).unwrap().build)())
+        })
     }
 
-    fn run(scenario: &mut Composite, ticks: u64) -> crate::DynamicsTrace {
+    fn run(scenario: &mut dyn Scenario, ticks: u64) -> crate::DynamicsTrace {
         let config = DynamicsConfig {
             ticks,
             ..DynamicsConfig::default()
@@ -183,7 +178,7 @@ mod tests {
 
     #[test]
     fn composite_superimposes_all_three_dynamics() {
-        let mut scenario = trio();
+        let mut scenario = composed(["storm", "churn", "rollout"]);
         assert_eq!(scenario.len(), 3);
         assert_eq!(
             scenario.sub_names(),
@@ -262,14 +257,8 @@ mod tests {
     fn trio_is_registration_order_invariant() {
         // Non-reactive subs with commuting events: any permutation
         // produces the bit-identical trace (the module-doc contract).
-        let reference = run(&mut trio(), 18);
-        let mut reversed = Composite::new()
-            .with(Box::new(PolicyRolloutScenario::new(
-                RolloutConfig::default(),
-            )))
-            .with(Box::new(ChurnScenario::new(ChurnConfig::default())))
-            .with(Box::new(ToxicityStormScenario::new(StormConfig::default())));
-        let got = run(&mut reversed, 18);
+        let reference = run((lookup("composite").unwrap().build)().as_mut(), 18);
+        let got = run(&mut composed(["rollout", "churn", "storm"]), 18);
         // Scenario name is the composite's own, so whole traces compare.
         assert_eq!(reference.digest(), got.digest());
         assert_eq!(reference, got);

@@ -70,17 +70,15 @@ mod tests {
     use super::*;
     use crate::engine::{DynamicsConfig, DynamicsEngine, EngineBuilder};
     use crate::experiment::{Arm, Experiment};
-    use crate::scenarios::{ChurnConfig, ChurnScenario, Composite};
+    use crate::scenarios::{lookup, ChurnConfig, ChurnScenario, Composite};
     use crate::testutil::{seeds, seeds_arc};
 
-    fn churn_shape() -> ChurnConfig {
-        // Plenty of transient episodes so recoveries are guaranteed on
-        // the small test world; everything else stays at the defaults
-        // (12 h outages against a 1 h-base backoff reaching ~31 h).
-        ChurnConfig {
-            transient_p: 0.5,
-            ..ChurnConfig::default()
-        }
+    /// The registry's `retry` shape: the enabler over churn at
+    /// `transient_p` 0.5, plenty of transient episodes so recoveries are
+    /// guaranteed on the small test world (12 h outages against a 1 h-base
+    /// backoff reaching ~31 h).
+    fn retry() -> Box<dyn Scenario> {
+        (lookup("retry").unwrap().build)()
     }
 
     fn config() -> DynamicsConfig {
@@ -95,10 +93,7 @@ mod tests {
     #[test]
     fn enabler_arms_the_state_and_resets_between_runs() {
         let mut engine = DynamicsEngine::new(config(), seeds());
-        let mut on = Composite::new()
-            .with(Box::new(ReliabilityScenario::default()))
-            .with(Box::new(ChurnScenario::new(churn_shape())));
-        engine.begin(&mut on);
+        engine.begin(retry().as_mut());
         assert_eq!(
             engine.state().retry_policy(),
             Some(RetryPolicy::default()),
@@ -106,8 +101,7 @@ mod tests {
         );
         // A later run without the enabler starts with reliability off —
         // nothing leaks across begin().
-        let mut off = ChurnScenario::new(churn_shape());
-        engine.begin(&mut off);
+        engine.begin((lookup("churn").unwrap().build)().as_mut());
         assert_eq!(engine.state().retry_policy(), None);
         assert_eq!(engine.state().pending_retry_count(), 0);
     }
@@ -115,10 +109,7 @@ mod tests {
     #[test]
     fn churn_run_with_retries_recovers_and_dead_letters() {
         let mut engine = DynamicsEngine::new(config(), seeds());
-        let mut scenario = Composite::new()
-            .with(Box::new(ReliabilityScenario::default()))
-            .with(Box::new(ChurnScenario::new(churn_shape())));
-        let trace = engine.run(&mut scenario);
+        let trace = engine.run(retry().as_mut());
         assert!(trace.total_retried() > 0, "some attempts must reschedule");
         assert!(
             trace.total_recovered() > 0,
@@ -139,19 +130,20 @@ mod tests {
 
     #[test]
     fn retry_on_vs_retry_off_arms_attribute_recoveries_per_tick() {
-        // The PR-6 acceptance pair: same seed, same config, same churn
-        // stream — the arms differ only in the reliability enabler.
+        // Same seed, same config, same churn stream — the arms differ
+        // only in the reliability enabler. The registry has no bare churn
+        // at `retry`'s transient rate, so the baseline is built here. A
+        // sub's stream follows its name, so both churns draw one stream.
         let experiment = Experiment::new(EngineBuilder::new(config(), seeds_arc()))
             .with_arm(Arm::new("churn", || {
-                Box::new(Composite::new().with(Box::new(ChurnScenario::new(churn_shape()))))
-            }))
-            .with_arm(Arm::new("churn_retry", || {
                 Box::new(
-                    Composite::new()
-                        .with(Box::new(ReliabilityScenario::default()))
-                        .with(Box::new(ChurnScenario::new(churn_shape()))),
+                    Composite::new().with(Box::new(ChurnScenario::new(ChurnConfig {
+                        transient_p: 0.5,
+                        ..ChurnConfig::default()
+                    }))),
                 )
             }))
+            .with_arm(Arm::new("churn_retry", retry))
             .with_baseline("churn");
         let result = experiment.run();
         let off = result.baseline();

@@ -6,7 +6,7 @@
 //! per-tick fan-out safe *and* bit-reproducible: no worker ever observes
 //! a state another worker is changing.
 
-use crate::trace::failure_mix_index;
+use crate::trace::{failure_mix_index, quantise_score};
 use fediscope_core::catalog::PolicyKind;
 use fediscope_core::config::{InstanceModerationConfig, PipelinePool};
 use fediscope_core::id::{Domain, PostId, UserId, UserRef};
@@ -15,9 +15,11 @@ use fediscope_core::mrf::policies::{SimpleAction, SimplePolicy};
 use fediscope_core::mrf::MrfPipeline;
 use fediscope_core::rollout::RolloutWave;
 use fediscope_core::time::{SimDuration, CAMPAIGN_START};
+use fediscope_perspective::Scorer;
 use fediscope_simnet::{FailureClass, FailureMode};
 use fediscope_synthgen::ScenarioSeeds;
 use fediscope_telemetry::{HotCounter, Telemetry};
+use rayon::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -89,9 +91,9 @@ impl RetryPolicy {
     }
 }
 
-/// A reusable inbound post: the pre-built `Create` activity plus the raw
-/// text the scorer reads (kept separate so scoring never has to reach
-/// through the payload).
+/// A reusable inbound post: the pre-built `Create` activity, the raw
+/// text the scorer reads, and that text's score, taken once when the
+/// template is built.
 #[derive(Debug, Clone)]
 pub struct PostTemplate {
     /// Authoring user id.
@@ -99,6 +101,11 @@ pub struct PostTemplate {
     /// Post text — the seed template's shared allocation, refcounted,
     /// never copied.
     pub content: std::sync::Arc<str>,
+    /// The text's toxicity (`Scorer::new().analyze(..).max()`) in
+    /// exposure units ([`exposure_score`](crate::exposure_score) reads
+    /// them back). A pure function of `content`, scored once when the
+    /// column is built; the batched measurement phase only reads it.
+    pub toxic: u64,
     /// The deliverable activity.
     pub activity: Activity,
 }
@@ -236,11 +243,13 @@ pub struct NetworkState {
 }
 
 /// The per-instance template column for instance `i`: the seed template
-/// set turned into deliverable activities. Ids embed the instance index,
-/// so the column is a pure function of `(seeds, i)` — which is what lets
-/// [`SharedColumns`] build it once and every engine alias it.
+/// set turned into deliverable activities, each scored once. Ids embed
+/// the instance index, so the column is a pure function of `(seeds, i)`
+/// — which is what lets [`SharedColumns`] build it once and every engine
+/// alias it.
 fn template_column(seeds: &ScenarioSeeds, i: usize) -> Vec<PostTemplate> {
     let domain = &seeds.domains[i];
+    let scorer = Scorer::new();
     seeds.templates[i]
         .iter()
         .enumerate()
@@ -257,6 +266,7 @@ fn template_column(seeds: &ScenarioSeeds, i: usize) -> Vec<PostTemplate> {
             PostTemplate {
                 author: t.author,
                 content: t.content.clone(),
+                toxic: quantise_score(scorer.analyze(&t.content).max()),
                 activity: Activity::create(
                     fediscope_core::id::ActivityId((i as u64) << 24 | k as u64),
                     post,
@@ -293,27 +303,31 @@ pub struct SharedColumns {
 }
 
 impl SharedColumns {
-    /// Builds the columns: one [`PipelinePool`] lookup per instance (so
-    /// seed-identical configs share one compiled pipeline), one template
-    /// column per instance (empty sets all alias a single allocation).
-    /// Reports the pool's hit/miss tallies to telemetry as two batched
-    /// adds — no per-instance atomics, nothing the zero-drift contract
-    /// can see.
+    /// Builds the columns: one template column per instance, scored and
+    /// built in parallel (empty sets all alias a single allocation), then
+    /// one [`PipelinePool`] lookup per instance in index order (so
+    /// seed-identical configs share one compiled pipeline). Reports the
+    /// pool's hit/miss tallies to telemetry as two batched adds — no
+    /// per-instance atomics, nothing the zero-drift contract can see.
     pub fn build(seeds: &ScenarioSeeds) -> SharedColumns {
-        let mut pool = PipelinePool::new();
         let empty: Arc<[PostTemplate]> = Arc::from(Vec::new());
-        let mut templates = Vec::with_capacity(seeds.len());
+        let templates: Vec<Arc<[PostTemplate]>> = (0..seeds.len())
+            .into_par_iter()
+            .map(|i| {
+                let column = template_column(seeds, i);
+                if column.is_empty() {
+                    Arc::clone(&empty)
+                } else {
+                    Arc::from(column)
+                }
+            })
+            .collect();
+        let mut pool = PipelinePool::new();
         let mut pipelines = Vec::with_capacity(seeds.len());
         let mut configs = Vec::with_capacity(seeds.len());
-        for i in 0..seeds.len() {
-            let column = template_column(seeds, i);
-            templates.push(if column.is_empty() {
-                Arc::clone(&empty)
-            } else {
-                Arc::from(column)
-            });
-            pipelines.push(pool.get(&seeds.moderation[i]));
-            configs.push(Arc::new(seeds.moderation[i].clone()));
+        for moderation in &seeds.moderation {
+            pipelines.push(pool.get(moderation));
+            configs.push(Arc::new(moderation.clone()));
         }
         let telemetry = Telemetry::global();
         telemetry.add(HotCounter::PipelineInternHits, pool.hits());
@@ -786,6 +800,29 @@ mod tests {
         let &(a, b) = s.links.first().unwrap();
         assert!(state.linked(a, b));
         assert!(state.linked(b, a));
+    }
+
+    #[test]
+    fn every_template_carries_its_score() {
+        let s = seeds();
+        let scorer = Scorer::new();
+        for state in [
+            NetworkState::from_seeds(s),
+            NetworkState::from_seeds_reference(s),
+        ] {
+            let templates: Vec<&PostTemplate> = state
+                .instances
+                .iter()
+                .flat_map(|inst| inst.templates.iter())
+                .collect();
+            let seeded: usize = s.templates.iter().map(|t| t.len()).sum();
+            assert_eq!(templates.len(), seeded);
+            for t in &templates {
+                let score = quantise_score(scorer.analyze(&t.content).max());
+                assert_eq!(t.toxic, score, "{:?}", t.content);
+            }
+            assert!(templates.iter().any(|t| t.toxic > 0), "some text is toxic");
+        }
     }
 
     #[test]

@@ -97,9 +97,10 @@ use std::sync::{Mutex, OnceLock};
 pub enum HotCounter {
     /// `Scorer::analyze` invocations (perspective crate).
     ScorerCalls,
-    /// Emissions whose toxicity score was served from a `SenderBatch`
-    /// memo instead of a fresh `Scorer::analyze` call (the engine's
-    /// sender-majorized measurement phase).
+    /// Deliveries whose toxicity score was read from the template's
+    /// stored score instead of a fresh `Scorer::analyze` call: every
+    /// delivery of the engine's batched measurement phase (its templates
+    /// are scored once, when their column is built).
     ScorerMemoHits,
     /// Engine deliveries the receiver's MRF pipeline passed.
     FilterFastHits,
