@@ -42,7 +42,7 @@ const TOLERANCE: f64 = 0.025;
 
 /// One thinned census of a freshly generated full-scale world:
 /// `(true_up, observed)`.
-async fn thinned_census(seed: u64) -> UndercountCalibration {
+fn thinned_census(seed: u64) -> UndercountCalibration {
     let mut config = WorldConfig::paper();
     config.seed = seed;
     let world = World::generate(config);
@@ -55,7 +55,7 @@ async fn thinned_census(seed: u64) -> UndercountCalibration {
             ..CrawlerConfig::default()
         },
     );
-    let dataset = crawler.run(&world.directory).await;
+    let dataset = crawler.crawl(&world.directory);
     UndercountCalibration::new(
         world.crawled_pleroma().count() as u64,
         dataset.pleroma_crawled().count() as u64,
@@ -71,9 +71,9 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
-#[tokio::test(flavor = "multi_thread")]
+#[test]
 #[ignore = "full-scale: generates two 1.0-scale worlds and crawls them (~20 s release); run with --ignored"]
-async fn fullscale_census_undercount_calibrates() {
+fn fullscale_census_undercount_calibrates() {
     // 1. Memory budget: the streamed path extracts the full population
     // without the corpus ever existing in RAM.
     let config = WorldConfig::paper();
@@ -95,7 +95,7 @@ async fn fullscale_census_undercount_calibrates() {
 
     // 2. The §3 under-count, reproduced: a thinned census of the live
     // full-scale network misses real, healthy instances.
-    let cal = thinned_census(config.seed).await;
+    let cal = thinned_census(config.seed);
     println!(
         "{}",
         render_calibration(&[CalibrationRow {
@@ -113,7 +113,7 @@ async fn fullscale_census_undercount_calibrates() {
 
     // 3. The correction factor transfers to a world the calibration
     // never saw.
-    let other = thinned_census(99).await;
+    let other = thinned_census(99);
     let estimate = cal.corrected(other.observed);
     println!(
         "[fullscale] transfer: seed-99 observed {} × correction {:.4} = {:.0} vs true {}",

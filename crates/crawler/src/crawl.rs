@@ -9,16 +9,14 @@ use fediscope_core::id::Domain;
 use fediscope_core::time::{SimTime, CAMPAIGN_START, SNAPSHOT_INTERVAL};
 use fediscope_simnet::{FailureClass, HttpResponse, NetError, SimNet, StatusCode};
 use fediscope_telemetry::{ProbeClass, Telemetry};
+use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
-use tokio::sync::Semaphore;
-use tokio::task::JoinSet;
 
-/// Crawl parameters.
+/// Crawl parameters. The crawl runs on the rayon pool, so the pool
+/// size is its worker count.
 #[derive(Debug, Clone)]
 pub struct CrawlerConfig {
-    /// Maximum instances crawled concurrently.
-    pub concurrency: usize,
     /// Timeline page size (the Mastodon API caps at 40).
     pub page_limit: usize,
     /// Safety cap on timeline pages per instance.
@@ -52,7 +50,6 @@ pub struct CrawlerConfig {
 impl Default for CrawlerConfig {
     fn default() -> Self {
         CrawlerConfig {
-            concurrency: 64,
             page_limit: 40,
             max_pages_per_instance: 100_000,
             snapshot_rounds: 3,
@@ -76,58 +73,44 @@ impl Crawler {
 
     /// Runs a full campaign: seed → BFS discovery → metadata + peers +
     /// timelines → periodic snapshots. Returns the dataset.
-    pub async fn run(&self, directory: &[Domain]) -> Dataset {
+    ///
+    /// Discovery crawls one BFS level at a time on the rayon pool; the
+    /// peers no earlier level named form the next level. The dataset is
+    /// sorted by domain and failure injection is keyed per domain, so
+    /// the output does not depend on the worker count.
+    pub fn crawl(&self, directory: &[Domain]) -> Dataset {
         let started = CAMPAIGN_START;
-        let directory_set: Arc<HashSet<Domain>> = Arc::new(directory.iter().cloned().collect());
-        let semaphore = Arc::new(Semaphore::new(self.config.concurrency.max(1)));
-
+        let from_directory: HashSet<&Domain> = directory.iter().collect();
         let mut seen: HashSet<Domain> = HashSet::new();
-        let mut queue: Vec<Domain> = Vec::new();
+        let mut frontier: Vec<Domain> = Vec::new();
         for d in directory {
             if seen.insert(d.clone()) {
-                queue.push(d.clone());
+                frontier.push(d.clone());
             }
         }
 
         let mut instances: Vec<CrawledInstance> = Vec::new();
-        let mut tasks: JoinSet<CrawledInstance> = JoinSet::new();
-
-        // Work-stealing BFS: spawn while the frontier is non-empty, feed
-        // newly discovered peers back into the frontier as tasks finish.
-        loop {
-            while let Some(domain) = queue.pop() {
-                let net = Arc::clone(&self.net);
-                let config = self.config.clone();
-                let from_directory = directory_set.contains(&domain);
-                let semaphore = Arc::clone(&semaphore);
-                tasks.spawn(async move {
-                    let _permit = semaphore.acquire_owned().await.expect("open semaphore");
-                    crawl_one(&net, &config, domain, from_directory).await
-                });
-            }
-            match tasks.join_next().await {
-                Some(done) => {
-                    let crawled = done.expect("crawl task never panics");
-                    for peer in &crawled.peers {
-                        if seen.insert(peer.clone()) {
-                            queue.push(peer.clone());
-                        }
-                    }
-                    instances.push(crawled);
+        while !frontier.is_empty() {
+            let level: Vec<CrawledInstance> = frontier
+                .par_iter()
+                .map(|d| crawl_one(&self.net, &self.config, d, from_directory.contains(d)))
+                .collect();
+            frontier = Vec::new();
+            for peer in level.iter().flat_map(|inst| &inst.peers) {
+                if seen.insert(peer.clone()) {
+                    frontier.push(peer.clone());
                 }
-                None => break, // frontier empty and no tasks in flight
             }
+            instances.extend(level);
         }
 
         // Periodic snapshot rounds (4-hour cadence in simulated time).
         let mut now = started;
         for _ in 0..self.config.snapshot_rounds {
             now += SNAPSHOT_INTERVAL;
-            self.snapshot_round(&mut instances, now).await;
+            self.snapshot_round(&mut instances, now);
         }
 
-        // Keep a stable order: discovery order is nondeterministic under
-        // concurrency, so sort by domain for reproducible datasets.
         instances.sort_by(|a, b| a.domain.cmp(&b.domain));
         Dataset {
             started,
@@ -136,35 +119,35 @@ impl Crawler {
         }
     }
 
-    /// Re-polls every crawled Pleroma instance's metadata, up to
-    /// [`CrawlerConfig::concurrency`] at a time like discovery, and
-    /// appends each answer to its instance's snapshots.
-    async fn snapshot_round(&self, instances: &mut [CrawledInstance], at: SimTime) {
-        let semaphore = Arc::new(Semaphore::new(self.config.concurrency.max(1)));
-        let mut tasks: JoinSet<(usize, Option<MetadataSnapshot>)> = JoinSet::new();
-        for (index, inst) in instances.iter().enumerate() {
-            if !inst.crawled() || !inst.is_pleroma() {
-                continue;
-            }
-            let net = Arc::clone(&self.net);
-            let domain = inst.domain.clone();
-            let semaphore = Arc::clone(&semaphore);
-            tasks.spawn(async move {
-                let _permit = semaphore.acquire_owned().await.expect("open semaphore");
-                (index, snapshot(&net, &domain, at).await)
-            });
-        }
-        while let Some(done) = tasks.join_next().await {
-            let (index, snapshot) = done.expect("snapshot task never panics");
-            instances[index].snapshots.extend(snapshot);
+    /// [`Crawler::crawl`] behind an `async fn`, for the benchmark, which
+    /// drives it with `block_on`. It never suspends. Delete it once the
+    /// benchmark calls [`Crawler::crawl`].
+    pub async fn run(&self, directory: &[Domain]) -> Dataset {
+        self.crawl(directory)
+    }
+
+    /// Re-polls every crawled Pleroma instance's metadata on the rayon
+    /// pool, like discovery, and appends each answer to its instance's
+    /// snapshots.
+    fn snapshot_round(&self, instances: &mut [CrawledInstance], at: SimTime) {
+        let polled: Vec<&mut CrawledInstance> = instances
+            .iter_mut()
+            .filter(|inst| inst.crawled() && inst.is_pleroma())
+            .collect();
+        let answers: Vec<Option<MetadataSnapshot>> = polled
+            .par_iter()
+            .map(|inst| snapshot(&self.net, &inst.domain, at))
+            .collect();
+        for (inst, answer) in polled.into_iter().zip(answers) {
+            inst.snapshots.extend(answer);
         }
     }
 }
 
 /// One instance's metadata snapshot at `at`; `None` when the instance
 /// does not answer with a parseable metadata document.
-async fn snapshot(net: &SimNet, domain: &Domain, at: SimTime) -> Option<MetadataSnapshot> {
-    let resp = net.get(domain, "/api/v1/instance").await.ok()?;
+fn snapshot(net: &SimNet, domain: &Domain, at: SimTime) -> Option<MetadataSnapshot> {
+    let resp = net.get(domain, "/api/v1/instance").ok()?;
     if !resp.is_success() {
         return None;
     }
@@ -185,7 +168,7 @@ async fn snapshot(net: &SimNet, domain: &Domain, at: SimTime) -> Option<Metadata
 /// per-§3-class probe counter plus a [simulated-latency](probe_latency)
 /// histogram, so a census under-count can be correlated with probe
 /// slowness by status class.
-async fn probe(
+fn probe(
     net: &SimNet,
     config: &CrawlerConfig,
     domain: &Domain,
@@ -193,7 +176,7 @@ async fn probe(
 ) -> Result<HttpResponse, NetError> {
     let mut attempt = 0;
     loop {
-        let outcome = net.get(domain, path).await;
+        let outcome = net.get(domain, path);
         let class = probe_class(&outcome);
         Telemetry::global().record_probe(class, probe_latency(domain, class, attempt));
         if class != ProbeClass::Transient || attempt >= config.transient_retries {
@@ -222,7 +205,7 @@ fn probe_class(outcome: &Result<HttpResponse, NetError>) -> ProbeClass {
 /// permanent rejections, slow gateway flaps, slower-still dead-host
 /// timeouts — plus an FNV-1a jitter keyed on `(domain, class, attempt)`.
 /// Pure function of its inputs: identical campaigns produce identical
-/// histograms regardless of crawl concurrency or task interleaving.
+/// histograms regardless of the worker count or crawl order.
 fn probe_latency(domain: &Domain, class: ProbeClass, attempt: usize) -> u64 {
     const MILLI: u64 = 1_000_000;
     let (base, spread) = match class {
@@ -241,10 +224,10 @@ fn probe_latency(domain: &Domain, class: ProbeClass, attempt: usize) -> u64 {
 }
 
 /// Crawls one domain end to end.
-async fn crawl_one(
+fn crawl_one(
     net: &SimNet,
     config: &CrawlerConfig,
-    domain: Domain,
+    domain: &Domain,
     from_directory: bool,
 ) -> CrawledInstance {
     let mut out = CrawledInstance {
@@ -259,7 +242,7 @@ async fn crawl_one(
     };
 
     // 1. Classify via nodeinfo.
-    match probe(net, config, &domain, "/nodeinfo/2.0").await {
+    match probe(net, config, domain, "/nodeinfo/2.0") {
         Err(_) => {
             out.outcome = CrawlOutcome::Unreachable;
             return out;
@@ -282,7 +265,7 @@ async fn crawl_one(
     }
 
     // 2. Instance metadata (incl. exposed policies).
-    match probe(net, config, &domain, "/api/v1/instance").await {
+    match probe(net, config, domain, "/api/v1/instance") {
         Ok(resp) if resp.is_success() => {
             if let Ok(body) = resp.json_body() {
                 out.metadata = Some(parse_metadata(&body));
@@ -301,7 +284,7 @@ async fn crawl_one(
     }
 
     // 3. Peers.
-    if let Ok(resp) = net.get(&domain, "/api/v1/instance/peers").await {
+    if let Ok(resp) = net.get(domain, "/api/v1/instance/peers") {
         if resp.is_success() {
             if let Ok(body) = resp.json_body() {
                 if let Some(list) = body.as_array() {
@@ -318,12 +301,12 @@ async fn crawl_one(
     }
 
     // 4. Timeline pagination.
-    out.timeline = crawl_timeline(net, config, &domain).await;
+    out.timeline = crawl_timeline(net, config, domain);
     out.outcome = CrawlOutcome::Crawled;
     out
 }
 
-async fn crawl_timeline(net: &SimNet, config: &CrawlerConfig, domain: &Domain) -> TimelineCrawl {
+fn crawl_timeline(net: &SimNet, config: &CrawlerConfig, domain: &Domain) -> TimelineCrawl {
     let mut posts: Vec<CollectedPost> = Vec::new();
     let mut max_id: Option<u64> = None;
     for _ in 0..config.max_pages_per_instance {
@@ -337,7 +320,7 @@ async fn crawl_timeline(net: &SimNet, config: &CrawlerConfig, domain: &Domain) -
                 config.page_limit
             ),
         };
-        let resp: HttpResponse = match net.get(domain, &path).await {
+        let resp: HttpResponse = match net.get(domain, &path) {
             Ok(r) => r,
             Err(_) => break,
         };
@@ -460,8 +443,8 @@ mod tests {
         net.register(server.domain().clone(), server);
     }
 
-    #[tokio::test]
-    async fn full_campaign_small_network() {
+    #[test]
+    fn full_campaign_small_network() {
         let net = Arc::new(SimNet::new());
         // Two healthy Pleroma instances that peer with each other and with
         // a Mastodon instance; one dead instance.
@@ -477,7 +460,7 @@ mod tests {
         net.set_failure(Domain::new("dead.example"), FailureMode::NotFound);
 
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-        let dataset = crawler.run(&[Domain::new("a.example")]).await;
+        let dataset = crawler.crawl(&[Domain::new("a.example")]);
 
         // Discovery: a (seed), b + masto + dead via peers.
         assert_eq!(dataset.instances.len(), 4);
@@ -517,8 +500,8 @@ mod tests {
         assert_eq!(dataset.reject_counts().len(), 1);
     }
 
-    #[tokio::test]
-    async fn forbidden_timeline_is_recorded() {
+    #[test]
+    fn forbidden_timeline_is_recorded() {
         let net = Arc::new(SimNet::new());
         let mut profile = InstanceProfile {
             id: InstanceId(1),
@@ -537,25 +520,25 @@ mod tests {
         ));
         register(&net, server);
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-        let dataset = crawler.run(&[Domain::new("closed.example")]).await;
+        let dataset = crawler.crawl(&[Domain::new("closed.example")]);
         let inst = dataset.by_domain("closed.example").unwrap();
         assert!(inst.crawled(), "metadata still collected");
         assert!(matches!(inst.timeline, TimelineCrawl::Forbidden));
     }
 
-    #[tokio::test]
-    async fn unknown_hosts_are_unreachable() {
+    #[test]
+    fn unknown_hosts_are_unreachable() {
         let net = Arc::new(SimNet::new());
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-        let dataset = crawler.run(&[Domain::new("ghost.example")]).await;
+        let dataset = crawler.crawl(&[Domain::new("ghost.example")]);
         assert_eq!(
             dataset.by_domain("ghost.example").unwrap().outcome,
             CrawlOutcome::Unreachable
         );
     }
 
-    #[tokio::test]
-    async fn discovery_depth_beyond_one_hop() {
+    #[test]
+    fn discovery_depth_beyond_one_hop() {
         // a → b → c: c is only in b's peers; BFS must reach it.
         let net = Arc::new(SimNet::new());
         let a = make_server("a.example", 1, 1);
@@ -567,12 +550,12 @@ mod tests {
         register(&net, b);
         register(&net, c);
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-        let dataset = crawler.run(&[Domain::new("a.example")]).await;
+        let dataset = crawler.crawl(&[Domain::new("a.example")]);
         assert!(dataset.by_domain("c.example").unwrap().crawled());
     }
 
-    #[tokio::test]
-    async fn fully_down_network_census_is_empty_but_wellformed() {
+    #[test]
+    fn fully_down_network_census_is_empty_but_wellformed() {
         // Every §3 failure mode, no endpoint behind any of them: the
         // census dataset is empty of content but structurally sound.
         let net = Arc::new(SimNet::new());
@@ -593,7 +576,7 @@ mod tests {
             })
             .collect();
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-        let dataset = crawler.run(&directory).await;
+        let dataset = crawler.crawl(&directory);
         // One record per directory entry, each with its exact status.
         assert_eq!(dataset.instances.len(), directory.len());
         for (k, d) in directory.iter().enumerate() {
@@ -619,8 +602,8 @@ mod tests {
         assert_eq!(taxonomy.transient(), 4);
     }
 
-    #[tokio::test]
-    async fn transient_retry_shrinks_the_undercount_but_dead_stays_dead() {
+    #[test]
+    fn transient_retry_shrinks_the_undercount_but_dead_stays_dead() {
         // A gateway flap: the first nodeinfo probe answers 502, every
         // later request is served normally. Without the retry budget the
         // census writes the instance off as Failed{502}; with the
@@ -656,7 +639,7 @@ mod tests {
                 flappy.handle(req)
             });
             let crawler = Crawler::new(Arc::clone(&net), config);
-            crawler.run(&[Domain::new("flappy.example")]).await
+            crawler.crawl(&[Domain::new("flappy.example")])
         };
         assert_eq!(
             without_retry.by_domain("flappy.example").unwrap().outcome,
@@ -665,9 +648,7 @@ mod tests {
         );
 
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-        let dataset = crawler
-            .run(&[Domain::new("flappy.example"), gone.clone()])
-            .await;
+        let dataset = crawler.crawl(&[Domain::new("flappy.example"), gone.clone()]);
         let inst = dataset.by_domain("flappy.example").unwrap();
         assert!(inst.crawled(), "the retry absorbs the flap");
         assert_eq!(inst.timeline.posts().len(), 4);
@@ -687,8 +668,8 @@ mod tests {
     /// transition deterministically: the flapping instance is only
     /// discoverable through a gateway instance whose first request
     /// triggers the flip, so the flip always precedes the probe.)
-    #[tokio::test]
-    async fn mid_crawl_recover_before_first_probe_is_included() {
+    #[test]
+    fn mid_crawl_recover_before_first_probe_is_included() {
         let net = Arc::new(SimNet::new());
         let gateway = make_server("gateway.example", 1, 1);
         gateway.note_peer(&Domain::new("lazarus.example"));
@@ -707,14 +688,14 @@ mod tests {
             gateway.handle(req)
         });
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-        let dataset = crawler.run(&[Domain::new("gateway.example")]).await;
+        let dataset = crawler.crawl(&[Domain::new("gateway.example")]);
         let inst = dataset.by_domain("lazarus.example").unwrap();
         assert!(inst.crawled(), "recovered before first probe ⇒ included");
         assert_eq!(inst.timeline.posts().len(), 3);
     }
 
-    #[tokio::test]
-    async fn mid_crawl_death_before_first_probe_is_excluded() {
+    #[test]
+    fn mid_crawl_death_before_first_probe_is_excluded() {
         let net = Arc::new(SimNet::new());
         let gateway = make_server("gateway.example", 1, 1);
         gateway.note_peer(&Domain::new("victim.example"));
@@ -731,7 +712,7 @@ mod tests {
             gateway.handle(req)
         });
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-        let dataset = crawler.run(&[Domain::new("gateway.example")]).await;
+        let dataset = crawler.crawl(&[Domain::new("gateway.example")]);
         let inst = dataset.by_domain("victim.example").unwrap();
         assert_eq!(
             inst.outcome,
@@ -741,8 +722,8 @@ mod tests {
         assert!(inst.timeline.posts().is_empty());
     }
 
-    #[tokio::test]
-    async fn recovery_after_the_campaign_needs_a_recensus() {
+    #[test]
+    fn recovery_after_the_campaign_needs_a_recensus() {
         // Within one campaign a recorded outcome is never revisited:
         // snapshot rounds only repoll successfully crawled instances.
         // Recovery becomes visible exactly at the next census — the
@@ -752,7 +733,7 @@ mod tests {
         register(&net, a);
         net.set_failure(Domain::new("a.example"), FailureMode::Unavailable);
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-        let first = crawler.run(&[Domain::new("a.example")]).await;
+        let first = crawler.crawl(&[Domain::new("a.example")]);
         let inst = first.by_domain("a.example").unwrap();
         assert_eq!(inst.outcome, CrawlOutcome::Failed { status: 503 });
         assert!(
@@ -760,7 +741,7 @@ mod tests {
             "failed instances are not repolled"
         );
         net.set_failure(Domain::new("a.example"), FailureMode::Healthy);
-        let second = crawler.run(&[Domain::new("a.example")]).await;
+        let second = crawler.crawl(&[Domain::new("a.example")]);
         let inst = second.by_domain("a.example").unwrap();
         assert!(inst.crawled(), "the re-census observes the recovery");
         assert_eq!(inst.timeline.posts().len(), 2);
@@ -786,8 +767,8 @@ mod tests {
         assert!(fast < flap && flap < dead);
     }
 
-    #[tokio::test]
-    async fn peer_list_cap_thins_discovery_deterministically() {
+    #[test]
+    fn peer_list_cap_thins_discovery_deterministically() {
         // Directory-thinned mode: `hub` peers with b, c, d (served
         // sorted); a cap of 2 keeps {b, c} and drops d, so d — absent
         // from the seed directory — is never discovered. That is the §3
@@ -810,25 +791,21 @@ mod tests {
             peer_list_cap: Some(2),
             ..CrawlerConfig::default()
         };
-        let thinned = Crawler::new(build(), thinned_config.clone())
-            .run(&[Domain::new("hub.example")])
-            .await;
+        let thinned =
+            Crawler::new(build(), thinned_config.clone()).crawl(&[Domain::new("hub.example")]);
         assert_eq!(thinned.instances.len(), 3, "d.example was never found");
         assert!(thinned.by_domain("d.example").is_none());
         assert!(thinned.by_domain("c.example").unwrap().crawled());
 
         // The full crawl finds everyone — the gap IS the thinning.
-        let full = Crawler::new(build(), CrawlerConfig::default())
-            .run(&[Domain::new("hub.example")])
-            .await;
+        let full =
+            Crawler::new(build(), CrawlerConfig::default()).crawl(&[Domain::new("hub.example")]);
         assert_eq!(full.instances.len(), 4);
         assert!(full.by_domain("d.example").unwrap().crawled());
 
         // Determinism: a re-run of the thinned campaign sees the same
         // census, same truncated peer lists.
-        let again = Crawler::new(build(), thinned_config)
-            .run(&[Domain::new("hub.example")])
-            .await;
+        let again = Crawler::new(build(), thinned_config).crawl(&[Domain::new("hub.example")]);
         assert_eq!(again.instances.len(), thinned.instances.len());
         assert_eq!(
             again.by_domain("hub.example").unwrap().peers,
@@ -836,13 +813,13 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn empty_timeline_is_empty_not_posts() {
+    #[test]
+    fn empty_timeline_is_empty_not_posts() {
         let net = Arc::new(SimNet::new());
         let a = make_server("quiet.example", 1, 0);
         register(&net, a);
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-        let dataset = crawler.run(&[Domain::new("quiet.example")]).await;
+        let dataset = crawler.crawl(&[Domain::new("quiet.example")]);
         assert!(matches!(
             dataset.by_domain("quiet.example").unwrap().timeline,
             TimelineCrawl::Empty

@@ -17,9 +17,10 @@
 //! 5. **Error taxonomy** — record the same failure classes the paper
 //!    reports (404/403/502/503/410, plus DNS failures).
 //!
-//! The crawler is polite and concurrent: a `tokio` semaphore caps in-flight
-//! instances, requests to one instance are sequential, and the whole run is
-//! deterministic over `fediscope-simnet`.
+//! The crawler is synchronous: each BFS level's instances are crawled on
+//! the rayon pool, requests to one instance are sequential, and the
+//! dataset is sorted by domain, so the whole run is deterministic over
+//! `fediscope-simnet` at any worker count.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -13,8 +13,8 @@
 //!
 //! The census side of the round-trip is captured in [`CensusSnapshot`]
 //! rows (true vs. observed instance counts plus the per-status failure
-//! taxonomy of the probes) paced by a [`CensusCadence`]; the async
-//! driver that actually runs the crawler between ticks lives in the
+//! taxonomy of the probes) paced by a [`CensusCadence`]; the driver
+//! that actually runs the crawler between ticks lives in the
 //! root `fediscope::census` module, because the dynamics crate itself
 //! stays crawler-free.
 

@@ -38,8 +38,8 @@
 //!   [`EventSink`] that mirrors `GoDown`/`Recover` onto a shared
 //!   [`fediscope_simnet::SimNet`] via `set_failure` and tears follow
 //!   edges down through `InstanceServer::defederate`, so the §3
-//!   crawler can census a *churning* network mid-scenario (the async
-//!   driver lives in the root crate's `fediscope::census`);
+//!   crawler can census a *churning* network mid-scenario (the
+//!   round-trip driver lives in the root crate's `fediscope::census`);
 //! * the **experiment layer** — [`EngineBuilder`] stamps engines from
 //!   one shared `Arc<ScenarioSeeds>`, [`Experiment`]/[`Arm`] run N
 //!   named scenario arms (identical seed, tick budget and world) across

@@ -5,7 +5,6 @@ use fediscope_activitypub::Mailman;
 use fediscope_core::model::{Activity, Post};
 use fediscope_simnet::{FailureClass, HttpRequest, NetError, SimNet};
 use std::sync::Arc;
-use tokio::sync::Semaphore;
 
 /// Per-class outcome of one delivery fan-out: how many inbox POSTs
 /// succeeded, how many failed in a way a retry could clear (5xx), and
@@ -45,12 +44,6 @@ impl DeliveryReport {
     }
 }
 
-/// Upper bound on concurrently in-flight inbox POSTs per delivery fan-out.
-/// Pleroma's own federator publisher works the same way: a bounded worker
-/// pool drains the delivery queue rather than a serial loop or an
-/// unbounded task storm.
-const MAX_IN_FLIGHT: usize = 16;
-
 /// Delivers activities published on a server to the instances hosting the
 /// author's followers, over the simulated network (a `POST /inbox` per
 /// target, exactly like ActivityPub's server-to-server delivery).
@@ -75,60 +68,42 @@ impl Federator {
     /// redelivery policy belongs to the caller (the dynamics engine's
     /// reliability layer schedules backoff retries off the transient
     /// count; a bare caller may ignore it, as best-effort federation).
-    pub async fn publish_and_deliver(
+    pub fn publish_and_deliver(
         &self,
         post: Post,
     ) -> Result<(Activity, DeliveryReport), crate::server::PublishError> {
         let activity = self.server.publish(post)?;
-        let report = self.deliver(&activity).await;
+        let report = self.deliver(&activity);
         Ok((activity, report))
     }
 
     /// Delivers an already-published activity; returns the per-class
     /// [`DeliveryReport`].
     ///
-    /// The inbox POSTs go out concurrently, at most `MAX_IN_FLIGHT` (16)
-    /// at a time, so one slow peer does not stall the whole fan-out. Each
-    /// target receives at most one POST per activity (the target set is
-    /// a set), and a call returns only once every one of its POSTs has
-    /// been answered, so per-target delivery order across successive
-    /// `deliver` calls is the call order.
-    pub async fn deliver(&self, activity: &Activity) -> DeliveryReport {
+    /// The inbox POSTs go out one after another on the calling thread.
+    /// Each target receives one POST per activity (the target set is a
+    /// set), so per-target delivery order across successive `deliver`
+    /// calls is the call order. A target's handler that panics unwinds
+    /// into the caller; it is not counted as a failed delivery.
+    pub fn deliver(&self, activity: &Activity) -> DeliveryReport {
         let targets = self
             .server
             .with_graph(|g| Mailman.delivery_targets(g, activity));
-        // One POST per target leaves this fan-out — counted up front, in
-        // one batched add (the task bodies race; the target set doesn't).
+        // One POST per target leaves this fan-out, counted in one add.
         fediscope_telemetry::Telemetry::global().add(
             fediscope_telemetry::HotCounter::DeliveryPosts,
             targets.len() as u64,
         );
-        let semaphore = Arc::new(Semaphore::new(MAX_IN_FLIGHT));
         // Serialize once; every target's request shares the buffer (a
-        // `Bytes` clone is a refcount), and the request itself is built
-        // inside the task after its permit — peak memory stays bounded
-        // by MAX_IN_FLIGHT plus one small handle per target, not by one
-        // serialized body per follower domain.
+        // `Bytes` clone is a refcount).
         let body = bytes::Bytes::from(serde_json::to_vec(activity).expect("activities serialize"));
-        let mut handles = Vec::with_capacity(targets.len());
-        for target in targets {
-            let net = Arc::clone(&self.net);
-            let gate = Arc::clone(&semaphore);
-            let body = body.clone();
-            handles.push(tokio::spawn(async move {
-                let _permit = gate.acquire_owned().await;
-                let req = HttpRequest::post_bytes("/inbox", body);
-                match net.request(&target, req).await {
-                    Ok(resp) => FailureClass::of_status(resp.status),
-                    Err(NetError::UnknownHost(_)) => Some(FailureClass::Permanent),
-                }
-            }));
-        }
         let mut report = DeliveryReport::default();
-        for handle in handles {
-            // A delivery task whose handler panicked never answered —
-            // count it as a transient failure, like a dropped connection.
-            report.record(handle.await.unwrap_or(Some(FailureClass::Transient)));
+        for target in targets {
+            let req = HttpRequest::post_bytes("/inbox", body.clone());
+            report.record(match self.net.request(&target, req) {
+                Ok(resp) => FailureClass::of_status(resp.status),
+                Err(NetError::UnknownHost(_)) => Some(FailureClass::Permanent),
+            });
         }
         report
     }
@@ -171,8 +146,8 @@ mod tests {
         s
     }
 
-    #[tokio::test]
-    async fn end_to_end_federation() {
+    #[test]
+    fn end_to_end_federation() {
         let net = Arc::new(SimNet::new());
         let home = server(
             "home.example",
@@ -200,7 +175,7 @@ mod tests {
             fediscope_core::time::CAMPAIGN_START,
             "federated hello",
         );
-        let (_, report) = fed.publish_and_deliver(post).await.unwrap();
+        let (_, report) = fed.publish_and_deliver(post).unwrap();
         assert_eq!((report.ok, report.failed()), (1, 0));
         // The post arrived on friend's whole-known-network timeline.
         assert_eq!(friend.post_count(), 1);
@@ -212,8 +187,8 @@ mod tests {
         });
     }
 
-    #[tokio::test]
-    async fn rejecting_instance_silently_drops_delivery() {
+    #[test]
+    fn rejecting_instance_silently_drops_delivery() {
         let net = Arc::new(SimNet::new());
         let home = server(
             "home.example",
@@ -240,7 +215,6 @@ mod tests {
                 fediscope_core::time::CAMPAIGN_START,
                 "you won't see this",
             ))
-            .await
             .unwrap();
         // Delivery "succeeds" at the HTTP level (MRF rejection is silent)…
         assert_eq!((report.ok, report.failed()), (1, 0));
@@ -256,11 +230,10 @@ mod tests {
         );
     }
 
-    #[tokio::test]
-    async fn wide_fanout_counts_every_target_once() {
-        // 60 followers across 40 live, 15 dead and 5 unknown domains —
-        // far beyond MAX_IN_FLIGHT, so the bounded-concurrency path is
-        // exercised. Counts must match the old sequential loop exactly.
+    #[test]
+    fn wide_fanout_counts_every_target_once() {
+        // 60 followers across 40 live, 15 dead and 5 unknown domains:
+        // every target is counted once, in its class.
         let net = Arc::new(SimNet::new());
         let home = server(
             "home.example",
@@ -295,7 +268,6 @@ mod tests {
                 fediscope_core::time::CAMPAIGN_START,
                 "wide fanout",
             ))
-            .await
             .unwrap();
         // 40 delivered; the 15 BadGateway targets are retryable, the 5
         // unknown hosts are not.
@@ -308,8 +280,8 @@ mod tests {
         assert_eq!(net.stats().snapshot().0, 60);
     }
 
-    #[tokio::test]
-    async fn dead_instances_fail_delivery() {
+    #[test]
+    fn dead_instances_fail_delivery() {
         let net = Arc::new(SimNet::new());
         let home = server(
             "home.example",
@@ -331,7 +303,6 @@ mod tests {
                 fediscope_core::time::CAMPAIGN_START,
                 "into the void",
             ))
-            .await
             .unwrap();
         assert_eq!((report.ok, report.failed()), (0, 1));
         assert_eq!(report.transient, 1, "a 502 peer may come back");

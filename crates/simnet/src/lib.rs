@@ -2,10 +2,10 @@
 //!
 //! An in-memory simulated network standing in for the Internet the paper's
 //! crawler ran over. Instances register HTTP-style endpoints under their
-//! domain; clients issue requests by domain, and [`SimNet::request`] calls
-//! the endpoint in place on the requesting task. Nothing runs in the
-//! background, so registering needs no runtime, and dropping the network
-//! frees its endpoints at once.
+//! domain; clients issue requests by domain, and [`SimNet::request`], a
+//! plain function, calls the endpoint in place on the requesting thread.
+//! Nothing runs in the background and nothing needs a runtime: dropping
+//! the network frees its endpoints at once.
 //!
 //! The network injects the exact failure taxonomy of §3 — for the 236
 //! unreachable Pleroma instances: 110×404, 84×403, 24×502, 11×503, 7×410 —

@@ -10,8 +10,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A served HTTP endpoint. Handlers are synchronous and must be fast:
-/// [`SimNet::request`] calls them inline on the requesting task, and
-/// requests to one endpoint from several tasks may run concurrently.
+/// [`SimNet::request`] calls them inline on the requesting thread, and
+/// requests to one endpoint from several threads may run concurrently.
 pub trait Endpoint: Send + Sync + 'static {
     /// Handles one request.
     fn handle(&self, req: HttpRequest) -> HttpResponse;
@@ -52,8 +52,8 @@ impl std::error::Error for NetError {}
 /// The status codes the simulated fediverse ever answers with: the §3
 /// failure taxonomy plus the success/client-error codes the API surface
 /// produces. Fixed at compile time so the per-status counters stay
-/// lock-free `AtomicU64`s on the request hot path (the crawler campaign
-/// and the concurrent delivery fan-out both hammer it).
+/// lock-free `AtomicU64`s on the request hot path (the crawler's workers
+/// hammer it from every thread of the pool).
 const TRACKED_STATUSES: [StatusCode; 8] = [
     StatusCode::OK,
     StatusCode::ACCEPTED,
@@ -282,16 +282,13 @@ impl SimNet {
     }
 
     /// Issues a request to `domain`, calling its endpoint on the
-    /// caller's task.
+    /// caller's thread. A plain function: nothing suspends, and no
+    /// runtime is needed.
     ///
     /// Failure-injected domains answer their forced status without ever
     /// reaching the endpoint — exactly how a dead or auth-walled instance
     /// presented itself to the paper's crawler.
-    pub async fn request(
-        &self,
-        domain: &Domain,
-        req: HttpRequest,
-    ) -> Result<HttpResponse, NetError> {
+    pub fn request(&self, domain: &Domain, req: HttpRequest) -> Result<HttpResponse, NetError> {
         self.stats.requests.fetch_add(1, Ordering::Relaxed);
         if let Some(status) = self.failure_of(domain).forced_status() {
             self.stats.injected_failures.fetch_add(1, Ordering::Relaxed);
@@ -311,12 +308,8 @@ impl SimNet {
     }
 
     /// GET convenience wrapper.
-    pub async fn get(
-        &self,
-        domain: &Domain,
-        path_and_query: &str,
-    ) -> Result<HttpResponse, NetError> {
-        self.request(domain, HttpRequest::get(path_and_query)).await
+    pub fn get(&self, domain: &Domain, path_and_query: &str) -> Result<HttpResponse, NetError> {
+        self.request(domain, HttpRequest::get(path_and_query))
     }
 }
 
@@ -336,77 +329,84 @@ mod tests {
         }))
     }
 
-    #[tokio::test]
-    async fn round_trip_request() {
+    #[test]
+    fn round_trip_request() {
         let net = SimNet::new();
         let d = Domain::new("a.example");
         net.register(d.clone(), hello_endpoint());
-        let resp = net.get(&d, "/hello").await.unwrap();
+        let resp = net.get(&d, "/hello").unwrap();
         assert!(resp.is_success());
         assert_eq!(resp.json_body().unwrap()["msg"], "hi");
-        let resp = net.get(&d, "/nope").await.unwrap();
+        let resp = net.get(&d, "/nope").unwrap();
         assert_eq!(resp.status, StatusCode::NOT_FOUND);
     }
 
-    #[tokio::test]
-    async fn unknown_host_errors() {
+    #[test]
+    fn unknown_host_errors() {
         let net = SimNet::new();
         let err = net
             .get(&Domain::new("ghost.example"), "/hello")
-            .await
             .unwrap_err();
         assert!(matches!(err, NetError::UnknownHost(_)));
         let (reqs, _, net_errs) = net.stats().snapshot();
         assert_eq!((reqs, net_errs), (1, 1));
     }
 
-    #[tokio::test]
-    async fn failure_injection_shields_endpoint() {
+    #[test]
+    fn failure_injection_shields_endpoint() {
         let net = SimNet::new();
         let d = Domain::new("dead.example");
         net.register(d.clone(), hello_endpoint());
         net.set_failure(d.clone(), FailureMode::BadGateway);
-        let resp = net.get(&d, "/hello").await.unwrap();
+        let resp = net.get(&d, "/hello").unwrap();
         assert_eq!(resp.status, StatusCode::BAD_GATEWAY);
         let (_, injected, _) = net.stats().snapshot();
         assert_eq!(injected, 1);
         // Healing the domain restores service.
         net.set_failure(d.clone(), FailureMode::Healthy);
-        assert!(net.get(&d, "/hello").await.unwrap().is_success());
+        assert!(net.get(&d, "/hello").unwrap().is_success());
     }
 
-    #[tokio::test]
-    async fn failure_injection_works_without_endpoint() {
+    #[test]
+    fn failure_injection_works_without_endpoint() {
         // A 404-injected domain doesn't need a registered endpoint at all —
         // exactly like the 110 dead instances of §3.
         let net = SimNet::new();
         let d = Domain::new("vanished.example");
         net.set_failure(d.clone(), FailureMode::NotFound);
-        let resp = net.get(&d, "/api/v1/instance").await.unwrap();
+        let resp = net.get(&d, "/api/v1/instance").unwrap();
         assert_eq!(resp.status, StatusCode::NOT_FOUND);
     }
 
-    #[tokio::test]
-    async fn concurrent_requests_are_all_answered() {
-        let net = Arc::new(SimNet::new());
+    #[test]
+    fn concurrent_requests_are_all_answered() {
+        let net = SimNet::new();
         let d = Domain::new("busy.example");
         net.register(d.clone(), hello_endpoint());
-        let mut handles = Vec::new();
-        for _ in 0..64 {
-            let net = Arc::clone(&net);
-            let d = d.clone();
-            handles.push(tokio::spawn(async move {
-                net.get(&d, "/hello").await.unwrap().status
-            }));
-        }
-        for h in handles {
-            assert_eq!(h.await.unwrap(), StatusCode::OK);
-        }
+        // Eight callers released together, so their requests overlap.
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        (0..8)
+                            .map(|_| net.get(&d, "/hello").unwrap().status)
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            for caller in callers {
+                let statuses = caller.join().unwrap();
+                assert_eq!(statuses, vec![StatusCode::OK; 8]);
+            }
+        });
         assert_eq!(net.stats().snapshot().0, 64);
+        assert_eq!(net.stats().status_count(StatusCode::OK), 64);
     }
 
-    #[tokio::test]
-    async fn per_status_counters_track_the_failure_taxonomy() {
+    #[test]
+    fn per_status_counters_track_the_failure_taxonomy() {
         // A miniature §3 mix: 3×404, 2×403, 1×502, 1×503, 1×410, plus two
         // healthy 200s and a healthy 404 from a real endpoint.
         let net = SimNet::new();
@@ -421,15 +421,15 @@ mod tests {
             let d = Domain::new(format!("fail{k}.example"));
             net.set_failure(d.clone(), *mode);
             for _ in 0..*hits {
-                let _ = net.get(&d, "/api/v1/instance").await;
+                let _ = net.get(&d, "/api/v1/instance");
             }
         }
         let live = Domain::new("live.example");
         net.register(live.clone(), hello_endpoint());
-        assert!(net.get(&live, "/hello").await.unwrap().is_success());
-        assert!(net.get(&live, "/hello").await.unwrap().is_success());
+        assert!(net.get(&live, "/hello").unwrap().is_success());
+        assert!(net.get(&live, "/hello").unwrap().is_success());
         assert_eq!(
-            net.get(&live, "/nope").await.unwrap().status,
+            net.get(&live, "/nope").unwrap().status,
             StatusCode::NOT_FOUND
         );
         // Injected and endpoint-served statuses both land in the counters.
@@ -446,15 +446,15 @@ mod tests {
         assert_eq!(counts.values().sum::<u64>(), net.stats().snapshot().0);
     }
 
-    #[tokio::test]
-    async fn net_errors_record_no_status() {
+    #[test]
+    fn net_errors_record_no_status() {
         let net = SimNet::new();
-        let _ = net.get(&Domain::new("ghost.example"), "/x").await;
+        let _ = net.get(&Domain::new("ghost.example"), "/x");
         assert!(net.stats().status_counts().is_empty());
     }
 
-    #[tokio::test]
-    async fn status_counters_never_double_count() {
+    #[test]
+    fn status_counters_never_double_count() {
         // Every request lands in exactly one bucket — tracked status,
         // other status, or net error — no matter how often the failure
         // mode is (re-)set. A bridge re-applying `set_failure` with the
@@ -469,14 +469,14 @@ mod tests {
         assert_eq!(net.stats().snapshot().0, 0, "set_failure is not a request");
         assert_eq!(net.stats().status_counts().values().sum::<u64>(), 0);
         for _ in 0..3 {
-            let _ = net.get(&d, "/hello").await;
+            let _ = net.get(&d, "/hello");
         }
         net.set_failure(d.clone(), FailureMode::Healthy);
         net.set_failure(d.clone(), FailureMode::Healthy);
         for _ in 0..2 {
-            let _ = net.get(&d, "/hello").await;
+            let _ = net.get(&d, "/hello");
         }
-        let _ = net.get(&Domain::new("ghost.example"), "/x").await;
+        let _ = net.get(&Domain::new("ghost.example"), "/x");
         let (requests, injected, net_errors) = net.stats().snapshot();
         assert_eq!(requests, 6);
         assert_eq!(injected, 3);

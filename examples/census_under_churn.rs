@@ -46,16 +46,7 @@ fn main() {
         cadence: CensusCadence { every_ticks: 6 }, // one census per day
     };
 
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
-    let result = rt.block_on(run_round_trip_seeded(
-        &world,
-        &seeds,
-        scenario.as_mut(),
-        config,
-    ));
+    let result = run_round_trip_seeded(&world, &seeds, scenario.as_mut(), config);
 
     // The census series: observed vs. true counts and the §3 taxonomy
     // of each snapshot's failed probes.

@@ -12,11 +12,10 @@ use fediscope_analysis::curation::{curate, CurationConfig};
 use fediscope_core::id::ActivityId;
 use fediscope_core::mrf::{Inbound, MrfPolicy, NullActorDirectory, PolicyContext};
 
-#[tokio::main]
-async fn main() {
+fn main() {
     // 1. Measure.
     let world = World::generate(WorldConfig::test_medium());
-    let dataset = harness::crawl_world(&world, CrawlerConfig::default()).await;
+    let dataset = harness::crawl_world(&world, CrawlerConfig::default());
     let annotations = HarmAnnotations::annotate(&dataset);
 
     // 2. Curate.

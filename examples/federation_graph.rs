@@ -8,10 +8,9 @@
 use fediscope::harness;
 use fediscope::prelude::*;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let world = World::generate(WorldConfig::test_medium());
-    let dataset = harness::crawl_world(&world, CrawlerConfig::default()).await;
+    let dataset = harness::crawl_world(&world, CrawlerConfig::default());
     let annotations = HarmAnnotations::annotate(&dataset);
 
     let rows = fediscope::analysis::ablation::federation_graph(&dataset, 12);

@@ -8,8 +8,7 @@
 use fediscope::harness;
 use fediscope::prelude::*;
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let config = WorldConfig::test_medium();
     println!(
         "generating a medium synthetic fediverse (seed {}) ...",
@@ -25,7 +24,7 @@ async fn main() {
     );
 
     println!("running the measurement campaign ...");
-    let dataset = harness::crawl_world(&world, CrawlerConfig::default()).await;
+    let dataset = harness::crawl_world(&world, CrawlerConfig::default());
 
     let census = fediscope::analysis::headline::crawl_census(&dataset);
     println!(

@@ -37,8 +37,7 @@ fn user(id: u64, instance: u32, domain: &str, handle: &str) -> User {
     }
 }
 
-#[tokio::main]
-async fn main() {
+fn main() {
     let net = Arc::new(SimNet::new());
 
     // wholesome.example moderates: it rejects troll.example outright and
@@ -89,7 +88,7 @@ async fn main() {
         fediscope_core::time::CAMPAIGN_START,
         "you grukk vrelk subhuman scum",
     );
-    let (_, report) = troll_fed.publish_and_deliver(hate).await.unwrap();
+    let (_, report) = troll_fed.publish_and_deliver(hate).unwrap();
     println!(
         "troll.example delivered to {} instance(s) — but was it ingested?",
         report.ok
@@ -106,7 +105,7 @@ async fn main() {
         kind: fediscope_core::model::MediaKind::Image,
         sensitive: false,
     });
-    lewd_fed.publish_and_deliver(art).await.unwrap();
+    lewd_fed.publish_and_deliver(art).unwrap();
 
     // What did wholesome.example actually ingest?
     println!();

@@ -1,8 +1,9 @@
-//! Runtime construction. All runtimes share the one global worker pool;
-//! `block_on` drives the root future on the calling thread.
+//! Runtime construction, mirroring `tokio::runtime`.
 
 use std::future::Future;
 use std::io;
+use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 
 /// Builder mirroring `tokio::runtime::Builder`.
 #[derive(Debug, Default)]
@@ -11,13 +12,9 @@ pub struct Builder {
 }
 
 impl Builder {
-    /// Multi-thread flavor (the only flavor; the pool is global).
+    /// Multi-thread flavor, the only one: every runtime polls on the
+    /// thread that calls [`Runtime::block_on`].
     pub fn new_multi_thread() -> Builder {
-        Builder::default()
-    }
-
-    /// Current-thread flavor. Spawned tasks still run on the global pool.
-    pub fn new_current_thread() -> Builder {
         Builder::default()
     }
 
@@ -26,31 +23,60 @@ impl Builder {
         self
     }
 
-    /// Accepted for compatibility; the pool size is fixed globally.
-    pub fn worker_threads(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Builds the runtime handle.
+    /// Builds the runtime.
     pub fn build(&mut self) -> io::Result<Runtime> {
         Ok(Runtime { _private: () })
     }
 }
 
-/// A handle to the shim's global executor.
+/// A runtime that drives one future at a time on the calling thread.
 #[derive(Debug)]
 pub struct Runtime {
     _private: (),
 }
 
-impl Runtime {
-    /// A runtime with default settings.
-    pub fn new() -> io::Result<Runtime> {
-        Builder::new_multi_thread().build()
-    }
+/// Wakes the thread blocked in [`Runtime::block_on`].
+struct Unpark(std::thread::Thread);
 
-    /// Drives `future` to completion on the calling thread.
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+impl Runtime {
+    /// Drives `future` to completion on the calling thread, parking it
+    /// whenever the future is pending.
     pub fn block_on<F: Future>(&self, future: F) -> F::Output {
-        crate::executor::block_on(future)
+        let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+        let mut cx = Context::from_waker(&waker);
+        let mut future = std::pin::pin!(future);
+        loop {
+            match future.as_mut().poll(&mut cx) {
+                Poll::Ready(out) => return out,
+                Poll::Pending => std::thread::park(),
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn block_on_repolls_a_woken_future() {
+        let mut polls = 0;
+        let future = std::future::poll_fn(|cx| {
+            polls += 1;
+            if polls < 3 {
+                cx.waker().wake_by_ref();
+                Poll::Pending
+            } else {
+                Poll::Ready(polls)
+            }
+        });
+        let rt = Builder::new_multi_thread().enable_all().build().unwrap();
+        assert_eq!(rt.block_on(future), 3);
     }
 }

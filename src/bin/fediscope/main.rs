@@ -448,25 +448,18 @@ fn census(args: &[String], config: WorldConfig, ticks: u64) -> ExitCode {
         crawler: CrawlerConfig::default(),
         cadence: fediscope::dynamics::CensusCadence { every_ticks },
     };
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
-    let result = rt.block_on(async {
-        eprintln!(
-            "round-tripping {} ({}) over {} instances for {ticks} ticks (census every {every_ticks}) ...",
-            composite.name,
-            composite.about,
-            seeds.len(),
-        );
-        fediscope::census::run_round_trip_seeded(
-            &world,
-            &seeds,
-            scenario.as_mut(),
-            round_trip_config,
-        )
-        .await
-    });
+    eprintln!(
+        "round-tripping {} ({}) over {} instances for {ticks} ticks (census every {every_ticks}) ...",
+        composite.name,
+        composite.about,
+        seeds.len(),
+    );
+    let result = fediscope::census::run_round_trip_seeded(
+        &world,
+        &seeds,
+        scenario.as_mut(),
+        round_trip_config,
+    );
     println!(
         "{}",
         fediscope::analysis::dynamics::render_census(&result.census)
@@ -523,47 +516,41 @@ fn crawl(args: &[String]) -> ExitCode {
     };
     let out = parse_flag(args, "--out").unwrap_or_else(|| "dataset.json".to_string());
 
-    let rt = tokio::runtime::Builder::new_multi_thread()
-        .enable_all()
-        .build()
-        .expect("tokio runtime");
-    rt.block_on(async move {
-        eprintln!(
-            "generating world (seed {}, scale {}, post_scale {}) ...",
-            config.seed, config.scale, config.post_scale
-        );
-        let world = World::generate(config);
-        eprintln!(
-            "  {} instances, {} users, {} posts",
-            world.instances.len(),
-            world.total_users(),
-            world.total_posts()
-        );
-        eprintln!("running the measurement campaign ...");
-        if let Some(cap) = peer_cap {
-            eprintln!("  (peer lists thinned to first {cap} — expect an under-count)");
+    eprintln!(
+        "generating world (seed {}, scale {}, post_scale {}) ...",
+        config.seed, config.scale, config.post_scale
+    );
+    let world = World::generate(config);
+    eprintln!(
+        "  {} instances, {} users, {} posts",
+        world.instances.len(),
+        world.total_users(),
+        world.total_posts()
+    );
+    eprintln!("running the measurement campaign ...");
+    if let Some(cap) = peer_cap {
+        eprintln!("  (peer lists thinned to first {cap} — expect an under-count)");
+    }
+    let crawler_config = CrawlerConfig {
+        peer_list_cap: peer_cap,
+        ..CrawlerConfig::default()
+    };
+    let dataset = harness::crawl_world(&world, crawler_config);
+    eprintln!(
+        "  crawled {} domains, collected {} posts",
+        dataset.instances.len(),
+        dataset.collected_posts()
+    );
+    match dataset.save(&out) {
+        Ok(()) => {
+            eprintln!("dataset written to {out}");
+            ExitCode::SUCCESS
         }
-        let crawler_config = CrawlerConfig {
-            peer_list_cap: peer_cap,
-            ..CrawlerConfig::default()
-        };
-        let dataset = harness::crawl_world(&world, crawler_config).await;
-        eprintln!(
-            "  crawled {} domains, collected {} posts",
-            dataset.instances.len(),
-            dataset.collected_posts()
-        );
-        match dataset.save(&out) {
-            Ok(()) => {
-                eprintln!("dataset written to {out}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("failed to write {out}: {e}");
-                ExitCode::FAILURE
-            }
+        Err(e) => {
+            eprintln!("failed to write {out}: {e}");
+            ExitCode::FAILURE
         }
-    })
+    }
 }
 
 fn report(args: &[String]) -> ExitCode {

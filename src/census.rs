@@ -24,12 +24,10 @@
 //! use fediscope::dynamics::scenarios::{ChurnConfig, ChurnScenario};
 //! use fediscope_synthgen::{World, WorldConfig};
 //!
-//! # #[tokio::main(flavor = "current_thread")] async fn main() {
 //! let world = World::generate(WorldConfig::test_small());
 //! let mut scenario = ChurnScenario::new(ChurnConfig::default());
-//! let rt = run_round_trip(&world, &mut scenario, RoundTripConfig::default()).await;
+//! let rt = run_round_trip(&world, &mut scenario, RoundTripConfig::default());
 //! println!("{}", fediscope_analysis::dynamics::render_census(&rt.census));
-//! # }
 //! ```
 
 use crate::harness;
@@ -72,21 +70,20 @@ pub struct RoundTrip {
 /// Materialises `world` onto a live [`SimNet`](fediscope_simnet::SimNet)
 /// (every instance served, seed failures injected), runs `scenario`
 /// through a bridged engine, and re-censuses the network at the
-/// configured cadence. Needs a tokio runtime of either flavour, since
-/// the crawler spawns its probe tasks; endpoints answer on those tasks.
-pub async fn run_round_trip(
+/// configured cadence. Each census crawls on the rayon pool.
+pub fn run_round_trip(
     world: &World,
     scenario: &mut dyn Scenario,
     config: RoundTripConfig,
 ) -> RoundTrip {
     let seeds = ScenarioSeeds::from_world(world);
-    run_round_trip_seeded(world, &seeds, scenario, config).await
+    run_round_trip_seeded(world, &seeds, scenario, config)
 }
 
 /// [`run_round_trip`] with pre-extracted seeds (the extraction is the
 /// expensive part of small-world test setups; callers that already hold
 /// seeds should not pay it twice).
-pub async fn run_round_trip_seeded(
+pub fn run_round_trip_seeded(
     world: &World,
     seeds: &ScenarioSeeds,
     scenario: &mut dyn Scenario,
@@ -117,9 +114,13 @@ pub async fn run_round_trip_seeded(
             // counter; the crawl happens between ticks, so the span
             // never overlaps an engine phase.
             let span = fediscope_telemetry::PhaseTimer::start(fediscope_telemetry::Phase::Census);
-            census.push(
-                census_once(&materialized, &crawler_config, engine.state(), &tick, world).await,
-            );
+            census.push(census_once(
+                &materialized,
+                &crawler_config,
+                engine.state(),
+                &tick,
+                world,
+            ));
             drop(span);
             fediscope_telemetry::Telemetry::global()
                 .inc(fediscope_telemetry::HotCounter::CensusRounds);
@@ -144,7 +145,7 @@ pub async fn run_round_trip_seeded(
 /// timeline answers real 403s on its timeline endpoint without being a
 /// §3 casualty. The request-level view stays available on the net's
 /// cumulative `NetStats::failure_taxonomy()`.
-async fn census_once(
+fn census_once(
     materialized: &harness::Materialized,
     crawler_config: &CrawlerConfig,
     state: &fediscope_dynamics::NetworkState,
@@ -155,7 +156,7 @@ async fn census_once(
         std::sync::Arc::clone(&materialized.net),
         crawler_config.clone(),
     );
-    let dataset = crawler.run(&world.directory).await;
+    let dataset = crawler.crawl(&world.directory);
     let mut taxonomy = [0u64; 5];
     let mut failed_probes = 0;
     let mut unreachable = 0;
@@ -218,11 +219,11 @@ mod tests {
         }
     }
 
-    #[tokio::test(flavor = "multi_thread")]
-    async fn census_tracks_the_decaying_fleet() {
+    #[test]
+    fn census_tracks_the_decaying_fleet() {
         // 36 ticks cover the full 4-day churn ramp; census every day.
         let mut scenario = ChurnScenario::new(ChurnConfig::default());
-        let rt = run_round_trip(world(), &mut scenario, config(36, 6)).await;
+        let rt = run_round_trip(world(), &mut scenario, config(36, 6));
         assert_eq!(rt.trace.ticks.len(), 36);
         assert!(rt.census.len() >= 6);
         let first = rt.census.first().unwrap();
@@ -278,13 +279,13 @@ mod tests {
         );
     }
 
-    #[tokio::test(flavor = "multi_thread")]
-    async fn composed_round_trip_couples_all_layers() {
+    #[test]
+    fn composed_round_trip_couples_all_layers() {
         // Storm + churn + rollout in one timeline, censused mid-decay:
         // does a staged MRF rollout keep up with a toxicity storm
         // during an outage wave? The registry's `composite`.
         let mut scenario = (lookup("composite").unwrap().build)();
-        let rt = run_round_trip(world(), scenario.as_mut(), config(24, 6)).await;
+        let rt = run_round_trip(world(), scenario.as_mut(), config(24, 6));
         // All three dynamics visible in one trace ...
         let last = rt.trace.ticks.last().unwrap();
         assert!(last.adopted > 0, "rollout progressed");
@@ -296,22 +297,22 @@ mod tests {
         assert!(last_census.true_up < rt.census[0].true_up);
     }
 
-    #[tokio::test(flavor = "current_thread")]
-    async fn bridged_trace_matches_unbridged_run() {
+    #[test]
+    fn bridged_trace_matches_unbridged_run() {
         // The round-trip must not perturb the engine: same seed, same
         // scenario ⇒ the bridged trace equals a plain engine run.
         let seeds = ScenarioSeeds::from_world(world());
         let cfg = config(12, 4);
         let mut scenario = ChurnScenario::new(ChurnConfig::default());
-        let rt = run_round_trip_seeded(world(), &seeds, &mut scenario, cfg.clone()).await;
+        let rt = run_round_trip_seeded(world(), &seeds, &mut scenario, cfg.clone());
         let mut plain = DynamicsEngine::new(cfg.engine, &seeds);
         let reference = plain.run(&mut ChurnScenario::new(ChurnConfig::default()));
         assert_eq!(rt.trace.digest(), reference.digest());
         assert_eq!(rt.trace, reference);
     }
 
-    #[tokio::test(flavor = "multi_thread")]
-    async fn recovered_instances_reenter_the_census() {
+    #[test]
+    fn recovered_instances_reenter_the_census() {
         // Transient 502/503 outages recover inside the run: a later
         // census must see the instance again (the bridge cleared the
         // injection and uncovered the still-registered endpoint).
@@ -319,7 +320,7 @@ mod tests {
             transient_p: 0.5,
             ..ChurnConfig::default()
         });
-        let rt = run_round_trip(world(), &mut scenario, config(36, 1)).await;
+        let rt = run_round_trip(world(), &mut scenario, config(36, 1));
         assert!(scenario.transients() > 0, "need transient outages");
         assert_eq!(rt.bridge.recoveries_applied(), scenario.transients());
         // The recovery is visible to the measurement layer: some census
@@ -336,20 +337,20 @@ mod tests {
         assert!(up.windows(2).any(|w| w[1] > w[0]));
     }
 
-    #[tokio::test(flavor = "multi_thread")]
-    async fn defederation_round_trip_tears_live_graphs() {
+    #[test]
+    fn defederation_round_trip_tears_live_graphs() {
         use fediscope_dynamics::scenarios::{CascadeConfig, DefederationCascadeScenario};
         let seeds = ScenarioSeeds::from_world(world());
         let mut scenario = DefederationCascadeScenario::new(CascadeConfig::default());
-        let rt = run_round_trip_seeded(world(), &seeds, &mut scenario, config(18, 9)).await;
+        let rt = run_round_trip_seeded(world(), &seeds, &mut scenario, config(18, 9));
         // Every engine link severed went over the bridge, exactly once.
         let severed = seeds.links.len() as u64 - rt.trace.final_links();
         assert!(severed > 0, "the cascade must sever links");
         assert_eq!(rt.bridge.defederations_applied(), severed);
     }
 
-    #[tokio::test(flavor = "multi_thread")]
-    async fn fully_down_fleet_yields_wellformed_empty_census() {
+    #[test]
+    fn fully_down_fleet_yields_wellformed_empty_census() {
         // Kill every instance before tick 0 via a scenario, then census:
         // the dataset is empty but structurally sound.
         struct Blackout;
@@ -369,7 +370,7 @@ mod tests {
                 }
             }
         }
-        let rt = run_round_trip(world(), &mut Blackout, config(2, 1)).await;
+        let rt = run_round_trip(world(), &mut Blackout, config(2, 1));
         for snap in &rt.census {
             assert_eq!(snap.observed, 0);
             assert_eq!(snap.true_up, 0);

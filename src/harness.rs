@@ -40,8 +40,8 @@ impl Materialized {
 /// doing it here would clobber or silently fight a pool another phase
 /// already configured. Only the cheap endpoint registration stays sequential.
 ///
-/// Needs no runtime: registration only records each endpoint, and
-/// dropping the [`Materialized`] frees every server at once.
+/// Registration only records each endpoint, and dropping the
+/// [`Materialized`] frees every server at once.
 pub fn materialize(world: &World) -> Materialized {
     materialize_inner(world, false)
 }
@@ -54,8 +54,7 @@ pub fn materialize(world: &World) -> Materialized {
 /// the injection), which is all a static campaign needs. A dynamics
 /// round-trip needs more: churn scenarios *recover* instances over
 /// time, and a `LiveNetBridge` clearing the injection must uncover a
-/// working endpoint, not an unknown host. Same server-building fan-out;
-/// no runtime either.
+/// working endpoint, not an unknown host. Same server-building fan-out.
 pub fn materialize_full(world: &World) -> Materialized {
     materialize_inner(world, true)
 }
@@ -105,10 +104,10 @@ fn materialize_inner(world: &World, include_failed: bool) -> Materialized {
 }
 
 /// Materialises the world and runs the full measurement campaign.
-pub async fn crawl_world(world: &World, config: CrawlerConfig) -> Dataset {
+pub fn crawl_world(world: &World, config: CrawlerConfig) -> Dataset {
     let materialized = materialize(world);
     let crawler = Crawler::new(Arc::clone(&materialized.net), config);
-    crawler.run(&world.directory).await
+    crawler.crawl(&world.directory)
 }
 
 #[cfg(test)]
@@ -116,8 +115,8 @@ mod tests {
     use super::*;
     use fediscope_synthgen::WorldConfig;
 
-    #[tokio::test]
-    async fn materialize_small_world() {
+    #[test]
+    fn materialize_small_world() {
         let world = fediscope_synthgen::World::generate(WorldConfig::test_small());
         let m = materialize(&world);
         // Healthy instances registered; failed ones only injected.
@@ -131,8 +130,8 @@ mod tests {
         assert_eq!(fse.post_count(), gen.post_count());
     }
 
-    #[tokio::test]
-    async fn materialize_full_serves_the_casualties_too() {
+    #[test]
+    fn materialize_full_serves_the_casualties_too() {
         let world = fediscope_synthgen::World::generate(WorldConfig::test_small());
         let m = materialize_full(&world);
         assert_eq!(m.servers.len(), world.instances.len());
@@ -145,29 +144,21 @@ mod tests {
             .find(|i| i.failure != fediscope_simnet::FailureMode::Healthy)
             .expect("the seed world has casualties");
         assert_eq!(m.net.failure_of(&dead.profile.domain), dead.failure);
-        let resp = m
-            .net
-            .get(&dead.profile.domain, "/nodeinfo/2.0")
-            .await
-            .unwrap();
+        let resp = m.net.get(&dead.profile.domain, "/nodeinfo/2.0").unwrap();
         assert!(!resp.is_success());
         // ... until something heals it, which uncovers a live server.
         m.net.set_failure(
             dead.profile.domain.clone(),
             fediscope_simnet::FailureMode::Healthy,
         );
-        let resp = m
-            .net
-            .get(&dead.profile.domain, "/nodeinfo/2.0")
-            .await
-            .unwrap();
+        let resp = m.net.get(&dead.profile.domain, "/nodeinfo/2.0").unwrap();
         assert!(resp.is_success(), "recovered casualty must serve");
     }
 
     #[test]
     fn servers_die_with_the_network() {
-        // Outside any runtime: nothing but the `Materialized` holds a
-        // server, so dropping it frees every one of them straight away.
+        // Nothing but the `Materialized` holds a server, so dropping it
+        // frees every one of them straight away.
         let world = fediscope_synthgen::World::generate(WorldConfig::test_small());
         let m = materialize(&world);
         let servers: Vec<_> = m.servers.values().map(Arc::downgrade).collect();
@@ -176,10 +167,10 @@ mod tests {
         assert!(servers.iter().all(|s| s.strong_count() == 0));
     }
 
-    #[tokio::test]
-    async fn crawl_small_world_produces_consistent_dataset() {
+    #[test]
+    fn crawl_small_world_produces_consistent_dataset() {
         let world = fediscope_synthgen::World::generate(WorldConfig::test_small());
-        let dataset = crawl_world(&world, CrawlerConfig::default()).await;
+        let dataset = crawl_world(&world, CrawlerConfig::default());
         // Every world instance is discovered (peers cover everything).
         assert_eq!(dataset.instances.len(), world.instances.len());
         // Crawled Pleroma count matches the healthy Pleroma count.

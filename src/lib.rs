@@ -44,12 +44,10 @@
 //! use fediscope::harness;
 //! use fediscope_synthgen::WorldConfig;
 //!
-//! # #[tokio::main(flavor = "current_thread")] async fn main() {
 //! let world = fediscope_synthgen::World::generate(WorldConfig::test_small());
-//! let dataset = harness::crawl_world(&world, Default::default()).await;
+//! let dataset = harness::crawl_world(&world, Default::default());
 //! let census = fediscope_analysis::headline::crawl_census(&dataset);
 //! println!("{}", fediscope_analysis::report::render_comparisons("Census", &census));
-//! # }
 //! ```
 
 #![warn(missing_docs)]

@@ -9,16 +9,16 @@ use fediscope::prelude::*;
 use fediscope_core::paper;
 
 /// Full-scale world without post text: structural calibration.
-async fn paper_structural_run() -> Dataset {
+fn paper_structural_run() -> Dataset {
     let mut config = WorldConfig::paper();
     config.generate_text = false;
     let world = World::generate(config);
-    harness::crawl_world(&world, CrawlerConfig::default()).await
+    harness::crawl_world(&world, CrawlerConfig::default())
 }
 
-#[tokio::test]
-async fn census_matches_section3() {
-    let dataset = paper_structural_run().await;
+#[test]
+fn census_matches_section3() {
+    let dataset = paper_structural_run();
     assert_eq!(
         dataset.pleroma_all().count() as u32,
         paper::PLEROMA_INSTANCES
@@ -49,9 +49,9 @@ async fn census_matches_section3() {
     assert!(drift < 0.05, "user drift {drift}");
 }
 
-#[tokio::test]
-async fn reject_graph_matches_section42() {
-    let dataset = paper_structural_run().await;
+#[test]
+fn reject_graph_matches_section42() {
+    let dataset = paper_structural_run();
     let counts = dataset.reject_counts();
     let pleroma: std::collections::HashSet<&str> =
         dataset.pleroma_all().map(|i| i.domain.as_str()).collect();
@@ -84,9 +84,9 @@ async fn reject_graph_matches_section42() {
     assert!(gab > fse, "gab {gab} must exceed fse {fse}");
 }
 
-#[tokio::test]
-async fn policy_prevalence_matches_table3() {
-    let dataset = paper_structural_run().await;
+#[test]
+fn policy_prevalence_matches_table3() {
+    let dataset = paper_structural_run();
     let spectrum = fediscope::analysis::figures::policy_spectrum(&dataset);
     // All 46 observed policy types appear.
     assert_eq!(spectrum.len() as u32, paper::UNIQUE_POLICY_TYPES);
@@ -106,9 +106,9 @@ async fn policy_prevalence_matches_table3() {
     }
 }
 
-#[tokio::test]
-async fn headline_shares_match_section41() {
-    let dataset = paper_structural_run().await;
+#[test]
+fn headline_shares_match_section41() {
+    let dataset = paper_structural_run();
     let impact = fediscope::analysis::headline::policy_impact(&dataset);
     let get = |label: &str| {
         impact
@@ -135,10 +135,10 @@ async fn headline_shares_match_section41() {
 }
 
 /// Small world WITH text: the §5 content pipeline.
-#[tokio::test]
-async fn collateral_damage_shape_holds_at_small_scale() {
+#[test]
+fn collateral_damage_shape_holds_at_small_scale() {
     let world = World::generate(WorldConfig::test_small());
-    let dataset = harness::crawl_world(&world, CrawlerConfig::default()).await;
+    let dataset = harness::crawl_world(&world, CrawlerConfig::default());
     let annotations = HarmAnnotations::annotate(&dataset);
     let damage = fediscope::analysis::headline::collateral_damage(&dataset, &annotations);
     let get = |label_prefix: &str| {
@@ -164,10 +164,10 @@ async fn collateral_damage_shape_holds_at_small_scale() {
     }
 }
 
-#[tokio::test]
-async fn strawman_ablation_beats_reject_on_collateral_damage() {
+#[test]
+fn strawman_ablation_beats_reject_on_collateral_damage() {
     let world = World::generate(WorldConfig::test_small());
-    let dataset = harness::crawl_world(&world, CrawlerConfig::default()).await;
+    let dataset = harness::crawl_world(&world, CrawlerConfig::default());
     let annotations = HarmAnnotations::annotate(&dataset);
     let rows = fediscope::analysis::ablation::solutions(&dataset, &annotations);
     let reject = rows

@@ -4,15 +4,15 @@
 use fediscope::harness;
 use fediscope::prelude::*;
 
-async fn small_run() -> (World, Dataset) {
+fn small_run() -> (World, Dataset) {
     let world = World::generate(WorldConfig::test_small());
-    let dataset = harness::crawl_world(&world, CrawlerConfig::default()).await;
+    let dataset = harness::crawl_world(&world, CrawlerConfig::default());
     (world, dataset)
 }
 
-#[tokio::test]
-async fn discovery_finds_every_instance() {
-    let (world, dataset) = small_run().await;
+#[test]
+fn discovery_finds_every_instance() {
+    let (world, dataset) = small_run();
     assert_eq!(dataset.instances.len(), world.instances.len());
     for inst in &world.instances {
         assert!(
@@ -23,9 +23,9 @@ async fn discovery_finds_every_instance() {
     }
 }
 
-#[tokio::test]
-async fn crawl_outcomes_match_failure_modes() {
-    let (world, dataset) = small_run().await;
+#[test]
+fn crawl_outcomes_match_failure_modes() {
+    let (world, dataset) = small_run();
     for inst in &world.instances {
         let crawled = dataset.by_domain(inst.profile.domain.as_str()).unwrap();
         match inst.failure {
@@ -54,9 +54,9 @@ async fn crawl_outcomes_match_failure_modes() {
     }
 }
 
-#[tokio::test]
-async fn reject_counts_match_ground_truth() {
-    let (world, dataset) = small_run().await;
+#[test]
+fn reject_counts_match_ground_truth() {
+    let (world, dataset) = small_run();
     let measured = dataset.reject_counts();
     for inst in &world.instances {
         if inst.rejects_received == 0 {
@@ -79,9 +79,9 @@ async fn reject_counts_match_ground_truth() {
     }
 }
 
-#[tokio::test]
-async fn policy_exposure_is_respected() {
-    let (world, dataset) = small_run().await;
+#[test]
+fn policy_exposure_is_respected() {
+    let (world, dataset) = small_run();
     for inst in &world.instances {
         if !(inst.profile.is_pleroma() && inst.crawlable()) {
             continue;
@@ -103,9 +103,9 @@ async fn policy_exposure_is_respected() {
     }
 }
 
-#[tokio::test]
-async fn exposed_configs_round_trip_through_the_api() {
-    let (world, dataset) = small_run().await;
+#[test]
+fn exposed_configs_round_trip_through_the_api() {
+    let (world, dataset) = small_run();
     for inst in &world.instances {
         if !(inst.profile.is_pleroma() && inst.crawlable() && inst.profile.exposes_policies) {
             continue;
@@ -132,9 +132,9 @@ async fn exposed_configs_round_trip_through_the_api() {
     }
 }
 
-#[tokio::test]
-async fn timeline_collection_matches_server_state() {
-    let (world, dataset) = small_run().await;
+#[test]
+fn timeline_collection_matches_server_state() {
+    let (world, dataset) = small_run();
     for inst in &world.instances {
         if !(inst.profile.is_pleroma() && inst.crawlable()) {
             continue;
@@ -168,10 +168,10 @@ async fn timeline_collection_matches_server_state() {
     }
 }
 
-#[tokio::test]
-async fn dataset_is_deterministic_across_runs() {
-    let (_, a) = small_run().await;
-    let (_, b) = small_run().await;
+#[test]
+fn dataset_is_deterministic_across_runs() {
+    let (_, a) = small_run();
+    let (_, b) = small_run();
     assert_eq!(a.instances.len(), b.instances.len());
     assert_eq!(a.collected_posts(), b.collected_posts());
     assert_eq!(a.total_users(), b.total_users());
@@ -180,9 +180,9 @@ async fn dataset_is_deterministic_across_runs() {
     assert_eq!(ra.len(), rb.len());
 }
 
-#[tokio::test]
-async fn analysis_pipeline_runs_on_crawled_data() {
-    let (_, dataset) = small_run().await;
+#[test]
+fn analysis_pipeline_runs_on_crawled_data() {
+    let (_, dataset) = small_run();
     let annotations = HarmAnnotations::annotate(&dataset);
     assert!(annotations.posts_scored > 0);
     // Every figure/table computes without panicking and yields data.
@@ -207,12 +207,14 @@ async fn analysis_pipeline_runs_on_crawled_data() {
     assert!(!fediscope::analysis::ablation::federation_graph(&dataset, 10).is_empty());
 }
 
-#[tokio::test]
-async fn snapshots_are_collected_on_schedule() {
+#[test]
+fn snapshots_are_collected_on_schedule() {
     let world = World::generate(WorldConfig::test_small());
-    let mut config = CrawlerConfig::default();
-    config.snapshot_rounds = 5;
-    let dataset = harness::crawl_world(&world, config).await;
+    let config = CrawlerConfig {
+        snapshot_rounds: 5,
+        ..CrawlerConfig::default()
+    };
+    let dataset = harness::crawl_world(&world, config);
     let inst = dataset
         .pleroma_crawled()
         .next()

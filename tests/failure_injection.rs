@@ -2,10 +2,14 @@
 //! mid-campaign, exactly like the real one did (§3's 236 dead instances
 //! were *discovered* dead; others died during the five months).
 
+use fediscope::harness;
 use fediscope::prelude::*;
 use fediscope_core::id::InstanceId;
 use fediscope_core::model::SoftwareVersion;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+/// Serialises the tests that size the global rayon pool.
+static POOL: Mutex<()> = Mutex::new(());
 
 fn pleroma_server(domain: &str, id: u32, posts: u64) -> Arc<InstanceServer> {
     let profile = InstanceProfile {
@@ -53,8 +57,8 @@ fn register(net: &SimNet, server: &Arc<InstanceServer>) {
     net.register(server.domain().clone(), endpoint);
 }
 
-#[tokio::test]
-async fn instance_dying_between_discovery_and_snapshots() {
+#[test]
+fn instance_dying_between_discovery_and_snapshots() {
     let net = Arc::new(SimNet::new());
     let a = pleroma_server("stable.example", 1, 10);
     let b = pleroma_server("doomed.example", 2, 10);
@@ -64,7 +68,7 @@ async fn instance_dying_between_discovery_and_snapshots() {
 
     // Crawl once while both are alive.
     let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-    let alive = crawler.run(&[Domain::new("stable.example")]).await;
+    let alive = crawler.crawl(&[Domain::new("stable.example")]);
     assert!(alive.by_domain("doomed.example").unwrap().crawled());
     assert_eq!(
         alive.by_domain("doomed.example").unwrap().snapshots.len(),
@@ -73,7 +77,7 @@ async fn instance_dying_between_discovery_and_snapshots() {
 
     // The instance dies; a re-run still completes and records the failure.
     net.set_failure(Domain::new("doomed.example"), FailureMode::Gone);
-    let decayed = crawler.run(&[Domain::new("stable.example")]).await;
+    let decayed = crawler.crawl(&[Domain::new("stable.example")]);
     let doomed = decayed.by_domain("doomed.example").unwrap();
     assert_eq!(
         doomed.outcome,
@@ -84,8 +88,8 @@ async fn instance_dying_between_discovery_and_snapshots() {
     assert!(decayed.by_domain("stable.example").unwrap().crawled());
 }
 
-#[tokio::test]
-async fn every_failure_mode_is_classified_correctly() {
+#[test]
+fn every_failure_mode_is_classified_correctly() {
     let net = Arc::new(SimNet::new());
     let seed = pleroma_server("seed.example", 1, 1);
     let mut directory = vec![Domain::new("seed.example")];
@@ -96,7 +100,7 @@ async fn every_failure_mode_is_classified_correctly() {
     }
     register(&net, &seed);
     let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-    let dataset = crawler.run(&directory).await;
+    let dataset = crawler.crawl(&directory);
     for (i, (mode, _)) in FailureMode::PAPER_TAXONOMY.iter().enumerate() {
         let inst = dataset.by_domain(&format!("fail{i}.example")).unwrap();
         let want = mode.forced_status().unwrap().0;
@@ -108,8 +112,8 @@ async fn every_failure_mode_is_classified_correctly() {
     }
 }
 
-#[tokio::test]
-async fn dead_peers_do_not_poison_discovery() {
+#[test]
+fn dead_peers_do_not_poison_discovery() {
     let net = Arc::new(SimNet::new());
     let hub = pleroma_server("hub.example", 1, 5);
     // The hub lists a pile of dead or missing peers plus one live one.
@@ -121,7 +125,7 @@ async fn dead_peers_do_not_poison_discovery() {
     register(&net, &hub);
     register(&net, &live);
     let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-    let dataset = crawler.run(&[Domain::new("hub.example")]).await;
+    let dataset = crawler.crawl(&[Domain::new("hub.example")]);
     // All ghosts recorded as unreachable, the live peer fully crawled.
     assert_eq!(dataset.instances.len(), 22);
     assert!(dataset.by_domain("live.example").unwrap().crawled());
@@ -133,6 +137,41 @@ async fn dead_peers_do_not_poison_discovery() {
     assert_eq!(unreachable, 20);
 }
 
+/// The crawl runs each BFS level on the rayon pool. With the world's
+/// seed failures injected, the dataset bytes and the network's request
+/// counters must not depend on the worker count.
+#[test]
+fn crawl_is_identical_at_1_2_8_workers() {
+    let _pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    let world = World::generate(WorldConfig::test_small());
+    let crawl_at = |threads: usize| {
+        let _ = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build_global();
+        let m = harness::materialize(&world);
+        let dataset =
+            Crawler::new(Arc::clone(&m.net), CrawlerConfig::default()).crawl(&world.directory);
+        let json = dataset.to_json().expect("a crawled dataset serialises");
+        (
+            json,
+            m.net.stats().snapshot(),
+            m.net.stats().status_counts(),
+        )
+    };
+    let reference = crawl_at(1);
+    let (_, injected, _) = reference.1;
+    assert!(injected > 0, "the world's seed failures answered probes");
+    for threads in [2, 8] {
+        let run = crawl_at(threads);
+        assert!(
+            run.0 == reference.0,
+            "dataset diverged at {threads} workers"
+        );
+        assert_eq!(run.1, reference.1, "request counters at {threads} workers");
+        assert_eq!(run.2, reference.2, "status counters at {threads} workers");
+    }
+}
+
 mod delivery_reliability {
     //! Failure injection at the dynamics layer: the §3 taxonomy split
     //! drives the retry queue — transient outages are survivable within
@@ -141,9 +180,10 @@ mod delivery_reliability {
     //! and must stay bit-identical. So must a bridged toxicity storm:
     //! its measurement phase hands instances to whichever worker frees
     //! up first, so who measures what varies from run to run while the
-    //! trace must not. The sweeps hold `POOL` (this binary's only
-    //! rayon-pool users), so each runs at the thread counts it names.
+    //! trace must not. The sweeps hold `POOL`, like the crawl sweep, so
+    //! each runs at the thread counts it names.
 
+    use super::POOL;
     use fediscope::core::time::SimDuration;
     use fediscope::dynamics::scenarios::lookup;
     use fediscope::dynamics::{
@@ -154,10 +194,7 @@ mod delivery_reliability {
     use fediscope::synthgen::{ScenarioSeeds, World, WorldConfig};
     use fediscope_core::time::SimTime;
     use rand::rngs::SmallRng;
-    use std::sync::{Arc, Mutex, OnceLock};
-
-    /// Serialises the tests that size the global rayon pool.
-    static POOL: Mutex<()> = Mutex::new(());
+    use std::sync::{Arc, OnceLock};
 
     fn seeds() -> &'static ScenarioSeeds {
         static SEEDS: OnceLock<ScenarioSeeds> = OnceLock::new();
@@ -322,21 +359,21 @@ mod delivery_reliability {
     }
 }
 
-#[tokio::test]
-async fn recovering_instance_serves_again() {
+#[test]
+fn recovering_instance_serves_again() {
     let net = Arc::new(SimNet::new());
     let flaky = pleroma_server("flaky.example", 1, 3);
     register(&net, &flaky);
     net.set_failure(Domain::new("flaky.example"), FailureMode::Unavailable);
     let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
-    let down = crawler.run(&[Domain::new("flaky.example")]).await;
+    let down = crawler.crawl(&[Domain::new("flaky.example")]);
     assert_eq!(
         down.by_domain("flaky.example").unwrap().outcome,
         fediscope::crawler::CrawlOutcome::Failed { status: 503 }
     );
     // Ops fixes the box; the next campaign collects everything.
     net.set_failure(Domain::new("flaky.example"), FailureMode::Healthy);
-    let up = crawler.run(&[Domain::new("flaky.example")]).await;
+    let up = crawler.crawl(&[Domain::new("flaky.example")]);
     let inst = up.by_domain("flaky.example").unwrap();
     assert!(inst.crawled());
     assert_eq!(inst.timeline.posts().len(), 3);

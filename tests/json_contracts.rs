@@ -31,10 +31,7 @@ fn world() -> &'static World {
 
 fn dataset() -> &'static Dataset {
     static DATASET: OnceLock<Dataset> = OnceLock::new();
-    DATASET.get_or_init(|| {
-        let rt = tokio::runtime::Runtime::new().expect("runtime");
-        rt.block_on(harness::crawl_world(world(), CrawlerConfig::default()))
-    })
+    DATASET.get_or_init(|| harness::crawl_world(world(), CrawlerConfig::default()))
 }
 
 /// An instance with users, posts, peers and a SimplePolicy config.

@@ -5,12 +5,14 @@ use fediscope::harness;
 use fediscope::prelude::*;
 use fediscope_analysis::timeseries;
 
-#[tokio::test]
-async fn snapshot_timeseries_aggregates_across_the_fleet() {
+#[test]
+fn snapshot_timeseries_aggregates_across_the_fleet() {
     let world = World::generate(WorldConfig::test_small());
-    let mut config = CrawlerConfig::default();
-    config.snapshot_rounds = 4;
-    let dataset = harness::crawl_world(&world, config).await;
+    let config = CrawlerConfig {
+        snapshot_rounds: 4,
+        ..CrawlerConfig::default()
+    };
+    let dataset = harness::crawl_world(&world, config);
 
     let rounds = timeseries::aggregate_snapshots(&dataset);
     assert_eq!(rounds.len(), 4, "one aggregate per polling round");
@@ -32,10 +34,10 @@ async fn snapshot_timeseries_aggregates_across_the_fleet() {
     assert_eq!(p0, p1);
 }
 
-#[tokio::test]
-async fn dataset_survives_a_full_persistence_round_trip() {
+#[test]
+fn dataset_survives_a_full_persistence_round_trip() {
     let world = World::generate(WorldConfig::test_small());
-    let dataset = harness::crawl_world(&world, CrawlerConfig::default()).await;
+    let dataset = harness::crawl_world(&world, CrawlerConfig::default());
 
     let path = std::env::temp_dir().join("fediscope-e2e-dataset.json");
     dataset.save(&path).expect("save");
@@ -65,10 +67,10 @@ async fn dataset_survives_a_full_persistence_round_trip() {
     }
 }
 
-#[tokio::test]
-async fn curation_pipeline_runs_on_crawled_data() {
+#[test]
+fn curation_pipeline_runs_on_crawled_data() {
     let world = World::generate(WorldConfig::test_small());
-    let dataset = harness::crawl_world(&world, CrawlerConfig::default()).await;
+    let dataset = harness::crawl_world(&world, CrawlerConfig::default());
     let annotations = HarmAnnotations::annotate(&dataset);
     let lists = fediscope::analysis::curation::curate(
         &dataset,
