@@ -22,6 +22,17 @@ pub trait ActorDirectory: Send + Sync {
     fn mrf_tags(&self, actor: &UserRef) -> Vec<String>;
     /// Number of reports (`Flag` activities) filed against this account.
     fn report_count(&self, actor: &UserRef) -> u32;
+    /// When this instance first had contact with `domain`, if it has.
+    ///
+    /// A live server records it when a remote domain's first activity
+    /// arrives, before the pipeline judges that activity. `None` means
+    /// "first contact is now": [`SandboxPolicy`] quarantines such a
+    /// domain. Keeping the fact here, not in the policy, keeps every
+    /// verdict a pure function of the pipeline, the activity and the
+    /// context, so one compiled pipeline can be shared between instances.
+    ///
+    /// [`SandboxPolicy`]: crate::mrf::policies::SandboxPolicy
+    fn first_seen(&self, domain: &Domain) -> Option<SimTime>;
 
     /// Account age at `now`, if creation time is known.
     fn account_age(&self, actor: &UserRef, now: SimTime) -> Option<SimDuration> {
@@ -49,6 +60,9 @@ impl ActorDirectory for NullActorDirectory {
     }
     fn report_count(&self, _: &UserRef) -> u32 {
         0
+    }
+    fn first_seen(&self, _: &Domain) -> Option<SimTime> {
+        None
     }
 }
 
@@ -195,6 +209,7 @@ mod tests {
         assert_eq!(d.account_age(&u, SimTime(100)), None);
         assert!(d.mrf_tags(&u).is_empty());
         assert_eq!(d.report_count(&u), 0);
+        assert_eq!(d.first_seen(&u.domain), None);
     }
 
     #[test]

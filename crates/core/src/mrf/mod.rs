@@ -54,9 +54,14 @@ use crate::catalog::PolicyKind;
 
 /// A single MRF policy.
 ///
-/// Implementations must be cheap to call and free of interior mutability
-/// except through the [`PolicyContext`]'s effect sink: the same policy
-/// object is shared across every activity an instance ingests.
+/// Implementations must be cheap to call and keep no mutable state: a
+/// verdict is a function of the policy's configuration, the activity and
+/// the [`PolicyContext`] alone, and the context's effect sink is the only
+/// thing a call writes. The same policy object is shared across every
+/// activity an instance ingests, and an interned pipeline across
+/// instances. Memory a policy needs (first contact with a domain) is a
+/// fact of the [`ActorDirectory`]; de-duplicating side effects (an emoji
+/// already stolen, an account already followed) is the consumer's job.
 pub trait MrfPolicy: Send + Sync {
     /// Which catalog entry this policy implements.
     fn kind(&self) -> PolicyKind;

@@ -7,9 +7,7 @@ use crate::model::{ActivityKind, Visibility};
 use crate::mrf::context::{PolicyContext, SideEffect};
 use crate::mrf::verdict::RejectReason;
 use crate::mrf::{Inbound, MrfPolicy};
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// `AntiFollowbotPolicy` — "Stop the automatic following of newly
 /// discovered users" (Table 3; 51 instances). Rejects `Follow` requests
@@ -85,27 +83,20 @@ impl MrfPolicy for AntiLinkSpamPolicy {
 /// `FollowBotPolicy` — "Automatically follows newly discovered users from
 /// the specified bot account" (Table 3; 2 instances).
 ///
-/// Stateful: remembers which actors it has already seen so each discovered
-/// account is followed exactly once.
-#[derive(Debug)]
+/// Emits an [`SideEffect::AutoFollowed`] for every remote `Create` it
+/// sees. The policy keeps no memory: the consumer of the effects (a
+/// server) follows each discovered account once, so a pipeline shared
+/// between instances shares no discovery state.
+#[derive(Debug, Clone)]
 pub struct FollowBotPolicy {
     /// The local bot account that performs the follows.
     pub bot: UserRef,
-    seen: Mutex<HashSet<UserRef>>,
 }
 
 impl FollowBotPolicy {
     /// Builds the policy around the given local bot account.
     pub fn new(bot: UserRef) -> Self {
-        FollowBotPolicy {
-            bot,
-            seen: Mutex::new(HashSet::new()),
-        }
-    }
-
-    /// Number of distinct actors discovered so far.
-    pub fn discovered(&self) -> usize {
-        self.seen.lock().len()
+        FollowBotPolicy { bot }
     }
 }
 
@@ -116,12 +107,9 @@ impl MrfPolicy for FollowBotPolicy {
 
     fn filter(&self, ctx: &PolicyContext<'_>, act: &mut Inbound<'_>) -> Result<(), RejectReason> {
         if act.kind == ActivityKind::Create && !ctx.is_local(&act.actor.domain) {
-            let mut seen = self.seen.lock();
-            if seen.insert(act.actor.clone()) {
-                ctx.emit(SideEffect::AutoFollowed {
-                    target: act.actor.clone(),
-                });
-            }
+            ctx.emit(SideEffect::AutoFollowed {
+                target: act.actor.clone(),
+            });
         }
         Ok(())
     }
@@ -157,6 +145,9 @@ mod tests {
         }
         fn report_count(&self, _: &UserRef) -> u32 {
             0
+        }
+        fn first_seen(&self, _: &Domain) -> Option<SimTime> {
+            None
         }
     }
 
@@ -229,18 +220,19 @@ mod tests {
     }
 
     #[test]
-    fn follow_bot_follows_each_new_actor_once() {
+    fn follow_bot_emits_a_follow_on_every_remote_post() {
         let bot = UserRef::new(UserId(1000), Domain::new("home.example"));
         let p = FollowBotPolicy::new(bot);
-        let (_, effects) = run_with_effects(&p, create_from(5, false));
-        assert_eq!(effects.len(), 1);
-        assert!(
-            matches!(&effects[0], SideEffect::AutoFollowed { target } if target.user == UserId(5))
-        );
-        // Second post from the same actor: no new follow.
-        let (_, effects) = run_with_effects(&p, create_from(5, false));
-        assert!(effects.is_empty());
-        assert_eq!(p.discovered(), 1);
+        // The same actor twice: the policy reports it each time; the
+        // consumer decides whether it is new.
+        for _ in 0..2 {
+            let (v, effects) = run_with_effects(&p, create_from(5, false));
+            assert!(v.is_pass());
+            assert_eq!(effects.len(), 1);
+            assert!(
+                matches!(&effects[0], SideEffect::AutoFollowed { target } if target.user == UserId(5))
+            );
+        }
     }
 
     #[test]

@@ -12,10 +12,8 @@ use crate::model::{ActivityKind, Post, Visibility};
 use crate::mrf::context::{PolicyContext, SideEffect};
 use crate::mrf::verdict::RejectReason;
 use crate::mrf::{Inbound, MrfPolicy};
-use crate::time::{SimDuration, SimTime};
-use parking_lot::Mutex;
+use crate::time::SimDuration;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// `AMQPPolicy` — mirrors every accepted activity onto a message bus.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -409,20 +407,33 @@ impl MrfPolicy for LocalOnlyPolicy {
 /// `SandboxPolicy` — quarantines newly seen remote instances: until a
 /// domain has been known for the quarantine period, its posts are forced
 /// to followers-only visibility.
-#[derive(Debug)]
+///
+/// The policy keeps no memory of its own. It reads when the instance
+/// first had contact with the origin from
+/// [`ActorDirectory::first_seen`](crate::mrf::ActorDirectory::first_seen),
+/// and an unknown domain (`None`) is in first contact now, so it is
+/// quarantined. A compiled pipeline shared between instances therefore
+/// starts no instance's clock on behalf of another. A server's directory
+/// records first contact before the filter runs.
+///
+/// The simulation engine judges every delivery under a directory that
+/// knows no domain, so there every remote domain stays quarantined for
+/// the whole run. Earlier, one pipeline-wide map released a domain a
+/// quarantine period after the pipeline first saw it. The two differ
+/// only where a later stage reads visibility, such as `RejectNonPublic`
+/// after `SandboxCustom`. None of the 42 paper-scale worlds at seeds
+/// 1534, 77 and 1–40 has that order (each runs one Sandbox instance and
+/// three `RejectNonPublic` instances), so their traces are unchanged.
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SandboxPolicy {
     /// How long a new domain stays quarantined.
     pub quarantine: SimDuration,
-    first_seen: Mutex<HashMap<Domain, SimTime>>,
 }
 
 impl SandboxPolicy {
     /// Builds the policy with the given quarantine period.
     pub fn new(quarantine: SimDuration) -> Self {
-        SandboxPolicy {
-            quarantine,
-            first_seen: Mutex::new(HashMap::new()),
-        }
+        SandboxPolicy { quarantine }
     }
 }
 
@@ -442,11 +453,7 @@ impl MrfPolicy for SandboxPolicy {
         if ctx.is_local(origin) {
             return Ok(());
         }
-        let first = *self
-            .first_seen
-            .lock()
-            .entry(origin.clone())
-            .or_insert(ctx.now);
+        let first = ctx.actors.first_seen(origin).unwrap_or(ctx.now);
         if ctx.now.since(first) < self.quarantine {
             if let Some(post) = act.note_mut_if(|p| p.visibility.is_public_ish()) {
                 post.visibility = Visibility::FollowersOnly;
@@ -463,6 +470,7 @@ mod tests {
     use crate::model::Activity;
     use crate::mrf::context::{ActorDirectory, NullActorDirectory};
     use crate::mrf::{filter_owned, PolicyVerdict};
+    use crate::time::SimTime;
 
     fn note(domain: &str, content: &str) -> Activity {
         let author = UserRef::new(UserId(1), Domain::new(domain));
@@ -527,6 +535,9 @@ mod tests {
             }
             fn report_count(&self, _: &UserRef) -> u32 {
                 0
+            }
+            fn first_seen(&self, _: &Domain) -> Option<SimTime> {
+                None
             }
         }
         let local = Domain::new("home.example");
@@ -662,29 +673,87 @@ mod tests {
         assert!(run(&p, note("remote.example", "x")).0.is_pass());
     }
 
+    /// Directory that first met `known.example` on day 0 and no other
+    /// domain.
+    struct FirstSeenDir;
+    impl ActorDirectory for FirstSeenDir {
+        fn is_bot(&self, _: &UserRef) -> bool {
+            false
+        }
+        fn followers(&self, _: &UserRef) -> Option<u32> {
+            None
+        }
+        fn created(&self, _: &UserRef) -> Option<SimTime> {
+            None
+        }
+        fn mrf_tags(&self, _: &UserRef) -> Vec<String> {
+            Vec::new()
+        }
+        fn report_count(&self, _: &UserRef) -> u32 {
+            0
+        }
+        fn first_seen(&self, domain: &Domain) -> Option<SimTime> {
+            (domain.as_str() == "known.example").then_some(SimTime(0))
+        }
+    }
+
+    fn sandbox_visibility(p: &SandboxPolicy, domain: &str, day: u64) -> Visibility {
+        let local = Domain::new("home.example");
+        let dir = FirstSeenDir;
+        let ctx = PolicyContext::new(&local, SimTime(SimDuration::days(day).as_secs()), &dir);
+        let v = filter_owned(p, &ctx, note(domain, "x"));
+        v.expect_pass().note().unwrap().visibility
+    }
+
     #[test]
-    fn sandbox_quarantines_new_domains_then_releases() {
+    fn sandbox_quarantines_by_the_directory_first_contact() {
         let p = SandboxPolicy::new(SimDuration::days(7));
-        // Day 0: first contact, quarantined.
-        let (v, _) = run_at(&p, note("new.example", "x"), SimTime(0));
+        // Known since day 0: quarantined on day 3, released on day 8.
         assert_eq!(
-            v.expect_pass().note().unwrap().visibility,
+            sandbox_visibility(&p, "known.example", 3),
             Visibility::FollowersOnly
         );
-        // Day 3: still quarantined.
-        let t3 = SimTime(SimDuration::days(3).as_secs());
-        let (v, _) = run_at(&p, note("new.example", "x"), t3);
         assert_eq!(
-            v.expect_pass().note().unwrap().visibility,
-            Visibility::FollowersOnly
-        );
-        // Day 8: released.
-        let t8 = SimTime(SimDuration::days(8).as_secs());
-        let (v, _) = run_at(&p, note("new.example", "x"), t8);
-        assert_eq!(
-            v.expect_pass().note().unwrap().visibility,
+            sandbox_visibility(&p, "known.example", 8),
             Visibility::Public
         );
+        // Unknown to the directory: first contact is now, at any time.
+        for day in [0, 8, 30] {
+            assert_eq!(
+                sandbox_visibility(&p, "new.example", day),
+                Visibility::FollowersOnly
+            );
+        }
+        // Local posts are never sandboxed.
+        assert_eq!(
+            sandbox_visibility(&p, "home.example", 0),
+            Visibility::Public
+        );
+    }
+
+    #[test]
+    fn sandbox_verdicts_do_not_depend_on_call_order() {
+        let cases = [
+            ("known.example", 8),
+            ("new.example", 0),
+            ("known.example", 3),
+            ("new.example", 30),
+        ];
+        let fresh: Vec<Visibility> = cases
+            .iter()
+            .map(|&(d, day)| sandbox_visibility(&SandboxPolicy::default(), d, day))
+            .collect();
+        let shared = SandboxPolicy::default();
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1]] {
+            for k in order {
+                let (d, day) = cases[k];
+                assert_eq!(
+                    sandbox_visibility(&shared, d, day),
+                    fresh[k],
+                    "{d} day {day}"
+                );
+            }
+        }
     }
 
     #[test]

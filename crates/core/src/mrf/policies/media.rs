@@ -8,21 +8,23 @@ use crate::mrf::context::{PolicyContext, SideEffect};
 use crate::mrf::verdict::RejectReason;
 use crate::mrf::{Inbound, MrfPolicy};
 use crate::time::SimDuration;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// `StealEmojiPolicy` — "List of hosts to steal emojis from" (Table 3; 81
 /// instances, 7,003 users). When a post from a whitelisted host uses a
 /// custom emoji the local instance does not have, it is downloaded
 /// ("stolen") and registered locally.
-#[derive(Debug, Default)]
+///
+/// Emits an [`SideEffect::EmojiStolen`] for every eligible emoji on
+/// every call. The policy keeps no memory: the consumer of the effects (a
+/// server) registers each shortcode once, so a pipeline shared between
+/// instances shares no stolen set.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StealEmojiPolicy {
     /// Hosts to steal from.
     pub hosts: Vec<Domain>,
     /// Shortcodes never to steal (Pleroma's `rejected_shortcodes`).
     pub rejected_shortcodes: Vec<String>,
-    stolen: Mutex<HashSet<String>>,
 }
 
 impl StealEmojiPolicy {
@@ -31,13 +33,7 @@ impl StealEmojiPolicy {
         StealEmojiPolicy {
             hosts,
             rejected_shortcodes: Vec::new(),
-            stolen: Mutex::new(HashSet::new()),
         }
-    }
-
-    /// Number of distinct emojis stolen so far.
-    pub fn stolen_count(&self) -> usize {
-        self.stolen.lock().len()
     }
 }
 
@@ -54,13 +50,10 @@ impl MrfPolicy for StealEmojiPolicy {
                     if self.rejected_shortcodes.contains(&emoji.shortcode) {
                         continue;
                     }
-                    let mut stolen = self.stolen.lock();
-                    if stolen.insert(emoji.shortcode.clone()) {
-                        ctx.emit(SideEffect::EmojiStolen {
-                            shortcode: emoji.shortcode.clone(),
-                            host: emoji.host.clone(),
-                        });
-                    }
+                    ctx.emit(SideEffect::EmojiStolen {
+                        shortcode: emoji.shortcode.clone(),
+                        host: emoji.host.clone(),
+                    });
                 }
             }
         }
@@ -188,15 +181,19 @@ mod tests {
     }
 
     #[test]
-    fn steal_emoji_from_whitelisted_hosts_once() {
+    fn steal_emoji_emits_on_every_call() {
         let p = StealEmojiPolicy::new(vec![Domain::new("emoji.example")]);
         let (_, effects) =
             run_with_effects(&p, emoji_post("emoji.example", &["blobcat", "ablobcat"]));
         assert_eq!(effects.len(), 2);
-        assert_eq!(p.stolen_count(), 2);
-        // Same emojis again: already stolen, no effects.
-        let (_, effects) = run_with_effects(&p, emoji_post("emoji.example", &["blobcat"]));
-        assert!(effects.is_empty());
+        // The same emoji again: the policy reports it again; the
+        // consumer decides whether it is already stolen.
+        for _ in 0..2 {
+            let (_, effects) = run_with_effects(&p, emoji_post("emoji.example", &["blobcat"]));
+            assert!(
+                matches!(&effects[..], [SideEffect::EmojiStolen { shortcode, .. }] if shortcode == "blobcat")
+            );
+        }
     }
 
     #[test]

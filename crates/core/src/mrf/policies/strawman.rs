@@ -416,6 +416,9 @@ mod tests {
         fn report_count(&self, _: &UserRef) -> u32 {
             self.0
         }
+        fn first_seen(&self, _: &Domain) -> Option<SimTime> {
+            None
+        }
     }
 
     #[test]

@@ -113,6 +113,9 @@ mod tests {
         fn report_count(&self, _: &UserRef) -> u32 {
             0
         }
+        fn first_seen(&self, _: &Domain) -> Option<SimTime> {
+            None
+        }
     }
 
     fn tagged_dir(user: UserId, tag: &str) -> TagDir {

@@ -28,23 +28,39 @@
 //!   template was scored once, when its column was built
 //!   ([`PostTemplate::toxic`]), so a run makes one scorer call per
 //!   template whatever its tick count.
-//! - **Stage 2 — parallel over receivers.** Each up receiver judges its
-//!   neighbors' distinct templates once each, in the same neighbor order
-//!   and first-draw order as the per-post path, with
-//!   [`MrfPipeline::filter_inbound`] on the borrowed template: a stage
+//! - **Stage 2 — parallel over receivers.** Each up receiver reads one
+//!   verdict word per neighbor ([`NetworkState::verdict_row`]): a bit per
+//!   template says whether its pipeline has judged that neighbor's
+//!   template, and another whether it accepted it. Only a template the
+//!   word does not know yet is judged, with
+//!   [`MrfPipeline::filter_inbound`] on the borrowed template (a stage
 //!   that actually rewrites *this* activity clones it once, and the walk
-//!   continues from the clone.
+//!   continues from the clone); the word is stored back once if it
+//!   changed. A steady run therefore makes one filter call per (receiver,
+//!   neighbor, template) it ever draws, not one per tick.
+//!
+//! A stored verdict is sound because every verdict is a pure function:
+//! no policy keeps mutable memory, and under the engine's context (a
+//! [`NullActorDirectory`], `published = now`, sender ≠ receiver) it
+//! depends only on the receiver's pipeline and the template. The control
+//! phase marks a receiver stale whenever it writes its pipeline, and a
+//! measured tick clears the stale rows before stage 2; [`begin`] clears
+//! every row after the scenario's `init`. One worker measures a receiver
+//! per tick, so no word has two writers, and the thread join that ends
+//! each parallel call orders one tick's stores before the next tick's
+//! loads.
 //!
 //! Identity with the reference path holds because the draws are the
 //! same RNG stream and every column is an integer: a template drawn
 //! `count` times adds `count` times its stored quantised toxicity,
 //! exactly what `count` single additions give. The per-post path is
 //! retained as [`MeasureMode::Reference`] and serves as the differential
-//! oracle in tests: it scores every emission afresh, so it also checks
-//! every stored score it draws.
+//! oracle in tests: it scores and filters every emission afresh, so it
+//! also checks every stored score and every stored verdict it draws.
 //!
 //! [`PostTemplate::toxic`]: crate::PostTemplate::toxic
 //! [`MrfPipeline::filter_inbound`]: fediscope_core::mrf::MrfPipeline::filter_inbound
+//! [`begin`]: DynamicsEngine::begin
 
 use crate::event::{Event, EventQueue};
 use crate::scenario::Scenario;
@@ -63,6 +79,7 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::collections::HashSet;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Which measurement-phase implementation [`DynamicsEngine::step`] runs.
@@ -73,8 +90,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasureMode {
     /// Two-stage sender-majorized batching: draw each sender's emissions
-    /// once, read each template's stored score, take one MRF verdict per
-    /// `(receiver, sender, distinct template)`.
+    /// once, read each template's stored score, and read each `(receiver,
+    /// sender, template)` MRF verdict from the per-edge table, judging it
+    /// only the first time it is drawn.
     Batched,
     /// The original per-post path: every `(receiver, sender)` edge
     /// replays the sender's draws and clones + filters every emission.
@@ -132,6 +150,7 @@ struct InstanceTick {
     rejected_authors: u64,
     exposure: u64,
     prevented: u64,
+    filter_calls: u64,
 }
 
 /// A reusable engine factory over one shared seed extract.
@@ -459,6 +478,9 @@ impl DynamicsEngine {
             &mut self.queue,
             &mut ctrl_rng,
         );
+        // `init` may rewrite pipelines and templates directly, which no
+        // stale mark sees: start the run with no stored verdict.
+        self.state.clear_verdicts();
         self.ctrl_rng = Some(ctrl_rng);
         if let Some(sink) = self.sink.as_mut() {
             sink.sync(&self.state);
@@ -517,10 +539,12 @@ impl DynamicsEngine {
             let _close = PhaseTimer::start_on(telemetry, Phase::TickClose);
             return Some(self.aggregate(tick, now, events, &[]));
         }
-        // Refresh the hoisted emissions column before the immutable
-        // fan-out borrows state. O(1) on churn-free ticks.
+        // Refresh the hoisted emissions column and drop the verdicts of
+        // receivers whose pipeline changed, before the immutable fan-out
+        // borrows state. Both are O(1) on quiet ticks.
         if self.config.measure == MeasureMode::Batched {
             self.state.refresh_emissions(self.config.emission_cap);
+            self.state.clear_stale_verdicts();
         }
         let state = &self.state;
         let config = &self.config;
@@ -746,6 +770,7 @@ fn measure_receiver_reference(
             }
             // The traced owning entry point, so this oracle also pins it
             // against the batched path's borrowed `filter_inbound`.
+            m.filter_calls += 1;
             if receiver.pipeline.filter(&ctx, activity).accepted() {
                 m.accepted += 1;
                 m.exposure += toxic;
@@ -810,11 +835,12 @@ thread_local! {
     static MEASURE_SCRATCH: RefCell<HashSet<(u32, u64)>> = RefCell::new(HashSet::new());
 }
 
-/// One receiver's tick, batched path (stage 2): one MRF verdict per
-/// `(receiver, sender, distinct template)`, judged on the borrowed
-/// template (it is cloned only if a stage rewrites it) in the order the
-/// per-post path first meets each template, and credited with the
-/// template's whole draw count.
+/// One receiver's tick, batched path (stage 2). Per neighbor it loads
+/// the verdict word once ([`NetworkState::verdict_row`]), judges only the
+/// drawn templates the word does not know yet (on the borrowed template,
+/// cloned only if a stage rewrites it, in the order the per-post path
+/// first meets them), credits each template's whole draw count from its
+/// "accepted" bit, and stores the word back once if it changed.
 fn measure_receiver_batched(
     state: &NetworkState,
     batches: &[SenderBatch],
@@ -837,17 +863,32 @@ fn measure_receiver_batched(
     let actors = NullActorDirectory;
     let ctx = PolicyContext::new(&receiver.domain, now, &actors);
     rejected_authors.clear();
-    for &s in state.neighbors(r) {
+    for (&s, word) in state.neighbors(r).iter().zip(state.verdict_row(r)) {
+        let batch = &batches[s as usize];
+        if batch.is_empty() {
+            continue;
+        }
         let sender = &state.instances[s as usize];
-        for &(t, count) in &batches[s as usize] {
+        let stored = word.load(Ordering::Relaxed);
+        let mut verdicts = stored;
+        for &(t, count) in batch {
             let template = &sender.templates[t as usize];
-            let mut activity = Inbound::borrowed(&template.activity, now);
+            let known = 1u64 << t;
+            let accepted = known << 32;
+            if verdicts & known == 0 {
+                let mut activity = Inbound::borrowed(&template.activity, now);
+                m.filter_calls += 1;
+                verdicts |= known;
+                if receiver
+                    .pipeline
+                    .filter_inbound(&ctx, &mut activity)
+                    .is_ok()
+                {
+                    verdicts |= accepted;
+                }
+            }
             m.delivered += count;
-            if receiver
-                .pipeline
-                .filter_inbound(&ctx, &mut activity)
-                .is_ok()
-            {
+            if verdicts & accepted != 0 {
                 m.accepted += count;
                 m.exposure += count * template.toxic;
             } else {
@@ -858,6 +899,9 @@ fn measure_receiver_batched(
                 }
             }
         }
+        if verdicts != stored {
+            word.store(verdicts, Ordering::Relaxed);
+        }
     }
     // Side effects are intentionally dropped with the context, exactly
     // as in the reference path.
@@ -867,7 +911,7 @@ fn measure_receiver_batched(
 }
 
 /// Batch-publishes one receiver's tick counters: the counts were already
-/// accumulated locally, so the parallel fan-out pays at most four
+/// accumulated locally, so the parallel fan-out pays at most five
 /// sharded adds per receiver per tick, never one per post.
 #[inline]
 fn observe_receiver(m: &InstanceTick) {
@@ -879,6 +923,7 @@ fn observe_receiver(m: &InstanceTick) {
     telemetry.add(HotCounter::FilterFastHits, m.accepted);
     telemetry.add(HotCounter::FilterFastRejects, m.rejected);
     telemetry.add(HotCounter::FailedDeliveries, m.failed);
+    telemetry.add(HotCounter::MrfFilterCalls, m.filter_calls);
 }
 
 #[cfg(test)]
@@ -886,6 +931,7 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use crate::testutil::seeds;
+    use fediscope_core::time::CAMPAIGN_START;
 
     /// A scenario that does nothing: steady-state traffic only.
     struct Steady;
@@ -971,5 +1017,242 @@ mod tests {
         assert_eq!(trace.ticks[0].events, 0);
         assert_eq!(trace.ticks[1].events, 1);
         assert_eq!(trace.ticks.iter().map(|t| t.events).sum::<u64>(), 1);
+    }
+
+    /// A scenario whose `init` runs a closure: how the verdict-table
+    /// tests rewrite state and schedule events.
+    struct Scripted<F>(F);
+    impl<F: FnMut(SimTime, &mut NetworkState, &mut EventQueue)> Scenario for Scripted<F> {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn init(
+            &mut self,
+            start: SimTime,
+            state: &mut NetworkState,
+            queue: &mut EventQueue,
+            _rng: &mut SmallRng,
+        ) {
+            (self.0)(start, state, queue)
+        }
+    }
+
+    fn config(measure: MeasureMode) -> DynamicsConfig {
+        DynamicsConfig {
+            ticks: 8,
+            measure,
+            ..DynamicsConfig::default()
+        }
+    }
+
+    /// The start of tick `k` under [`config`].
+    fn tick_at(start: SimTime, k: u64) -> SimTime {
+        start + SimDuration(SNAPSHOT_INTERVAL.0 * k)
+    }
+
+    fn assert_same_ticks(batched: &DynamicsTrace, reference: &DynamicsTrace) {
+        assert_eq!(batched.ticks.len(), reference.ticks.len());
+        for (b, r) in batched.ticks.iter().zip(&reference.ticks) {
+            assert_eq!(b, r, "tick {} diverges from the per-post path", b.tick);
+        }
+    }
+
+    /// Runs one scripted scenario on the batched path and on the per-post
+    /// reference, asserts their traces agree tick by tick, and returns
+    /// the batched trace.
+    fn batched_matches_reference<F>(init: F) -> DynamicsTrace
+    where
+        F: FnMut(SimTime, &mut NetworkState, &mut EventQueue) + Clone,
+    {
+        let batched = DynamicsEngine::new(config(MeasureMode::Batched), seeds())
+            .run(&mut Scripted(init.clone()));
+        let reference =
+            DynamicsEngine::new(config(MeasureMode::Reference), seeds()).run(&mut Scripted(init));
+        assert_same_ticks(&batched, &reference);
+        batched
+    }
+
+    /// Whether instance `r`'s pipeline accepts sender `s`'s template `t`.
+    fn accepts(state: &NetworkState, r: usize, s: u32, t: usize) -> bool {
+        let actors = NullActorDirectory;
+        let ctx = PolicyContext::new(&state.instances[r].domain, CAMPAIGN_START, &actors);
+        let template = &state.instances[s as usize].templates[t];
+        let mut activity = Inbound::borrowed(&template.activity, CAMPAIGN_START);
+        state.instances[r]
+            .pipeline
+            .filter_inbound(&ctx, &mut activity)
+            .is_ok()
+    }
+
+    /// Whether instance `i` answers and has templates to emit.
+    fn emitter(state: &NetworkState, i: u32) -> bool {
+        let inst = &state.instances[i as usize];
+        inst.up() && !inst.templates.is_empty()
+    }
+
+    #[test]
+    fn a_mid_run_keyword_wave_rejects_a_stored_accept() {
+        use fediscope_core::catalog::PolicyKind;
+        use fediscope_core::config::PolicyConfig;
+        use fediscope_core::mrf::policies::{KeywordAction, KeywordPolicy, KeywordRule};
+        use fediscope_core::rollout::RolloutWave;
+        let state = NetworkState::from_seeds(seeds());
+        // A receiver without a keyword policy that accepts a neighbor's
+        // first template.
+        let (r, s) = (0..state.len())
+            .filter(|&r| {
+                state.instances[r].up()
+                    && !state.instances[r].enabled().contains(&PolicyKind::Keyword)
+            })
+            .find_map(|r| {
+                let s = *state
+                    .neighbors(r)
+                    .iter()
+                    .find(|&&s| emitter(&state, s) && accepts(&state, r, s, 0))?;
+                Some((r, s))
+            })
+            .expect("some receiver accepts a neighbor's template");
+        let pattern = state.instances[s as usize].templates[0].content.to_string();
+        let init = move |wave: bool| {
+            let pattern = pattern.clone();
+            move |start: SimTime, state: &mut NetworkState, queue: &mut EventQueue| {
+                // The keyword rule waits in r's knobs until a wave
+                // enables the policy; the sender draws every template
+                // most ticks.
+                let inst = &mut state.instances[r];
+                let mut knobs = (*inst.moderation).clone();
+                knobs.configs.retain(|c| c.kind() != PolicyKind::Keyword);
+                knobs
+                    .configs
+                    .push(PolicyConfig::Keyword(KeywordPolicy::new(vec![
+                        KeywordRule::new(pattern.clone(), KeywordAction::Reject),
+                    ])));
+                inst.moderation = Arc::new(knobs);
+                state.set_rate(s, 64.0);
+                if wave {
+                    queue.schedule(
+                        tick_at(start, 3),
+                        Event::AdoptWave {
+                            instance: r as u32,
+                            wave: Arc::new(RolloutWave {
+                                enable: vec![PolicyKind::Keyword],
+                                ..RolloutWave::default()
+                            }),
+                        },
+                    );
+                }
+            }
+        };
+        let with_wave = batched_matches_reference(init(true));
+        let without = batched_matches_reference(init(false));
+        // The wave bites from its tick on (on every tick the sender
+        // draws the template), and not before.
+        for (a, b) in with_wave.ticks.iter().zip(&without.ticks) {
+            if a.tick < 3 {
+                assert_eq!(a, b);
+            } else {
+                assert!(a.rejected >= b.rejected, "tick {}", a.tick);
+            }
+        }
+        assert!(with_wave.total_rejected() > without.total_rejected());
+    }
+
+    #[test]
+    fn a_defederation_shifts_the_receiver_verdicts_with_its_slots() {
+        use fediscope_core::mrf::policies::{SimpleAction, SimplePolicy};
+        use fediscope_core::rollout::RolloutWave;
+        let state = NetworkState::from_seeds(seeds());
+        // A receiver with at least three emitting neighbors.
+        let r = (0..state.len())
+            .find(|&r| {
+                state.instances[r].up()
+                    && state.neighbors(r).len() >= 3
+                    && state.neighbors(r).iter().all(|&s| emitter(&state, s))
+            })
+            .expect("some receiver has three emitting neighbors");
+        let neighbors = state.neighbors(r).to_vec();
+        let first = neighbors[0];
+        let last = *neighbors.last().unwrap();
+        let blocked = state.instances[last as usize].domain.clone();
+        let trace = batched_matches_reference(
+            move |start: SimTime, state: &mut NetworkState, queue: &mut EventQueue| {
+                for &s in &neighbors {
+                    state.set_rate(s, 64.0);
+                }
+                // r rejects its last neighbor and accepts the others, so
+                // a word read from the wrong slot shows.
+                let wave = RolloutWave {
+                    simple: Some(
+                        SimplePolicy::new().with_target(SimpleAction::Reject, blocked.clone()),
+                    ),
+                    ..RolloutWave::default()
+                };
+                state.apply_wave(r as u32, &wave);
+                // The first neighbor blocks r: every slot of r's row
+                // shifts down by one, and r's pipeline is unchanged.
+                queue.schedule(
+                    tick_at(start, 3),
+                    Event::Defederate {
+                        instance: first,
+                        target: r as u32,
+                    },
+                );
+            },
+        );
+        assert_eq!(trace.ticks[3].links + 1, trace.ticks[2].links);
+    }
+
+    #[test]
+    fn pipelines_rewritten_in_init_drop_the_stored_verdicts() {
+        use fediscope_core::mrf::MrfPipeline;
+        // Rewrites every pipeline through `reset_moderation_default`.
+        fn reset(_: SimTime, state: &mut NetworkState, _: &mut EventQueue) {
+            for i in 0..state.len() {
+                state.reset_moderation_default(i);
+            }
+        }
+        // Rewrites every pipeline by a direct write of the public field,
+        // which no stale mark sees.
+        fn open(_: SimTime, state: &mut NetworkState, _: &mut EventQueue) {
+            for inst in &mut state.instances {
+                inst.pipeline = Arc::new(MrfPipeline::new());
+            }
+        }
+        let steady = DynamicsEngine::new(config(MeasureMode::Reference), seeds()).run(&mut Steady);
+        assert!(steady.total_rejected() > 0, "the seed pipelines reject");
+        let rewrites: [fn(SimTime, &mut NetworkState, &mut EventQueue); 2] = [reset, open];
+        for rewrite in rewrites {
+            let expected = DynamicsEngine::new(config(MeasureMode::Reference), seeds())
+                .run(&mut Scripted(rewrite));
+            // The batched engine first fills every row under the seed
+            // pipelines, then runs the rewrite on the same state.
+            let mut batched = DynamicsEngine::new(config(MeasureMode::Batched), seeds());
+            assert_same_ticks(&batched.run(&mut Steady), &steady);
+            assert_same_ticks(&batched.run(&mut Scripted(rewrite)), &expected);
+        }
+        let opened =
+            DynamicsEngine::new(config(MeasureMode::Reference), seeds()).run(&mut Scripted(open));
+        assert_eq!(
+            opened.total_rejected(),
+            0,
+            "an empty pipeline rejects nothing"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the per-edge verdict word holds at most 32")]
+    fn a_33_template_instance_hits_the_cap() {
+        let mut seeds = seeds().clone();
+        let i = (0..seeds.len())
+            .find(|&i| !seeds.templates[i].is_empty())
+            .expect("some instance has templates");
+        let more: Vec<_> = seeds.templates[i]
+            .iter()
+            .cycle()
+            .take(33)
+            .cloned()
+            .collect();
+        seeds.templates[i] = Arc::from(more);
+        NetworkState::from_seeds(&seeds);
     }
 }

@@ -21,9 +21,11 @@
 //! * [`DynamicsEngine`] — the tick loop: a single-threaded control
 //!   phase applies events in `(time, sequence)` order, then a
 //!   measurement phase fans out per instance across the rayon pool
-//!   (sized via `rayon::ThreadPoolBuilder`), pushing every live neighbor's
-//!   emissions through the receiver's `MrfPipeline::filter_inbound`
-//!   and the Perspective scorer;
+//!   (sized via `rayon::ThreadPoolBuilder`), crediting every live
+//!   neighbor's emissions with the receiver's MRF verdict (judged once
+//!   per neighbor template by `MrfPipeline::filter_inbound`, then read
+//!   from a per-edge verdict word) and the template's stored
+//!   Perspective score;
 //! * [`DynamicsTrace`] — per-tick metrics (federation link count,
 //!   rejected posts/users, per-instance toxic exposure) that
 //!   `fediscope-analysis` turns into time-series tables next to the

@@ -4,7 +4,9 @@
 //! single-threaded control phase (event application). The parallel
 //! measurement phase reads it immutably, which is what makes the
 //! per-tick fan-out safe *and* bit-reproducible: no worker ever observes
-//! a state another worker is changing.
+//! a state another worker is changing. The one exception is the
+//! per-edge verdict table ([`NetworkState::verdict_row`]): each worker
+//! writes only the row of the receiver it measures.
 
 use crate::trace::{failure_mix_index, quantise_score};
 use fediscope_core::catalog::PolicyKind;
@@ -21,7 +23,12 @@ use fediscope_synthgen::ScenarioSeeds;
 use fediscope_telemetry::{HotCounter, Telemetry};
 use rayon::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
+
+/// The most templates an instance may carry: one bit per template in the
+/// "known" and the "accepted" half of a verdict word.
+const MAX_TEMPLATES: usize = 32;
 
 /// Configuration of the delivery-reliability layer: how a retry-enabled
 /// run redelivers batches lost to transient failures.
@@ -197,7 +204,15 @@ pub struct NetworkState {
     /// ([`set_failure`](Self::set_failure),
     /// [`apply_wave`](Self::apply_wave), …): they keep the O(1)
     /// aggregate counters below in step, which is what lets the engine
-    /// close a tick without an O(instances) sweep.
+    /// close a tick without an O(instances) sweep. The pipeline writers
+    /// ([`apply_wave`](Self::apply_wave), a new block in
+    /// [`defederate`](Self::defederate),
+    /// [`reset_moderation_default`](Self::reset_moderation_default)) also
+    /// mark the instance stale in the engine's per-edge verdict table,
+    /// and [`unlink`](Self::unlink) shifts the table with the neighbor
+    /// slots. A direct write to `pipeline` or `templates` belongs in a
+    /// scenario's `init` only: the engine clears every stored verdict
+    /// after `init`, and no stale mark sees a write made later.
     pub instances: Vec<InstanceState>,
     /// Sorted neighbor lists (undirected federation links).
     neighbors: Vec<Vec<u32>>,
@@ -240,6 +255,22 @@ pub struct NetworkState {
     emissions_col_cap: u64,
     /// Whether a churn event invalidated the cached column.
     emissions_dirty: bool,
+    /// The per-edge verdict table: one word per (receiver, neighbor
+    /// slot), aligned with [`neighbors`](Self::neighbors). Bit `t` says
+    /// the receiver's pipeline has judged the neighbor's template `t`,
+    /// bit `32 + t` that it accepted it. Row `r` keeps its seed-time slot
+    /// range `verdict_rows[r]..verdict_rows[r + 1]`, since neighbor lists
+    /// only shrink. Relaxed atomics: stage 2 of the measurement phase
+    /// writes only the row of the receiver it measures, and the thread
+    /// join that ends each parallel call orders one tick's stores before
+    /// the next tick's loads.
+    verdicts: Vec<AtomicU64>,
+    verdict_rows: Vec<u32>,
+    /// Whether an instance's row is stale: its pipeline changed since the
+    /// row was last cleared.
+    stale: Vec<bool>,
+    /// The stale instances, each once, in marking order.
+    stale_list: Vec<u32>,
 }
 
 /// The per-instance template column for instance `i`: the seed template
@@ -274,6 +305,17 @@ fn template_column(seeds: &ScenarioSeeds, i: usize) -> Vec<PostTemplate> {
             }
         })
         .collect()
+}
+
+/// Panics if instance `i` carries more templates than a verdict word has
+/// bits for. The cap is never met by truncation: a wider world needs a
+/// wider word.
+fn assert_template_cap(i: usize, templates: &[PostTemplate]) {
+    assert!(
+        templates.len() <= MAX_TEMPLATES,
+        "instance {i} has {} post templates; the per-edge verdict word holds at most {MAX_TEMPLATES}",
+        templates.len()
+    );
 }
 
 /// The `Arc`-shared slice of one instance's state — what distinguishes
@@ -425,6 +467,7 @@ impl NetworkState {
                     target,
                     templates,
                 } = parts(i);
+                assert_template_cap(i, &templates);
                 // Posty instances emit more per tick, saturating at 8 —
                 // enough spread to make storm multipliers visible without
                 // letting one giant drown the trace.
@@ -462,11 +505,18 @@ impl NetworkState {
         for list in &mut neighbors {
             list.sort_unstable();
         }
+        let mut verdict_rows = vec![0u32];
+        let mut slots = 0;
+        for list in &neighbors {
+            slots += list.len();
+            verdict_rows.push(u32::try_from(slots).expect("verdict table fits u32 offsets"));
+        }
         let by_domain = instances
             .iter()
             .enumerate()
             .map(|(i, inst)| (inst.domain.as_str().to_string(), i as u32))
             .collect();
+        let instances_len = instances.len();
         let mut up_count = 0;
         let mut failure_mix = [0u64; 5];
         for inst in &instances {
@@ -492,7 +542,69 @@ impl NetworkState {
             emissions_col: Vec::new(),
             emissions_col_cap: 0,
             emissions_dirty: true,
+            verdicts: (0..slots).map(|_| AtomicU64::new(0)).collect(),
+            verdict_rows,
+            stale: vec![false; instances_len],
+            stale_list: Vec::new(),
         }
+    }
+
+    /// Receiver `r`'s verdict words, one per neighbor, aligned with
+    /// [`neighbors(r)`](Self::neighbors). Bit `t` (`t < 32`, the
+    /// per-instance template cap) is set once `r`'s pipeline has judged the
+    /// neighbor's template `t`, and bit `32 + t` if it accepted it. A
+    /// word is valid while `r`'s pipeline is unchanged: the pipeline
+    /// writers ([`apply_wave`](Self::apply_wave), a new block in
+    /// [`defederate`](Self::defederate),
+    /// [`reset_moderation_default`](Self::reset_moderation_default)) mark
+    /// `r` stale in O(1), and the engine clears stale rows
+    /// ([`clear_stale_verdicts`](Self::clear_stale_verdicts)) before a
+    /// tick's measurement. [`unlink`](Self::unlink) shifts the words with
+    /// the slots, so the remaining neighbors' verdicts stay valid. A
+    /// direct write to the public `pipeline` or `templates` fields (a
+    /// scenario's `init` may make one) is covered by the engine clearing
+    /// every row ([`clear_verdicts`](Self::clear_verdicts)) after `init`.
+    pub(crate) fn verdict_row(&self, r: usize) -> &[AtomicU64] {
+        let start = self.verdict_rows[r] as usize;
+        &self.verdicts[start..start + self.neighbors[r].len()]
+    }
+
+    /// Marks instance `i`'s verdict row stale: O(1), cleared at the next
+    /// measured tick.
+    fn mark_stale(&mut self, i: usize) {
+        if !self.stale[i] {
+            self.stale[i] = true;
+            self.stale_list.push(i as u32);
+        }
+    }
+
+    /// Zeroes the verdict row of every instance marked stale since the
+    /// last clear.
+    pub(crate) fn clear_stale_verdicts(&mut self) {
+        for i in std::mem::take(&mut self.stale_list) {
+            let i = i as usize;
+            self.stale[i] = false;
+            let row = self.verdict_rows[i] as usize..self.verdict_rows[i + 1] as usize;
+            for word in &mut self.verdicts[row] {
+                *word.get_mut() = 0;
+            }
+        }
+    }
+
+    /// Zeroes every verdict row and re-checks the template cap: the
+    /// start of a run, after a scenario's `init` may have rewritten any
+    /// instance's `pipeline` or `templates` directly.
+    pub(crate) fn clear_verdicts(&mut self) {
+        for (i, inst) in self.instances.iter().enumerate() {
+            assert_template_cap(i, &inst.templates);
+        }
+        for word in &mut self.verdicts {
+            *word.get_mut() = 0;
+        }
+        for &i in &self.stale_list {
+            self.stale[i as usize] = false;
+        }
+        self.stale_list.clear();
     }
 
     /// Rebuilds the cached emissions column for `cap` if a churn event
@@ -667,16 +779,29 @@ impl NetworkState {
     }
 
     /// Removes the undirected link `a`–`b`; returns whether it existed.
+    /// Both ends' verdict words shift with their neighbor slots, so no
+    /// remaining verdict goes stale.
     pub fn unlink(&mut self, a: u32, b: u32) -> bool {
         let Ok(pos) = self.neighbors[a as usize].binary_search(&b) else {
             return false;
         };
-        self.neighbors[a as usize].remove(pos);
+        self.remove_slot(a as usize, pos);
         if let Ok(pos) = self.neighbors[b as usize].binary_search(&a) {
-            self.neighbors[b as usize].remove(pos);
+            self.remove_slot(b as usize, pos);
         }
         self.link_count -= 1;
         true
+    }
+
+    /// Removes neighbor slot `pos` of instance `i`, shifting the later
+    /// slots' verdict words down with their neighbors.
+    fn remove_slot(&mut self, i: usize, pos: usize) {
+        let len = self.neighbors[i].len();
+        self.neighbors[i].remove(pos);
+        let start = self.verdict_rows[i] as usize;
+        let row = &mut self.verdicts[start..start + len];
+        row[pos..].rotate_left(1);
+        *row[len - 1].get_mut() = 0;
     }
 
     /// Applies a rollout wave to instance `i`, updating its compiled
@@ -692,6 +817,7 @@ impl NetworkState {
         // place, so the delta API stays O(wave).
         Arc::make_mut(&mut inst.pipeline).apply_wave(wave, &mut inst.moderation);
         self.mark_adopted(i as usize);
+        self.mark_stale(i as usize);
         true
     }
 
@@ -729,6 +855,7 @@ impl NetworkState {
             }
             pipeline.add_simple_target(SimpleAction::Reject, target);
             self.mark_adopted(a as usize);
+            self.mark_stale(a as usize);
         }
         self.unlink(a, t)
     }
@@ -783,6 +910,7 @@ impl NetworkState {
             inst.adopted = false;
             self.adopted_count -= 1;
         }
+        self.mark_stale(i);
     }
 }
 

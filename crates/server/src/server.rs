@@ -5,11 +5,11 @@ use fediscope_core::config::InstanceModerationConfig;
 use fediscope_core::id::{ActivityId, Domain, UserId, UserRef};
 use fediscope_core::model::{Activity, ActivityKind, ActivityPayload, InstanceProfile, Post, User};
 use fediscope_core::mrf::{
-    ActorDirectory, FilterOutcome, Inbound, MrfPipeline, PolicyContext, RejectReason,
+    ActorDirectory, FilterOutcome, Inbound, MrfPipeline, PolicyContext, RejectReason, SideEffect,
 };
 use fediscope_core::time::SimTime;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -38,8 +38,32 @@ pub struct ServerStats {
     pub accepted: AtomicU64,
     /// Inbound activities rejected by the MRF pipeline.
     pub rejected: AtomicU64,
-    /// Side effects executed (emoji steals, prefetches, ...).
+    /// Side effects executed (emoji steals, prefetches, ...). Policies
+    /// report an emoji steal or a bot follow on every activity that
+    /// triggers it; the server executes, and counts, each shortcode steal
+    /// and each account follow once.
     pub effects: AtomicU64,
+}
+
+/// What the server remembers of the side effects it executed, so a
+/// repeated report is not executed twice. Policies keep no memory of
+/// their own (a compiled pipeline may be shared), so this is where an
+/// emoji steal or a bot follow becomes once-only.
+#[derive(Default)]
+struct EffectLedger {
+    stolen_emojis: HashSet<String>,
+    followed: HashSet<UserRef>,
+}
+
+impl EffectLedger {
+    /// Records `effect`; returns whether it is new and so executes.
+    fn execute(&mut self, effect: SideEffect) -> bool {
+        match effect {
+            SideEffect::EmojiStolen { shortcode, .. } => self.stolen_emojis.insert(shortcode),
+            SideEffect::AutoFollowed { target } => self.followed.insert(target),
+            _ => true,
+        }
+    }
 }
 
 struct State {
@@ -52,6 +76,10 @@ struct State {
     outbox: Outbox,
     clock: SimTime,
     next_activity: u64,
+    /// When each remote domain first reached this server's inbox: the
+    /// directory's [`ActorDirectory::first_seen`] fact.
+    first_contact: HashMap<Domain, SimTime>,
+    effects: EffectLedger,
 }
 
 /// A simulated instance server (Pleroma or Mastodon, per its profile).
@@ -79,6 +107,8 @@ impl InstanceServer {
                 outbox: Outbox::new(),
                 clock: fediscope_core::time::CAMPAIGN_START,
                 next_activity: 1,
+                first_contact: HashMap::new(),
+                effects: EffectLedger::default(),
             }),
             stats: ServerStats::default(),
         }
@@ -252,6 +282,10 @@ impl InstanceServer {
         let origin = activity.origin().clone();
         let local = self.profile.domain.clone();
         st.graph.note_federation(&local, &origin);
+        // First contact is recorded before the pipeline judges the
+        // activity that makes it, so that activity is judged as new.
+        let now = st.clock;
+        st.first_contact.entry(origin).or_insert(now);
         let outcome = self.run_pipeline(&mut st, activity);
         match &outcome.verdict {
             fediscope_core::mrf::PolicyVerdict::Pass(activity) => {
@@ -294,10 +328,11 @@ impl InstanceServer {
     }
 
     /// Shared setup and accounting around one pipeline invocation: snap a
-    /// directory view, build the policy context, run `invoke`, then count
-    /// its side effects into the stats counter. The traced
-    /// and untraced entry points below differ only in the `invoke` they
-    /// pass, so any future context or accounting change lands in both.
+    /// directory view, build the policy context, run `invoke`, then
+    /// execute its side effects (each emoji steal and bot follow once)
+    /// and count them into the stats counter. The traced and untraced
+    /// entry points below differ only in the `invoke` they pass, so any
+    /// future context or accounting change lands in both.
     fn with_pipeline<R>(
         &self,
         st: &mut State,
@@ -305,11 +340,17 @@ impl InstanceServer {
     ) -> R {
         // The pipeline borrows the directory immutably while we hold the
         // write lock; split borrows via a snapshot directory view.
-        let dir = DirectoryView { users: &st.users };
+        let dir = DirectoryView {
+            users: &st.users,
+            first_contact: &st.first_contact,
+        };
         let ctx = PolicyContext::new(&self.profile.domain, st.clock, &dir);
         let out = invoke(&st.pipeline, &ctx);
-        let effects = ctx.take_effects().len() as u64;
-        self.stats.effects.fetch_add(effects, Ordering::Relaxed);
+        let mut executed = 0;
+        for effect in ctx.take_effects() {
+            executed += st.effects.execute(effect) as u64;
+        }
+        self.stats.effects.fetch_add(executed, Ordering::Relaxed);
         out
     }
 
@@ -401,11 +442,13 @@ impl InstanceServer {
     }
 }
 
-/// Snapshot view over the user table implementing [`ActorDirectory`].
-/// Remote actors are unknown (None/empty), matching what a real instance
-/// knows synchronously at filter time.
+/// Snapshot view over the user table and the first-contact record
+/// implementing [`ActorDirectory`]. Remote actors are unknown
+/// (None/empty), matching what a real instance knows synchronously at
+/// filter time.
 struct DirectoryView<'a> {
     users: &'a HashMap<UserId, User>,
+    first_contact: &'a HashMap<Domain, SimTime>,
 }
 
 impl ActorDirectory for DirectoryView<'_> {
@@ -434,6 +477,9 @@ impl ActorDirectory for DirectoryView<'_> {
             .map(|u| u.report_count)
             .unwrap_or(0)
     }
+    fn first_seen(&self, domain: &Domain) -> Option<SimTime> {
+        self.first_contact.get(domain).copied()
+    }
 }
 
 #[cfg(test)]
@@ -443,6 +489,7 @@ mod tests {
     use fediscope_core::id::{InstanceId, PostId};
     use fediscope_core::model::{InstanceKind, SoftwareVersion, Visibility};
     use fediscope_core::mrf::policies::{SimpleAction, SimplePolicy};
+    use fediscope_core::time::SimDuration;
 
     fn profile(domain: &str) -> InstanceProfile {
         InstanceProfile {
@@ -666,6 +713,68 @@ mod tests {
             .as_ref()
             .unwrap()
             .matches(SimpleAction::Reject, &Domain::new("bad.example")));
+    }
+
+    fn remote_create_at(id: u64, domain: &str, user: u64, at: SimTime) -> Activity {
+        let author = UserRef::new(UserId(user), Domain::new(domain));
+        Activity::create(
+            ActivityId(id),
+            Post::stub(PostId(5000 + id), author, at, "hello"),
+        )
+    }
+
+    #[test]
+    fn repeated_emoji_steals_and_bot_follows_execute_once() {
+        use fediscope_core::model::CustomEmoji;
+        use fediscope_core::mrf::policies::{FollowBotPolicy, StealEmojiPolicy};
+        use std::sync::Arc;
+        let s = make_server("home.example");
+        let bot = UserRef::new(UserId(1), Domain::new("home.example"));
+        s.state.write().pipeline = MrfPipeline::new()
+            .with(Arc::new(StealEmojiPolicy::new(vec![Domain::new(
+                "emoji.example",
+            )])))
+            .with(Arc::new(FollowBotPolicy::new(bot)));
+        let emoji_post = |id: u64, user: u64, shortcode: &str| {
+            let mut act = remote_create_at(id, "emoji.example", user, SimTime(0));
+            act.note_mut().unwrap().emojis.push(CustomEmoji {
+                shortcode: shortcode.into(),
+                host: Domain::new("emoji.example"),
+            });
+            act
+        };
+        let effects = || s.stats().effects.load(Ordering::Relaxed);
+        // First post: one steal and one follow.
+        assert!(s.ingest_remote(emoji_post(1, 7, "blobcat")).accepted());
+        assert_eq!(effects(), 2);
+        // Same author, same emoji: both reported again, neither executes.
+        assert!(s.ingest_remote(emoji_post(2, 7, "blobcat")).accepted());
+        assert_eq!(effects(), 2);
+        // A new author with a new emoji: both execute.
+        assert!(s.ingest_remote(emoji_post(3, 8, "ablobcat")).accepted());
+        assert_eq!(effects(), 4);
+    }
+
+    #[test]
+    fn sandbox_quarantine_starts_at_first_contact() {
+        let s = make_server("home.example");
+        let mut config = InstanceModerationConfig::default();
+        config.enable(PolicyKind::SandboxCustom);
+        s.set_moderation(config);
+        let day = |d: u64| fediscope_core::time::CAMPAIGN_START + SimDuration::days(d);
+        let visibility = |id: u64, domain: &str, d: u64| {
+            s.set_clock(day(d));
+            let outcome = s.ingest_remote(remote_create_at(id, domain, 1000 + id, day(d)));
+            outcome.verdict.expect_pass().note().unwrap().visibility
+        };
+        // First contact on day 0 starts the clock: quarantined through
+        // the seven-day period, released after it.
+        assert_eq!(visibility(1, "new.example", 0), Visibility::FollowersOnly);
+        assert_eq!(visibility(2, "new.example", 3), Visibility::FollowersOnly);
+        assert_eq!(visibility(3, "new.example", 8), Visibility::Public);
+        // A domain first met on day 8 starts its own clock then.
+        assert_eq!(visibility(4, "later.example", 8), Visibility::FollowersOnly);
+        assert_eq!(visibility(5, "later.example", 16), Visibility::Public);
     }
 
     #[test]

@@ -40,7 +40,8 @@
 //! # Layout
 //!
 //! * [`HotCounter`] — the fixed vocabulary of hot-path counters (scorer
-//!   calls, MRF verdicts, delivery POSTs, retry events,
+//!   calls, MRF filter calls and the deliveries they passed or rejected,
+//!   delivery POSTs, retry events,
 //!   crawler probes by §3 status class). Fixed at compile time so an
 //!   increment is an array index, never a hash lookup.
 //! * [`GaugeId`] — last-write-wins point-in-time values (live links,
@@ -102,9 +103,13 @@ pub enum HotCounter {
     /// delivery of the engine's batched measurement phase (its templates
     /// are scored once, when their column is built).
     ScorerMemoHits,
-    /// Engine deliveries the receiver's MRF pipeline passed.
+    /// Engine deliveries the receiver's MRF pipeline passed: a count of
+    /// deliveries, not of verdicts (the batched measurement phase credits
+    /// one verdict with every draw of its template). Filter calls are
+    /// [`HotCounter::MrfFilterCalls`].
     FilterFastHits,
-    /// Engine deliveries the receiver's MRF pipeline rejected.
+    /// Engine deliveries the receiver's MRF pipeline rejected: a count of
+    /// deliveries, not of verdicts, like [`HotCounter::FilterFastHits`].
     FilterFastRejects,
     /// Simulated post deliveries attempted by the engine's measurement
     /// phase (per-receiver batched).
@@ -137,11 +142,16 @@ pub enum HotCounter {
     /// Compiled `MrfPipeline`s the interning pool had to build fresh
     /// (first instance of each distinct moderation config).
     PipelineInternMisses,
+    /// `MrfPipeline` filter calls made by the engine's measurement phase.
+    /// The per-post path calls once per delivery; the batched path once
+    /// per (receiver, neighbor, template) verdict its per-edge table does
+    /// not yet hold.
+    MrfFilterCalls,
 }
 
 impl HotCounter {
     /// Every counter, in reporting order.
-    pub const ALL: [HotCounter; 18] = [
+    pub const ALL: [HotCounter; 19] = [
         HotCounter::ScorerCalls,
         HotCounter::ScorerMemoHits,
         HotCounter::FilterFastHits,
@@ -160,6 +170,7 @@ impl HotCounter {
         HotCounter::CensusRounds,
         HotCounter::PipelineInternHits,
         HotCounter::PipelineInternMisses,
+        HotCounter::MrfFilterCalls,
     ];
 
     /// Stable snake_case name (the Prometheus metric stem).
@@ -183,6 +194,7 @@ impl HotCounter {
             HotCounter::CensusRounds => "census_rounds",
             HotCounter::PipelineInternHits => "pipeline_intern_hits",
             HotCounter::PipelineInternMisses => "pipeline_intern_misses",
+            HotCounter::MrfFilterCalls => "mrf_filter_calls",
         }
     }
 
