@@ -34,7 +34,7 @@ pub use media::{
     ActivityExpirationPolicy, HashtagPolicy, MediaProxyWarmingPolicy, StealEmojiPolicy,
 };
 pub use object_age::{ObjectAgeAction, ObjectAgePolicy};
-pub use simple::{SimpleAction, SimplePolicy};
+pub use simple::{SharedTargets, SimpleAction, SimplePolicy};
 pub use strawman::{
     CuratedBlocklist, CuratedListPolicy, EscalationAction, HarmClassifier, RepeatOffenderPolicy,
     UserTagModerationPolicy,

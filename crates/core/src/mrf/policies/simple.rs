@@ -14,7 +14,8 @@ use crate::mrf::context::{PolicyContext, ProfileImage, SideEffect};
 use crate::mrf::verdict::RejectReason;
 use crate::mrf::{Inbound, MrfPolicy};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -150,22 +151,107 @@ impl SimpleAction {
     }
 }
 
+/// A circulating blocklist, frozen: its names in first-occurrence order
+/// plus an immutable name → position index over them. One `Arc` of it is
+/// shared by the list's chunk waves ([`SimplePolicy::from_shared`]) and
+/// by every adopter's target list they are merged into, so many admins
+/// adopting one list build one index between them; each adopter records
+/// which of its names it holds as bits.
+#[derive(Debug, Default)]
+pub struct SharedTargets {
+    names: Vec<Domain>,
+    index: HashMap<Arc<str>, u32, FnvBuild>,
+}
+
+impl SharedTargets {
+    /// Appends `domain` if absent. Call it while building the list,
+    /// before sharing it behind an `Arc`.
+    pub fn insert(&mut self, domain: &Domain) {
+        if let Entry::Vacant(slot) = self.index.entry(domain.shared_str()) {
+            slot.insert(self.names.len() as u32);
+            self.names.push(domain.clone());
+        }
+    }
+
+    /// The names, in first-occurrence order.
+    pub fn names(&self) -> &[Domain] {
+        &self.names
+    }
+
+    /// Number of distinct names.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Whether the list has no names.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    fn position(&self, name: &str) -> Option<usize> {
+        self.index.get(name).map(|&p| p as usize)
+    }
+}
+
+/// A [`TargetList`]'s attached shared index and one membership bit per
+/// name in it.
+#[derive(Debug, Clone)]
+struct SharedBits {
+    targets: Arc<SharedTargets>,
+    bits: Vec<u64>,
+}
+
+impl SharedBits {
+    fn new(targets: &Arc<SharedTargets>) -> Self {
+        SharedBits {
+            targets: Arc::clone(targets),
+            bits: vec![0; targets.len().div_ceil(64)],
+        }
+    }
+
+    fn test(&self, p: usize) -> bool {
+        self.bits[p / 64] & (1 << (p % 64)) != 0
+    }
+
+    /// Sets bit `p`; returns whether it was clear.
+    fn set(&mut self, p: usize) -> bool {
+        let was_clear = !self.test(p);
+        self.bits[p / 64] |= 1 << (p % 64);
+        was_clear
+    }
+
+    /// Clears bit `p`; returns whether it was set.
+    fn clear(&mut self, p: usize) -> bool {
+        let was_set = self.test(p);
+        self.bits[p / 64] &= !(1 << (p % 64));
+        was_set
+    }
+}
+
 /// One action's target list: the ordered (insertion-order, serialized)
-/// domain list, plus a hash index over the names — the per-stage cache
-/// that makes membership, dedup on [`SimplePolicy::add_target`], and the
-/// subdomain-matching hot path O(1)-ish instead of O(list). Heavy-tailed
-/// blocklist imports (thousands of targets) stay cheap both to *apply*
-/// (the pipeline delta API merges one target at a time) and to *enforce*
-/// (each inbound activity walks its domain's parent labels instead of
-/// scanning the list).
+/// domain list, plus membership indexes over the names — the per-stage
+/// cache that makes membership, dedup on [`SimplePolicy::add_target`],
+/// and the subdomain-matching hot path O(1)-ish instead of O(list).
+/// Heavy-tailed blocklist imports (thousands of targets) stay cheap both
+/// to *apply* (the pipeline delta API merges one target at a time) and
+/// to *enforce* (each inbound activity walks its domain's parent labels
+/// instead of scanning the list).
+///
+/// Membership lives in two places. A list may carry one attached
+/// [`SharedTargets`] index, boxed so an unattached list pays one
+/// pointer: the first merged list that carries one attaches it, and from
+/// then on every listed name found in it is a bit, whichever wave or
+/// block added it. Every other name sits in the private hash index. A
+/// name is in exactly one of the two.
 ///
 /// Serialization delegates to the ordered `Vec<Domain>`, so the wire
-/// shape is exactly what it was before the index existed; the index is
-/// rebuilt on deserialize.
+/// shape is exactly what it was before the indexes existed; the private
+/// index is rebuilt on deserialize, unattached.
 #[derive(Debug, Clone, Default)]
 struct TargetList {
     ordered: Vec<Domain>,
     index: HashSet<Arc<str>, FnvBuild>,
+    shared: Option<Box<SharedBits>>,
 }
 
 impl TargetList {
@@ -180,38 +266,91 @@ impl TargetList {
         list
     }
 
+    /// An empty list attached to the same shared index as `self`.
+    fn emptied(&self) -> Self {
+        TargetList {
+            shared: self
+                .shared
+                .as_ref()
+                .map(|s| Box::new(SharedBits::new(&s.targets))),
+            ..TargetList::default()
+        }
+    }
+
+    /// Attaches `targets`, moving the names already listed in it from
+    /// the private index to bits.
+    fn attach(&mut self, targets: &Arc<SharedTargets>) {
+        let mut shared = SharedBits::new(targets);
+        for domain in &self.ordered {
+            if let Some(p) = targets.position(domain.as_str()) {
+                shared.set(p);
+                self.index.remove(domain.as_str());
+            }
+        }
+        self.shared = Some(Box::new(shared));
+    }
+
+    /// Applies `op` to the bit of `name` when the attached index holds
+    /// it; `None` means the name belongs to the private index.
+    fn on_bit<R>(&mut self, name: &str, op: impl FnOnce(&mut SharedBits, usize) -> R) -> Option<R> {
+        let shared = self.shared.as_deref_mut()?;
+        let p = shared.targets.position(name)?;
+        Some(op(shared, p))
+    }
+
     /// Adds `domain` if absent; returns whether it was added.
     fn add(&mut self, domain: Domain) -> bool {
-        if self.index.insert(domain.shared_str()) {
+        let added = self
+            .on_bit(domain.as_str(), SharedBits::set)
+            .unwrap_or_else(|| self.index.insert(domain.shared_str()));
+        if added {
             self.ordered.push(domain);
-            true
-        } else {
-            false
         }
+        added
     }
 
     /// Removes `domain`; returns whether it was present.
     fn remove(&mut self, domain: &Domain) -> bool {
-        if self.index.remove(domain.as_str()) {
+        let removed = self
+            .on_bit(domain.as_str(), SharedBits::clear)
+            .unwrap_or_else(|| self.index.remove(domain.as_str()));
+        if removed {
             self.ordered.retain(|d| d != domain);
-            true
-        } else {
-            false
         }
+        removed
+    }
+
+    /// Adds every name of `other` in its order, first attaching `other`'s
+    /// shared index if this list has none yet.
+    fn merge(&mut self, other: &TargetList) {
+        if let (None, Some(theirs)) = (&self.shared, &other.shared) {
+            self.attach(&theirs.targets);
+        }
+        for domain in &other.ordered {
+            self.add(domain.clone());
+        }
+    }
+
+    /// Whether exactly `name` is listed.
+    fn contains(&self, name: &str) -> bool {
+        self.shared
+            .as_deref()
+            .and_then(|shared| Some(shared.test(shared.targets.position(name)?)))
+            .unwrap_or_else(|| self.index.contains(name))
     }
 
     /// Whether `domain` (or any of its parent domains) is targeted —
     /// Pleroma's subdomain matching rule, answered by walking the
-    /// candidate's `.`-separated suffixes through the index.
+    /// candidate's `.`-separated suffixes through the indexes.
     fn matches(&self, domain: &Domain) -> bool {
         let name = domain.as_str();
-        if self.index.contains(name) {
+        if self.contains(name) {
             return true;
         }
         let mut rest = name;
         while let Some(dot) = rest.find('.') {
             rest = &rest[dot + 1..];
-            if self.index.contains(rest) {
+            if self.contains(rest) {
                 return true;
             }
         }
@@ -278,13 +417,61 @@ impl SimplePolicy {
             .unwrap_or(&[])
     }
 
+    /// A policy whose `action` list holds `domains` (deduplicated, in
+    /// order), attached to `targets` — one chunk wave of a circulating
+    /// blocklist. Lists this policy is [merged](Self::merge) into attach
+    /// the same index. Empty `domains` give an empty policy.
+    pub fn from_shared(
+        action: SimpleAction,
+        targets: &Arc<SharedTargets>,
+        domains: &[Domain],
+    ) -> SimplePolicy {
+        let mut policy = SimplePolicy::new();
+        if !domains.is_empty() {
+            let list = policy.targets.entry(action).or_default();
+            list.attach(targets);
+            for domain in domains {
+                list.add(domain.clone());
+            }
+        }
+        policy
+    }
+
+    /// The `(action, domain)` pairs `keep` accepts, seen in
+    /// [`events`](Self::events) order, or `None` when it accepts none.
+    /// Each kept list stays attached to its source list's shared index.
+    pub fn subset(
+        &self,
+        mut keep: impl FnMut(SimpleAction, &Domain) -> bool,
+    ) -> Option<SimplePolicy> {
+        let mut sub: Option<SimplePolicy> = None;
+        for (&action, list) in &self.targets {
+            for domain in &list.ordered {
+                if keep(action, domain) {
+                    sub.get_or_insert_with(SimplePolicy::new)
+                        .targets
+                        .entry(action)
+                        .or_insert_with(|| list.emptied())
+                        .add(domain.clone());
+                }
+            }
+        }
+        sub
+    }
+
     /// Merges every `(action, domain)` pair of `other` into this config
     /// (deduplicated, existing order preserved). This is how a staged
     /// rollout grows an instance's configuration wave by wave until it
-    /// reaches the full target list.
+    /// reaches the full target list. An action gets a list here only
+    /// when `other` lists at least one target for it, so the serialized
+    /// shape never gains an empty `"reject": []`. A list with no shared
+    /// index attaches the one of the first merged list that carries one
+    /// (see [`from_shared`](Self::from_shared)).
     pub fn merge(&mut self, other: &SimplePolicy) {
-        for (action, domain) in other.events() {
-            self.add_target(action, domain.clone());
+        for (&action, list) in &other.targets {
+            if !list.ordered.is_empty() {
+                self.targets.entry(action).or_default().merge(list);
+            }
         }
     }
 
@@ -628,6 +815,99 @@ mod tests {
         assert!(p.matches(SimpleAction::Reject, &Domain::new("a.b.bad.example")));
         // A target that is itself a subdomain never matches its parent.
         assert!(!p.matches(SimpleAction::Reject, &Domain::new("example")));
+    }
+
+    fn union(names: &[&str]) -> Arc<SharedTargets> {
+        let mut index = SharedTargets::default();
+        for name in names {
+            index.insert(&Domain::new(*name));
+        }
+        Arc::new(index)
+    }
+
+    #[test]
+    fn shared_targets_dedup_in_first_occurrence_order() {
+        let index = union(&["b.example", "a.example", "b.example"]);
+        assert_eq!(index.len(), 2);
+        assert_eq!(index.names()[0].as_str(), "b.example");
+        assert_eq!(index.position("a.example"), Some(1));
+        assert_eq!(index.position("c.example"), None);
+    }
+
+    #[test]
+    fn the_attachment_costs_an_unattached_list_one_pointer() {
+        use std::mem::size_of;
+        let plain = size_of::<Vec<Domain>>() + size_of::<HashSet<Arc<str>, FnvBuild>>();
+        assert!(size_of::<TargetList>() <= plain + 8);
+    }
+
+    #[test]
+    fn merged_lists_record_shared_names_as_bits() {
+        let index = union(&["a.example", "b.example", "c.example"]);
+        let mut p = SimplePolicy::new()
+            .with_target(SimpleAction::Reject, Domain::new("b.example"))
+            .with_target(SimpleAction::Reject, Domain::new("own.example"));
+        p.merge(&SimplePolicy::from_shared(
+            SimpleAction::Reject,
+            &index,
+            index.names(),
+        ));
+        // Order is the seed list, then the wave's new names.
+        let names: Vec<&str> = p
+            .targets(SimpleAction::Reject)
+            .iter()
+            .map(Domain::as_str)
+            .collect();
+        assert_eq!(
+            names,
+            ["b.example", "own.example", "a.example", "c.example"]
+        );
+        let list = &p.targets[&SimpleAction::Reject];
+        // The seed's shared name moved to a bit on attach; the private
+        // index keeps only the name the shared one lacks.
+        assert_eq!(list.shared.as_ref().unwrap().bits, [0b111]);
+        assert_eq!(list.index.len(), 1);
+        assert!(p.matches(SimpleAction::Reject, &Domain::new("x.c.example")));
+        assert!(p.matches(SimpleAction::Reject, &Domain::new("own.example")));
+        // A later single add of a shared name dedups through its bit.
+        p.add_target(SimpleAction::Reject, Domain::new("a.example"));
+        assert_eq!(p.targets(SimpleAction::Reject).len(), 4);
+        assert!(p.remove_target(SimpleAction::Reject, &Domain::new("a.example")));
+        assert!(!p.matches(SimpleAction::Reject, &Domain::new("a.example")));
+    }
+
+    #[test]
+    fn a_subset_wave_matches_and_dedups_like_its_parent_wave() {
+        use crate::rollout::RolloutWave;
+        let index = union(&["a.example", "b.example", "c.example", "d.example"]);
+        let parent = RolloutWave {
+            simple: Some(SimplePolicy::from_shared(
+                SimpleAction::Reject,
+                &index,
+                index.names(),
+            )),
+            ..RolloutWave::default()
+        };
+        let subset = parent.subset_simple(|_, d| d.as_str() != "b.example");
+        let sub = subset.simple.as_ref().unwrap();
+        assert!(sub.targets[&SimpleAction::Reject].shared.is_some());
+        let mut adopter = SimplePolicy::new();
+        adopter.merge(sub);
+        assert!(adopter.targets[&SimpleAction::Reject].shared.is_some());
+        assert!(adopter.matches(SimpleAction::Reject, &Domain::new("m.a.example")));
+        assert!(!adopter.matches(SimpleAction::Reject, &Domain::new("b.example")));
+        // The subset again adds nothing; the parent adds only the name
+        // the subset left out, after the others.
+        adopter.merge(sub);
+        assert_eq!(adopter.targets(SimpleAction::Reject).len(), 3);
+        adopter.merge(parent.simple.as_ref().unwrap());
+        let names: Vec<&str> = adopter
+            .targets(SimpleAction::Reject)
+            .iter()
+            .map(Domain::as_str)
+            .collect();
+        assert_eq!(names, ["a.example", "c.example", "d.example", "b.example"]);
+        assert_eq!(adopter.targets[&SimpleAction::Reject].index.len(), 0);
     }
 
     #[test]

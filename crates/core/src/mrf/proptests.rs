@@ -8,11 +8,11 @@ use crate::id::{ActivityId, Domain, PostId, UserId, UserRef};
 use crate::model::{Activity, MediaAttachment, MediaKind, Post, Visibility};
 use crate::mrf::policies::{
     EnsureRePrependedPolicy, HellthreadPolicy, KeywordAction, KeywordPolicy, KeywordRule,
-    NoOpPolicy, NormalizeMarkupPolicy, SimpleAction, SimplePolicy,
+    NoOpPolicy, NormalizeMarkupPolicy, SharedTargets, SimpleAction, SimplePolicy,
 };
 use crate::mrf::{
-    filter_owned, Inbound, MrfPipeline, NullActorDirectory, PolicyContext, PolicyVerdict,
-    RejectReason,
+    filter_owned, Inbound, MrfPipeline, MrfPolicy, NullActorDirectory, PolicyContext,
+    PolicyVerdict, RejectReason,
 };
 use crate::rollout::RolloutWave;
 use crate::time::SimTime;
@@ -550,4 +550,259 @@ fn enable_is_idempotent_per_requested_kind() {
     assert_eq!(knobs.enabled, reference.enabled);
     assert_eq!(pipeline.kinds(), reference.build_pipeline().kinds());
     assert_eq!(pipeline.len(), 4, "ObjectAge, NoOp, and one NoOp each");
+}
+
+/// Names the shared-index differential draws from: nested labels, so
+/// subdomain matching crosses between the shared and private indexes.
+const POOL: [&str; 12] = [
+    "x", "a.x", "b.x", "c.x", "a.b.x", "y", "a.y", "b.y", "c.y", "z", "a.z", "b.z",
+];
+
+/// One step of the shared-index differential, applied to the policy of
+/// one live clone.
+#[derive(Debug, Clone)]
+enum TargetOp {
+    /// Merge the chunk `names()[start..start + len]` (wrapped into range)
+    /// of shared index `index` as a [`SimplePolicy::from_shared`] wave.
+    Wave {
+        index: usize,
+        action: usize,
+        start: usize,
+        len: usize,
+    },
+    /// The same chunk, thinned by `mask` through
+    /// [`RolloutWave::subset_simple`] before the merge.
+    Subset {
+        index: usize,
+        action: usize,
+        start: usize,
+        len: usize,
+        mask: u16,
+    },
+    /// `add_target`, as a cascade block does.
+    Add { action: usize, name: usize },
+    /// `add_simple_target` through a compiled pipeline's delta API.
+    PipelineAdd { name: usize },
+    /// `remove_target`.
+    Remove { action: usize, name: usize },
+    /// `remove_target` on every target of one action, which leaves its
+    /// list present but empty.
+    Clear { action: usize },
+    /// Clone this policy into a new live clone that diverges from here.
+    Clone,
+    /// Merge another clone's policy, which may hold emptied lists.
+    MergeFrom { src: usize },
+}
+
+fn arb_target_op() -> impl Strategy<Value = TargetOp> {
+    prop_oneof![
+        (0usize..2, 0usize..2, 0usize..12, 0usize..6).prop_map(|(index, action, start, len)| {
+            TargetOp::Wave {
+                index,
+                action,
+                start,
+                len,
+            }
+        }),
+        (0usize..2, 0usize..2, 0usize..12, 0usize..6, any::<u16>()).prop_map(
+            |(index, action, start, len, mask)| TargetOp::Subset {
+                index,
+                action,
+                start,
+                len,
+                mask
+            }
+        ),
+        (0usize..2, 0usize..POOL.len()).prop_map(|(action, name)| TargetOp::Add { action, name }),
+        (0usize..POOL.len()).prop_map(|name| TargetOp::PipelineAdd { name }),
+        (0usize..2, 0usize..POOL.len())
+            .prop_map(|(action, name)| TargetOp::Remove { action, name }),
+        (0usize..2).prop_map(|action| TargetOp::Clear { action }),
+        Just(TargetOp::Clone),
+        (0usize..8).prop_map(|src| TargetOp::MergeFrom { src }),
+    ]
+}
+
+/// A chunk of `index`'s names, wrapped into range.
+fn chunk(index: &SharedTargets, start: usize, len: usize) -> &[Domain] {
+    let names = index.names();
+    if names.is_empty() {
+        return names;
+    }
+    let start = start % names.len();
+    &names[start..(start + len).min(names.len())]
+}
+
+/// The same chunk as a plain, unattached wave.
+fn plain(action: SimpleAction, names: &[Domain]) -> SimplePolicy {
+    let mut policy = SimplePolicy::new();
+    for name in names {
+        policy.add_target(action, name.clone());
+    }
+    policy
+}
+
+/// The reference merge: `addition`'s events one `add_target` at a time.
+fn add_each(policy: &mut SimplePolicy, addition: &SimplePolicy) {
+    for (action, domain) in addition.events() {
+        policy.add_target(action, domain.clone());
+    }
+}
+
+/// Runs `write` on a compiled pipeline whose Simple stage is `policy`,
+/// the way the engine applies an `AdoptWave` or a block, and takes the
+/// stage back.
+fn through_pipeline(policy: &mut SimplePolicy, write: impl FnOnce(&mut MrfPipeline) -> bool) {
+    let mut pipeline = MrfPipeline::new();
+    pipeline.push(Arc::new(std::mem::take(policy)));
+    assert!(write(&mut pipeline));
+    *policy = pipeline.simple().expect("a Simple stage").clone();
+}
+
+/// Every observable of `attached` equals that of `reference`.
+fn check_same(
+    attached: &SimplePolicy,
+    reference: &SimplePolicy,
+    step: usize,
+) -> Result<(), String> {
+    for action in SimpleAction::ALL {
+        prop_assert_eq!(
+            attached.targets(action),
+            reference.targets(action),
+            "step {}",
+            step
+        );
+        for name in POOL
+            .iter()
+            .flat_map(|p| [p.to_string(), format!("q.{p}")])
+            .chain(["q".into()])
+        {
+            let domain = Domain::new(name);
+            prop_assert_eq!(
+                attached.matches(action, &domain),
+                reference.matches(action, &domain),
+                "step {} {:?} {}",
+                step,
+                action,
+                domain
+            );
+        }
+    }
+    prop_assert!(attached.events().eq(reference.events()), "step {}", step);
+    prop_assert_eq!(attached.describe(), reference.describe(), "step {}", step);
+    prop_assert_eq!(
+        serde_json::to_string(attached).unwrap(),
+        serde_json::to_string(reference).unwrap(),
+        "step {}",
+        step
+    );
+    Ok(())
+}
+
+proptest! {
+    /// Differential check of shared-index target lists: random
+    /// interleavings of waves from one or two shared indexes (whole or
+    /// subset), single adds and removes, merges between diverged clones
+    /// and pipeline deltas must leave every observable — target order,
+    /// events, subdomain matching, `describe` and the serialized bytes —
+    /// equal to the same sequence applied to plain, unattached lists
+    /// one `add_target` at a time. That reference never calls `merge`,
+    /// so a merge that creates an action entry for a list `other` holds
+    /// empty (a diverged clone's list emptied by removals) shows up as
+    /// an extra `"reject": []` in the serialized bytes.
+    #[test]
+    fn shared_index_lists_match_unattached_lists(
+        seeds in proptest::collection::vec(
+            proptest::collection::vec(0usize..POOL.len(), 0..12),
+            2..3,
+        ),
+        ops in proptest::collection::vec((0usize..8, arb_target_op()), 1..32),
+    ) {
+        let indexes: Vec<Arc<SharedTargets>> = seeds
+            .iter()
+            .map(|picks| {
+                let mut index = SharedTargets::default();
+                for &p in picks {
+                    index.insert(&Domain::new(POOL[p]));
+                }
+                Arc::new(index)
+            })
+            .collect();
+        // Live clones: (shared-index side, unattached reference side).
+        let mut live = vec![(SimplePolicy::new(), SimplePolicy::new())];
+        for (step, (who, op)) in ops.into_iter().enumerate() {
+            let who = who % live.len();
+            match op {
+                TargetOp::Wave { index, action, start, len } => {
+                    let action = SimpleAction::ALL[action];
+                    let names = chunk(&indexes[index], start, len);
+                    let (attached, reference) = &mut live[who];
+                    attached.merge(&SimplePolicy::from_shared(action, &indexes[index], names));
+                    add_each(reference, &plain(action, names));
+                }
+                TargetOp::Subset { index, action, start, len, mask } => {
+                    let action = SimpleAction::ALL[action];
+                    let names = chunk(&indexes[index], start, len);
+                    let thin = |policy: SimplePolicy| {
+                        let wave = RolloutWave { simple: Some(policy), ..RolloutWave::default() };
+                        let mut bit = 0;
+                        wave.subset_simple(|_, _| {
+                            bit += 1;
+                            mask & (1 << (bit - 1)) != 0
+                        })
+                        .simple
+                    };
+                    let (attached, reference) = &mut live[who];
+                    let shared = SimplePolicy::from_shared(action, &indexes[index], names);
+                    if let Some(wave) = thin(shared) {
+                        through_pipeline(attached, |p| p.apply_simple_delta(&wave));
+                    }
+                    if let Some(wave) = thin(plain(action, names)) {
+                        add_each(reference, &wave);
+                    }
+                }
+                TargetOp::Add { action, name } => {
+                    let (attached, reference) = &mut live[who];
+                    attached.add_target(SimpleAction::ALL[action], Domain::new(POOL[name]));
+                    reference.add_target(SimpleAction::ALL[action], Domain::new(POOL[name]));
+                }
+                TargetOp::PipelineAdd { name } => {
+                    let (attached, reference) = &mut live[who];
+                    let domain = Domain::new(POOL[name]);
+                    through_pipeline(attached, |p| {
+                        p.add_simple_target(SimpleAction::Reject, domain.clone())
+                    });
+                    reference.add_target(SimpleAction::Reject, domain);
+                }
+                TargetOp::Remove { action, name } => {
+                    let (attached, reference) = &mut live[who];
+                    let domain = Domain::new(POOL[name]);
+                    prop_assert_eq!(
+                        attached.remove_target(SimpleAction::ALL[action], &domain),
+                        reference.remove_target(SimpleAction::ALL[action], &domain),
+                        "step {}",
+                        step
+                    );
+                }
+                TargetOp::Clear { action } => {
+                    let action = SimpleAction::ALL[action];
+                    let (attached, reference) = &mut live[who];
+                    for policy in [attached, reference] {
+                        for domain in policy.targets(action).to_vec() {
+                            prop_assert!(policy.remove_target(action, &domain));
+                        }
+                    }
+                }
+                TargetOp::Clone => live.push(live[who].clone()),
+                TargetOp::MergeFrom { src } => {
+                    let (attached, reference) = live[src % live.len()].clone();
+                    live[who].0.merge(&attached);
+                    add_each(&mut live[who].1, &reference);
+                }
+            }
+            for (attached, reference) in &live {
+                check_same(attached, reference, step)?;
+            }
+        }
+    }
 }

@@ -52,24 +52,17 @@ impl RolloutWave {
     /// simple targets clones unchanged. When every event is dropped the
     /// clone's `simple` is `None`, so [`Self::is_empty`] answers
     /// correctly for enable-free waves and schedulers can skip them.
+    /// Kept lists stay attached to the source's shared index
+    /// ([`SimplePolicy::from_shared`]), so adopters of a subset record
+    /// its names as bits too.
     pub fn subset_simple(
         &self,
-        mut keep: impl FnMut(crate::mrf::policies::SimpleAction, &crate::id::Domain) -> bool,
+        keep: impl FnMut(crate::mrf::policies::SimpleAction, &crate::id::Domain) -> bool,
     ) -> RolloutWave {
-        let simple = self.simple.as_ref().and_then(|policy| {
-            let mut sub: Option<SimplePolicy> = None;
-            for (action, domain) in policy.events() {
-                if keep(action, domain) {
-                    sub.get_or_insert_with(SimplePolicy::new)
-                        .add_target(action, domain.clone());
-                }
-            }
-            sub
-        });
         RolloutWave {
             offset: self.offset,
             enable: self.enable.clone(),
-            simple,
+            simple: self.simple.as_ref().and_then(|policy| policy.subset(keep)),
         }
     }
 }

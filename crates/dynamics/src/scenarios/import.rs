@@ -9,16 +9,23 @@
 //! ([`heavy_tail_fraction`]): most admins import a sliver, a few import
 //! nearly everything.
 //!
+//! One artifact, many admins, literally: the union is built once as a
+//! [`SharedTargets`] name index behind an `Arc`, and every chunk wave is
+//! attached to it ([`SimplePolicy::from_shared`]). An adopter's reject
+//! list attaches the index on its first such wave and from then on
+//! records each imported name as one bit, so the adopters share one
+//! index instead of each hashing the same names into a private one.
+//!
 //! Each import schedules one [`Run`] per instant its chunks land at:
 //! the ordered `AdoptWave` adoptions of that instant, which the queue
 //! expands one event at a time as they fall due. A full import's run is
 //! the instant's shared [`RolloutWave`]s over the shared importer list
-//! (`Arc` refcount bumps — one artifact, many admins), so scheduling
-//! costs O(importers + union), not one queue entry per adoption. A
-//! partial import's run lists the instant's kept `(importer, wave)`
-//! pairs, cloning per-adopter subset waves through
-//! [`RolloutWave::subset_simple`], the core-side counterfactual-arm
-//! primitive. Either way the queue pops exactly the `(time, seq)`
+//! (`Arc` refcount bumps), so scheduling costs O(importers + union),
+//! not one queue entry per adoption. A partial import's run lists the
+//! instant's kept `(importer, wave)` pairs, cloning per-adopter subset
+//! waves through [`RolloutWave::subset_simple`], the core-side
+//! counterfactual-arm primitive; the subsets stay attached to the
+//! index. Either way the queue pops exactly the `(time, seq)`
 //! sequence that scheduling each adoption on its own would give. Both
 //! arms are pure control-phase load: every event is an `AdoptWave`
 //! mutating a compiled pipeline through the O(delta) MRF API, which is
@@ -27,8 +34,7 @@
 use crate::event::{EventQueue, Run};
 use crate::scenario::Scenario;
 use crate::state::NetworkState;
-use fediscope_core::id::Domain;
-use fediscope_core::mrf::policies::{SimpleAction, SimplePolicy};
+use fediscope_core::mrf::policies::{SharedTargets, SimpleAction, SimplePolicy};
 use fediscope_core::rollout::RolloutWave;
 use fediscope_core::time::{SimDuration, SimTime};
 use rand::rngs::SmallRng;
@@ -166,18 +172,17 @@ impl Scenario for BlocklistImportScenario {
         }
         // The circulating blocklist: union of every seed *target* reject
         // list (targets survive resets), deduplicated in deterministic
-        // instance order.
-        let mut seen = std::collections::HashSet::new();
-        let mut union: Vec<Domain> = Vec::new();
+        // instance order, built straight into the index its adopters
+        // share.
+        let mut union = SharedTargets::default();
         for inst in &state.instances {
             if let Some(simple) = inst.target.simple.as_ref() {
                 for d in simple.targets(SimpleAction::Reject) {
-                    if seen.insert(d.as_str().to_string()) {
-                        union.push(d.clone());
-                    }
+                    union.insert(d);
                 }
             }
         }
+        let union = Arc::new(union);
         self.union_size = union.len();
         let importers: Arc<[u32]> = (0..state.len())
             .filter(|&i| state.instances[i].pleroma)
@@ -187,17 +192,14 @@ impl Scenario for BlocklistImportScenario {
         // importer by refcount bump, exactly how a circulating blocklist
         // is one artifact applied by many admins.
         let waves: Vec<(Arc<RolloutWave>, usize)> = union
+            .names()
             .chunks(self.config.chunk.max(1))
             .map(|c| {
-                let mut s = SimplePolicy::new();
-                for d in c {
-                    s.add_target(SimpleAction::Reject, d.clone());
-                }
                 (
                     Arc::new(RolloutWave {
                         offset: SimDuration(0),
                         enable: Vec::new(),
-                        simple: Some(s),
+                        simple: Some(SimplePolicy::from_shared(SimpleAction::Reject, &union, c)),
                     }),
                     c.len(),
                 )
