@@ -135,11 +135,6 @@ impl FollowGraph {
         self.followers.get(user).into_iter().flatten()
     }
 
-    /// The accounts `user` follows.
-    pub fn following_of(&self, user: &UserRef) -> impl Iterator<Item = &UserRef> {
-        self.following.get(user).into_iter().flatten()
-    }
-
     /// Follower count.
     pub fn follower_count(&self, user: &UserRef) -> usize {
         self.followers.get(user).map(HashSet::len).unwrap_or(0)

@@ -16,12 +16,10 @@
 //!   crawler used for discovery;
 //! * [`Timelines`] — the three timelines of §3: *home*, *public* (local)
 //!   and the *whole known network* (federated);
-//! * [`Outbox`] / [`Inbox`] — ordered activity logs with delivery
-//!   bookkeeping;
 //! * [`Mailman`] — pure fan-out logic computing which instances must
 //!   receive a given activity.
 //!
-//! Everything here is synchronous and allocation-light; the async transport
+//! Everything here is synchronous and allocation-light; the transport
 //! lives in `fediscope-simnet` and the servers in `fediscope-server`.
 
 #![warn(missing_docs)]
@@ -32,5 +30,5 @@ mod mailbox;
 mod timeline;
 
 pub use follow::{FollowGraph, FollowOutcome};
-pub use mailbox::{Inbox, Mailman, Outbox};
+pub use mailbox::Mailman;
 pub use timeline::{TimelineKind, Timelines};

@@ -1,88 +1,9 @@
-//! Activity logs (inbox/outbox) and delivery fan-out.
+//! Delivery fan-out.
 
 use crate::follow::FollowGraph;
-use fediscope_core::id::{ActivityId, Domain};
+use fediscope_core::id::Domain;
 use fediscope_core::model::{Activity, ActivityKind, ActivityPayload, Visibility};
 use std::collections::BTreeSet;
-
-/// An ordered log of activities published by local users, with per-domain
-/// delivery bookkeeping.
-#[derive(Debug, Default)]
-pub struct Outbox {
-    entries: Vec<Activity>,
-}
-
-impl Outbox {
-    /// Empty outbox.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends an activity.
-    pub fn push(&mut self, activity: Activity) {
-        self.entries.push(activity);
-    }
-
-    /// All entries in publication order.
-    pub fn entries(&self) -> &[Activity] {
-        &self.entries
-    }
-
-    /// Number of activities published.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the outbox is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// An ordered log of activities received from remote instances, with
-/// idempotent ingestion (replays of the same `ActivityId` are dropped —
-/// federation delivery is at-least-once).
-#[derive(Debug, Default)]
-pub struct Inbox {
-    entries: Vec<Activity>,
-    seen: BTreeSet<ActivityId>,
-}
-
-impl Inbox {
-    /// Empty inbox.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Ingests an activity; returns `false` if it was a duplicate.
-    pub fn receive(&mut self, activity: Activity) -> bool {
-        if !self.seen.insert(activity.id) {
-            return false;
-        }
-        self.entries.push(activity);
-        true
-    }
-
-    /// All accepted entries in arrival order.
-    pub fn entries(&self) -> &[Activity] {
-        &self.entries
-    }
-
-    /// Number of accepted activities.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the inbox is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Whether an activity id has been seen.
-    pub fn has_seen(&self, id: ActivityId) -> bool {
-        self.seen.contains(&id)
-    }
-}
 
 /// Pure fan-out logic: which remote domains must receive an activity.
 ///
@@ -147,7 +68,7 @@ impl Mailman {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fediscope_core::id::{PostId, UserId, UserRef};
+    use fediscope_core::id::{ActivityId, PostId, UserId, UserRef};
     use fediscope_core::model::Post;
     use fediscope_core::time::SimTime;
 
@@ -160,28 +81,6 @@ mod tests {
             ActivityId(id),
             Post::stub(PostId(id), author.clone(), SimTime(0), "hello"),
         )
-    }
-
-    #[test]
-    fn inbox_deduplicates_replays() {
-        let mut inbox = Inbox::new();
-        let a = create(1, &user(1, "r.example"));
-        assert!(inbox.receive(a.clone()));
-        assert!(!inbox.receive(a), "at-least-once delivery must be deduped");
-        assert_eq!(inbox.len(), 1);
-        assert!(inbox.has_seen(ActivityId(1)));
-        assert!(!inbox.has_seen(ActivityId(2)));
-    }
-
-    #[test]
-    fn outbox_preserves_order() {
-        let mut outbox = Outbox::new();
-        assert!(outbox.is_empty());
-        let author = user(1, "home.example");
-        outbox.push(create(1, &author));
-        outbox.push(create(2, &author));
-        assert_eq!(outbox.len(), 2);
-        assert_eq!(outbox.entries()[0].id, ActivityId(1));
     }
 
     #[test]

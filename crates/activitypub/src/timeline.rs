@@ -155,11 +155,6 @@ impl Timelines {
         }
     }
 
-    /// Iterates over every stored post (dataset export).
-    pub fn all_posts(&self) -> impl Iterator<Item = &Post> {
-        self.posts.values()
-    }
-
     /// Domains whose posts appear in the whole known network — federation
     /// evidence for the Peers API.
     pub fn known_remote_domains(&self) -> Vec<Domain> {

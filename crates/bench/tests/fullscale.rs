@@ -52,7 +52,6 @@ fn thinned_census(seed: u64) -> UndercountCalibration {
         CrawlerConfig {
             peer_list_cap: Some(PEER_CAP),
             snapshot_rounds: 0,
-            ..CrawlerConfig::default()
         },
     );
     let dataset = crawler.crawl(&world.directory);

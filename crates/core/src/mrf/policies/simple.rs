@@ -531,8 +531,9 @@ impl MrfPolicy for SimplePolicy {
             return self.reject("instance_blocked", format!("{origin} is rejected"));
         }
         // accept: whitelist federation if configured.
-        let whitelist = self.targets(SimpleAction::Accept);
-        if !whitelist.is_empty() && !whitelist.iter().any(|t| origin.matches(t)) {
+        if !self.targets(SimpleAction::Accept).is_empty()
+            && !self.matches(SimpleAction::Accept, origin)
+        {
             return self.reject("not_whitelisted", format!("{origin} not in accept list"));
         }
         // reject_deletes / report_removal: kind-specific drops.
@@ -646,6 +647,12 @@ mod tests {
         let (v, _) = run(&p, remote_post("friend.example"));
         assert!(v.is_pass());
         let (v, _) = run(&p, remote_post("stranger.example"));
+        assert_eq!(v.expect_reject().code, "not_whitelisted");
+        // A dot-bounded subdomain of a listed name passes; a name that
+        // merely ends in the same letters does not.
+        let (v, _) = run(&p, remote_post("a.friend.example"));
+        assert!(v.is_pass());
+        let (v, _) = run(&p, remote_post("notfriend.example"));
         assert_eq!(v.expect_reject().code, "not_whitelisted");
     }
 

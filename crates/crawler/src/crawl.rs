@@ -13,25 +13,28 @@ use rayon::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
 
+/// Timeline page size (the Mastodon API caps at 40).
+const PAGE_LIMIT: usize = 40;
+
+/// Safety cap on timeline pages per instance: it bounds the crawl of a
+/// server that never ends its timeline.
+const MAX_PAGES_PER_INSTANCE: usize = 100_000;
+
+/// Extra attempts granted to an outcome-deciding census probe that hits
+/// a *transient* §3 failure (502/503). Permanent answers (404/403/410,
+/// unknown hosts) are always taken at face value on the first probe.
+/// The single retry shrinks the census under-count from gateway flaps
+/// without resurrecting genuinely dead instances.
+const TRANSIENT_RETRIES: usize = 1;
+
 /// Crawl parameters. The crawl runs on the rayon pool, so the pool
 /// size is its worker count.
 #[derive(Debug, Clone)]
 pub struct CrawlerConfig {
-    /// Timeline page size (the Mastodon API caps at 40).
-    pub page_limit: usize,
-    /// Safety cap on timeline pages per instance.
-    pub max_pages_per_instance: usize,
     /// Number of periodic metadata snapshot rounds after discovery
     /// (the paper re-polled every 4 hours for ~5 months; benchmarks use a
     /// handful of rounds).
     pub snapshot_rounds: usize,
-    /// Extra attempts granted to an outcome-deciding census probe that
-    /// hits a *transient* §3 failure (502/503).
-    /// Permanent answers (404/403/410, unknown hosts) are always taken
-    /// at face value on the first probe. The default single retry
-    /// shrinks the census under-count from gateway flaps without
-    /// resurrecting genuinely dead instances.
-    pub transient_retries: usize,
     /// Directory-thinned crawl mode (§3 methodology): cap on how many
     /// entries are taken from each instance's Peers API response during
     /// discovery. `None` (the default) keeps the full lists — at small
@@ -50,10 +53,7 @@ pub struct CrawlerConfig {
 impl Default for CrawlerConfig {
     fn default() -> Self {
         CrawlerConfig {
-            page_limit: 40,
-            max_pages_per_instance: 100_000,
             snapshot_rounds: 3,
-            transient_retries: 1,
             peer_list_cap: None,
         }
     }
@@ -161,25 +161,20 @@ fn snapshot(net: &SimNet, domain: &Domain, at: SimTime) -> Option<MetadataSnapsh
 
 /// One outcome-deciding census probe with a bounded transient-retry
 /// budget: a response in the transient §3 class (5xx) is re-probed up
-/// to [`CrawlerConfig::transient_retries`] extra times; anything
-/// permanent, and an unknown host, returns immediately.
+/// to [`TRANSIENT_RETRIES`] extra times; anything permanent, and an
+/// unknown host, returns immediately.
 ///
 /// Every attempt is observed through the telemetry registry: a
 /// per-§3-class probe counter plus a [simulated-latency](probe_latency)
 /// histogram, so a census under-count can be correlated with probe
 /// slowness by status class.
-fn probe(
-    net: &SimNet,
-    config: &CrawlerConfig,
-    domain: &Domain,
-    path: &str,
-) -> Result<HttpResponse, NetError> {
+fn probe(net: &SimNet, domain: &Domain, path: &str) -> Result<HttpResponse, NetError> {
     let mut attempt = 0;
     loop {
         let outcome = net.get(domain, path);
         let class = probe_class(&outcome);
         Telemetry::global().record_probe(class, probe_latency(domain, class, attempt));
-        if class != ProbeClass::Transient || attempt >= config.transient_retries {
+        if class != ProbeClass::Transient || attempt >= TRANSIENT_RETRIES {
             return outcome;
         }
         attempt += 1;
@@ -242,7 +237,7 @@ fn crawl_one(
     };
 
     // 1. Classify via nodeinfo.
-    match probe(net, config, domain, "/nodeinfo/2.0") {
+    match probe(net, domain, "/nodeinfo/2.0") {
         Err(_) => {
             out.outcome = CrawlOutcome::Unreachable;
             return out;
@@ -265,7 +260,7 @@ fn crawl_one(
     }
 
     // 2. Instance metadata (incl. exposed policies).
-    match probe(net, config, domain, "/api/v1/instance") {
+    match probe(net, domain, "/api/v1/instance") {
         Ok(resp) if resp.is_success() => {
             if let Ok(body) = resp.json_body() {
                 out.metadata = Some(parse_metadata(&body));
@@ -301,24 +296,20 @@ fn crawl_one(
     }
 
     // 4. Timeline pagination.
-    out.timeline = crawl_timeline(net, config, domain);
+    out.timeline = crawl_timeline(net, domain);
     out.outcome = CrawlOutcome::Crawled;
     out
 }
 
-fn crawl_timeline(net: &SimNet, config: &CrawlerConfig, domain: &Domain) -> TimelineCrawl {
+fn crawl_timeline(net: &SimNet, domain: &Domain) -> TimelineCrawl {
     let mut posts: Vec<CollectedPost> = Vec::new();
     let mut max_id: Option<u64> = None;
-    for _ in 0..config.max_pages_per_instance {
+    for _ in 0..MAX_PAGES_PER_INSTANCE {
         let path = match max_id {
-            Some(id) => format!(
-                "/api/v1/timelines/public?local=true&limit={}&max_id={id}",
-                config.page_limit
-            ),
-            None => format!(
-                "/api/v1/timelines/public?local=true&limit={}",
-                config.page_limit
-            ),
+            Some(id) => {
+                format!("/api/v1/timelines/public?local=true&limit={PAGE_LIMIT}&max_id={id}")
+            }
+            None => format!("/api/v1/timelines/public?local=true&limit={PAGE_LIMIT}"),
         };
         let resp: HttpResponse = match net.get(domain, &path) {
             Ok(r) => r,
@@ -605,48 +596,33 @@ mod tests {
     #[test]
     fn transient_retry_shrinks_the_undercount_but_dead_stays_dead() {
         // A gateway flap: the first nodeinfo probe answers 502, every
-        // later request is served normally. Without the retry budget the
-        // census writes the instance off as Failed{502}; with the
-        // default single retry it lands in the dataset — while a
+        // later request is served normally. The single retry lands the
+        // instance in the dataset; two flaps in a row exhaust it; a
         // genuinely Gone instance is still taken at face value on its
         // first (and only) probe.
-        let net = Arc::new(SimNet::new());
-        let flappy = make_server("flappy.example", 1, 4);
-        let flapped = std::sync::atomic::AtomicBool::new(false);
-        net.register_fn(Domain::new("flappy.example"), move |req| {
-            if !flapped.swap(true, std::sync::atomic::Ordering::SeqCst) {
-                return HttpResponse::status(StatusCode::BAD_GATEWAY);
-            }
-            flappy.handle(req)
-        });
-        let gone = Domain::new("gone.example");
-        net.set_failure(gone.clone(), FailureMode::Gone);
-
-        let without_retry = {
-            let config = CrawlerConfig {
-                transient_retries: 0,
-                ..CrawlerConfig::default()
-            };
-            // A separate flap on a fresh net so both runs see attempt 1
-            // fail. Reuse of `net` below gets the already-flapped server.
+        let flapping = |flaps: usize| {
             let net = Arc::new(SimNet::new());
             let flappy = make_server("flappy.example", 1, 4);
-            let flapped = std::sync::atomic::AtomicBool::new(false);
+            let seen = std::sync::atomic::AtomicUsize::new(0);
             net.register_fn(Domain::new("flappy.example"), move |req| {
-                if !flapped.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                if seen.fetch_add(1, std::sync::atomic::Ordering::SeqCst) < flaps {
                     return HttpResponse::status(StatusCode::BAD_GATEWAY);
                 }
                 flappy.handle(req)
             });
-            let crawler = Crawler::new(Arc::clone(&net), config);
-            crawler.crawl(&[Domain::new("flappy.example")])
+            net
         };
+        let twice = Crawler::new(flapping(2), CrawlerConfig::default())
+            .crawl(&[Domain::new("flappy.example")]);
         assert_eq!(
-            without_retry.by_domain("flappy.example").unwrap().outcome,
+            twice.by_domain("flappy.example").unwrap().outcome,
             CrawlOutcome::Failed { status: 502 },
-            "no retry budget ⇒ the flap under-counts the live fleet"
+            "the budget is one retry: a second flap under-counts the live fleet"
         );
 
+        let net = flapping(1);
+        let gone = Domain::new("gone.example");
+        net.set_failure(gone.clone(), FailureMode::Gone);
         let crawler = Crawler::new(Arc::clone(&net), CrawlerConfig::default());
         let dataset = crawler.crawl(&[Domain::new("flappy.example"), gone.clone()]);
         let inst = dataset.by_domain("flappy.example").unwrap();

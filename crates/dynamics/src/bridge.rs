@@ -35,7 +35,6 @@ struct BridgeCounters {
     failures: AtomicU64,
     recoveries: AtomicU64,
     defederations: AtomicU64,
-    follow_edges: AtomicU64,
 }
 
 /// A read handle on a bridge's mirroring counters. Cheap to clone;
@@ -60,11 +59,6 @@ impl BridgeStats {
     /// `Defederate` events that severed a live engine link.
     pub fn defederations_applied(&self) -> u64 {
         self.counters.defederations.load(Ordering::Relaxed)
-    }
-
-    /// Follow edges destroyed on bridged servers by those defederations.
-    pub fn follow_edges_severed(&self) -> u64 {
-        self.counters.follow_edges.load(Ordering::Relaxed)
     }
 }
 
@@ -149,10 +143,7 @@ impl EventSink for LiveNetBridge {
                     self.counters.defederations.fetch_add(1, Ordering::Relaxed);
                     let target = &self.domains[*target as usize];
                     if let Some(server) = self.servers.get(&self.domains[*instance as usize]) {
-                        let severed = server.defederate(target) as u64;
-                        self.counters
-                            .follow_edges
-                            .fetch_add(severed, Ordering::Relaxed);
+                        server.defederate(target);
                     }
                 }
             }

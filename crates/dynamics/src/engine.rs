@@ -65,7 +65,9 @@
 use crate::event::{Event, EventQueue};
 use crate::scenario::Scenario;
 use crate::sink::EventSink;
-use crate::state::{NetworkState, RetryPolicy, SharedColumns};
+use crate::state::{
+    retry_backoff, NetworkState, SharedColumns, MAX_RETRY_ATTEMPTS, RETRY_BASE_BACKOFF,
+};
 use fediscope_simnet::FailureClass;
 
 use crate::trace::{quantise_score, DynamicsTrace, TickTrace};
@@ -99,6 +101,12 @@ pub enum MeasureMode {
     Reference,
 }
 
+/// Logical tick length: the paper's 4-hour snapshot cadence.
+const TICK_LEN: SimDuration = SNAPSHOT_INTERVAL;
+
+/// Logical start time of every run: the campaign start.
+const START: SimTime = CAMPAIGN_START;
+
 /// Engine knobs.
 #[derive(Debug, Clone)]
 pub struct DynamicsConfig {
@@ -106,10 +114,6 @@ pub struct DynamicsConfig {
     pub seed: u64,
     /// Number of ticks to run.
     pub ticks: u64,
-    /// Logical tick length (default: the paper's 4-hour snapshot cadence).
-    pub tick_len: SimDuration,
-    /// Logical start time.
-    pub start: SimTime,
     /// Per-sender per-tick emission cap (keeps one giant instance from
     /// dominating a storm).
     pub emission_cap: u64,
@@ -122,8 +126,6 @@ impl Default for DynamicsConfig {
         DynamicsConfig {
             seed: 1534,
             ticks: 42,
-            tick_len: SNAPSHOT_INTERVAL,
-            start: CAMPAIGN_START,
             emission_cap: 64,
             measure: MeasureMode::Batched,
         }
@@ -292,11 +294,6 @@ impl DynamicsEngine {
         self.sink = Some(sink);
     }
 
-    /// Detaches the sink, returning it (e.g. to read bridge counters).
-    pub fn detach_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take()
-    }
-
     /// Applies one event; returns whether it changed state (the
     /// propagation gate scenarios key their follow-up scheduling on).
     /// `now` is the event's fire time — the origin every follow-up the
@@ -325,8 +322,7 @@ impl DynamicsEngine {
                 sender,
                 receiver,
                 attempt,
-                posts,
-            } => self.apply_retry(*sender, *receiver, *attempt, *posts, now),
+            } => self.apply_retry(*sender, *receiver, *attempt, now),
         };
         if let Some(sink) = self.sink.as_mut() {
             sink.on_event(event, applied, &self.state);
@@ -344,33 +340,30 @@ impl DynamicsEngine {
     /// a permanent death short-circuits every batch straight to the
     /// senders' dead-letter queues — there is nothing to wait for.
     fn on_receiver_down(&mut self, receiver: u32, now: SimTime) {
-        let Some(policy) = self.state.retry_policy() else {
+        if !self.state.retries_enabled() {
             return;
-        };
+        }
         let Some(class) = self.state.failure_class_of(receiver) else {
             return;
         };
-        let cap = self.config.emission_cap;
         let mut senders = std::mem::take(&mut self.down_scratch);
         senders.clear();
         senders.extend_from_slice(self.state.neighbors(receiver as usize));
         for &s in &senders {
-            let posts = self.state.instances[s as usize].emissions(cap);
             match class {
                 FailureClass::Permanent => {
-                    self.state.settle_dead_letter(s, receiver, posts);
+                    self.state.settle_dead_letter(s, receiver);
                     self.tick_dead_lettered += 1;
                 }
                 FailureClass::Transient => {
                     if self.state.open_retry_chain(s, receiver) {
-                        let delay = backoff_delay(&policy, self.config.seed, s, 1);
+                        let delay = backoff_delay(self.config.seed, s, 1);
                         self.queue.schedule(
                             now + delay,
                             Event::RetryDelivery {
                                 sender: s,
                                 receiver,
                                 attempt: 1,
-                                posts,
                             },
                         );
                     }
@@ -385,52 +378,44 @@ impl DynamicsEngine {
     /// recovered receiver takes the batch; a permanently-dead receiver
     /// dead-letters; a still-transient outage reschedules until the
     /// attempt budget is spent, then dead-letters.
-    fn apply_retry(
-        &mut self,
-        sender: u32,
-        receiver: u32,
-        attempt: u32,
-        posts: u64,
-        now: SimTime,
-    ) -> bool {
-        let Some(policy) = self.state.retry_policy() else {
+    fn apply_retry(&mut self, sender: u32, receiver: u32, attempt: u32, now: SimTime) -> bool {
+        if !self.state.retries_enabled() {
             return false;
-        };
+        }
         // Stale event (chain already settled): scenarios scheduling raw
         // `RetryDelivery` events by hand cannot double-settle a batch.
         if !self.state.retry_pending(sender, receiver) {
             return false;
         }
         if !self.state.linked(sender, receiver) {
-            self.state.settle_dead_letter(sender, receiver, posts);
+            self.state.settle_dead_letter(sender, receiver);
             self.tick_dead_lettered += 1;
             return true;
         }
         match self.state.failure_class_of(receiver) {
             None => {
-                self.state.settle_recovered(sender, receiver, posts);
+                self.state.settle_recovered(sender, receiver);
                 self.tick_recovered += 1;
             }
             Some(FailureClass::Permanent) => {
-                self.state.settle_dead_letter(sender, receiver, posts);
+                self.state.settle_dead_letter(sender, receiver);
                 self.tick_dead_lettered += 1;
             }
             Some(FailureClass::Transient) => {
-                if attempt >= policy.max_attempts {
-                    self.state.settle_dead_letter(sender, receiver, posts);
+                if attempt >= MAX_RETRY_ATTEMPTS {
+                    self.state.settle_dead_letter(sender, receiver);
                     self.tick_dead_lettered += 1;
                 } else {
                     let next = attempt + 1;
                     self.state.bump_retry_attempt(sender, receiver, next);
                     self.tick_retried += 1;
-                    let delay = backoff_delay(&policy, self.config.seed, sender, next);
+                    let delay = backoff_delay(self.config.seed, sender, next);
                     self.queue.schedule(
                         now + delay,
                         Event::RetryDelivery {
                             sender,
                             receiver,
                             attempt: next,
-                            posts,
                         },
                     );
                 }
@@ -472,12 +457,7 @@ impl DynamicsEngine {
         // and counters a previous run left behind, then let the scenario
         // re-enable in `init` if it wants retries.
         self.state.reset_reliability();
-        scenario.init(
-            self.config.start,
-            &mut self.state,
-            &mut self.queue,
-            &mut ctrl_rng,
-        );
+        scenario.init(START, &mut self.state, &mut self.queue, &mut ctrl_rng);
         // `init` may rewrite pipelines and templates directly, which no
         // stale mark sees: start the run with no stored verdict.
         self.state.clear_verdicts();
@@ -497,7 +477,7 @@ impl DynamicsEngine {
         }
         let tick = self.next_tick;
         self.next_tick += 1;
-        let now = self.config.start + SimDuration(self.config.tick_len.0 * tick);
+        let now = START + SimDuration(TICK_LEN.0 * tick);
         // ---- control phase: apply due events in total order ----
         let mut ctrl_rng = self
             .ctrl_rng
@@ -713,14 +693,9 @@ fn retry_seed(seed: u64, sender: u64, attempt: u64) -> u64 {
 /// `base · 2^(attempt-1)` plus a uniform draw from `[0, base)` off the
 /// [`retry_seed`] stream (full jitter keeps simultaneous outages from
 /// retrying in lockstep).
-fn backoff_delay(policy: &RetryPolicy, seed: u64, sender: u32, attempt: u32) -> SimDuration {
-    let jitter = if policy.base_backoff.0 == 0 {
-        0
-    } else {
-        let mut rng = SmallRng::seed_from_u64(retry_seed(seed, sender as u64, attempt as u64));
-        rng.gen_range(0..policy.base_backoff.0)
-    };
-    policy.backoff(attempt, jitter)
+fn backoff_delay(seed: u64, sender: u32, attempt: u32) -> SimDuration {
+    let mut rng = SmallRng::seed_from_u64(retry_seed(seed, sender as u64, attempt as u64));
+    retry_backoff(attempt, rng.gen_range(0..RETRY_BASE_BACKOFF.0))
 }
 
 /// One receiver's tick, per-post reference path: pull every live

@@ -86,10 +86,6 @@ pub enum Event {
         receiver: u32,
         /// Which attempt this is (1-based; bounded by the retry budget).
         attempt: u32,
-        /// Posts riding in the batch (what was lost when the receiver
-        /// went down; 0 under `emission_cap: 0` flood configs — the
-        /// batch itself is still tracked).
-        posts: u64,
     },
 }
 

@@ -261,7 +261,7 @@ impl ExperimentResult {
 mod tests {
     use super::*;
     use crate::engine::DynamicsConfig;
-    use crate::scenarios::{InactionScenario, PolicyRolloutScenario, RolloutConfig};
+    use crate::scenarios::{InactionScenario, PolicyRolloutScenario};
     use crate::testutil::seeds_arc;
 
     fn builder(ticks: u64) -> EngineBuilder {
@@ -276,7 +276,7 @@ mod tests {
         Experiment::new(builder(ticks))
             .with_arm(Arm::new("inaction", || Box::new(InactionScenario)))
             .with_arm(Arm::new("rollout", || {
-                Box::new(PolicyRolloutScenario::new(RolloutConfig::default()))
+                Box::new(PolicyRolloutScenario::default())
             }))
             .with_baseline("inaction")
     }
@@ -315,7 +315,7 @@ mod tests {
         let result = rollout_vs_inaction(12).run();
         let b = builder(12);
         let mut standalone_engine = DynamicsEngine::new(b.config().clone(), b.seeds());
-        let mut scenario = PolicyRolloutScenario::new(RolloutConfig::default());
+        let mut scenario = PolicyRolloutScenario::default();
         let standalone = standalone_engine.run(&mut scenario);
         let arm = result.arm("rollout").unwrap();
         assert_eq!(arm.trace.digest(), standalone.digest());

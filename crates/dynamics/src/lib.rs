@@ -65,12 +65,12 @@
 //!
 //! # Time: ticks vs. wall clock
 //!
-//! The engine has no wall clock. One tick spans
-//! [`DynamicsConfig::tick_len`] of *logical* time — by default the
-//! paper's 4-hour snapshot cadence
-//! ([`fediscope_core::time::SNAPSHOT_INTERVAL`]), so 6 ticks ≈ one
-//! simulated day and the default 42-tick run ≈ one simulated week.
-//! Tick `t` carries the logical timestamp `start + tick_len × t`;
+//! The engine has no wall clock. One tick spans the paper's 4-hour
+//! snapshot cadence ([`fediscope_core::time::SNAPSHOT_INTERVAL`]) of
+//! *logical* time, so 6 ticks ≈ one simulated day and the default
+//! 42-tick run ≈ one simulated week. Every run starts at
+//! [`fediscope_core::time::CAMPAIGN_START`], and tick `t` carries the
+//! logical timestamp `CAMPAIGN_START + SNAPSHOT_INTERVAL × t`;
 //! nothing anywhere maps ticks to real seconds, which is why traces are
 //! reproducible on any machine at any load. Round-trip census runs are
 //! paced in the same units: [`CensusCadence::every_ticks`] (default 6,
@@ -93,8 +93,8 @@
 //!
 //! Real Pleroma redrives failed inbox deliveries from a retry queue;
 //! the engine models that as a first-class layer, off by default and
-//! enabled per run by [`scenarios::ReliabilityScenario`] installing a
-//! [`RetryPolicy`] on the [`NetworkState`]. The contract:
+//! enabled per run by [`scenarios::ReliabilityScenario`] calling
+//! [`NetworkState::enable_retries`]. The contract:
 //!
 //! * **Chain opening.** When a `GoDown` applies on an up→down edge in
 //!   the control phase, every live federation neighbor's pending batch
@@ -109,9 +109,9 @@
 //!   `seed ⊕ sender·0x9e3779b97f4a7c15 ⊕ attempt·0xc2b2ae3d27d4eb4f` —
 //!   the same per-entity stream-splitting scheme the measurement phase
 //!   uses, keyed on `(seed, sender, attempt)` instead of a shared
-//!   stream. With the default policy (5 attempts, 1 h base) a chain
-//!   reaches ≈ 31–36 h, deliberately straddling the churn scenario's
-//!   12 h transient outages.
+//!   stream. The schedule is fixed: 5 attempts on a 1 h base, so a
+//!   chain reaches ≈ 31–36 h, deliberately straddling the churn
+//!   scenario's 12 h transient outages.
 //! * **Determinism guarantee.** Retry events ride the same calendar
 //!   [`EventQueue`] and are applied in the same single-threaded
 //!   `(time, seq)` total order as every other event; jitter never
@@ -120,10 +120,11 @@
 //!   worker count (the contract matrix runs the `retry`
 //!   scenario at 1/2/8 workers).
 //! * **Dead-letter semantics.** A chain settles exactly once: as
-//!   `recovered` (an attempt found the receiver up — credited to the
-//!   receiver) or as `dead_lettered` (budget exhausted, permanent
-//!   failure class at fire time, or the link was severed mid-window —
-//!   credited to the sender). [`TickTrace`] carries per-tick
+//!   `recovered` (an attempt found the receiver up) or as
+//!   `dead_lettered` (budget exhausted, permanent failure class at
+//!   fire time, or the link was severed mid-window). The state keeps
+//!   the two run totals ([`NetworkState::recovered_total`],
+//!   [`NetworkState::dead_letter_total`]); [`TickTrace`] carries per-tick
 //!   `retried`/`recovered`/`dead_lettered` columns, digested and
 //!   diffed by [`TraceDelta`] like every other metric, so a retry-on
 //!   vs retry-off experiment pair attributes every redelivery to its
@@ -164,7 +165,7 @@ pub use event::{Event, EventQueue, Scheduled};
 pub use experiment::{Arm, ArmRun, Experiment, ExperimentResult};
 pub use scenario::Scenario;
 pub use sink::EventSink;
-pub use state::{InstanceState, NetworkState, PostTemplate, RetryPolicy, SharedColumns};
+pub use state::{InstanceState, NetworkState, PostTemplate, SharedColumns};
 pub use trace::{exposure_score, failure_mix_index, Divergence, DynamicsTrace, TickTrace};
 
 #[cfg(test)]

@@ -26,11 +26,16 @@ pub struct CascadeConfig {
     /// block (per neighbor, per applied block), at the reference blocker
     /// size — scaled by [`follower_weight`] of the blocker's user count.
     pub imitation_p: f64,
-    /// Delay before an imitated block fires.
+    /// Delay before an imitated block fires. No caller sets it; it stays
+    /// a field only while the benchmark's `CascadeConfig { imitation_p,
+    /// ..CascadeConfig::default() }` literal needs a field it does not
+    /// name (with none left, clippy's `needless_update` flags that
+    /// literal), and becomes a constant with the next benchmark change.
     pub imitation_delay: SimDuration,
-    /// Window over which the seed blocks are spread.
-    pub seed_window: SimDuration,
 }
+
+/// Window over which the seed blocks are spread.
+const SEED_WINDOW: SimDuration = SimDuration::days(1);
 
 /// Blocker size at which [`follower_weight`] is exactly 1.0, i.e.
 /// [`CascadeConfig::imitation_p`] applies unscaled.
@@ -59,7 +64,6 @@ impl Default for CascadeConfig {
         CascadeConfig {
             imitation_p: 0.3,
             imitation_delay: SimDuration::hours(8),
-            seed_window: SimDuration::days(1),
         }
     }
 }
@@ -134,7 +138,7 @@ impl Scenario for DefederationCascadeScenario {
         self.seed_blocks = edges.len() as u64;
         let n = edges.len().max(1) as u64;
         for (pos, (a, t)) in edges.into_iter().enumerate() {
-            let at = start + SimDuration(self.config.seed_window.0 * pos as u64 / n);
+            let at = start + SimDuration(SEED_WINDOW.0 * pos as u64 / n);
             queue.schedule(
                 at,
                 Event::Defederate {

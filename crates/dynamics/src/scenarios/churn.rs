@@ -17,14 +17,20 @@ use fediscope_simnet::FailureMode;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
+/// Window over which the seeded (permanent) deaths are spread, and
+/// over which transient outage starts are drawn.
+const RAMP: SimDuration = SimDuration::days(4);
+
 /// Churn shape.
 #[derive(Debug, Clone)]
 pub struct ChurnConfig {
-    /// Window over which the seeded (permanent) deaths are spread.
-    pub ramp: SimDuration,
     /// Probability that a healthy instance suffers transient outages.
     pub transient_p: f64,
-    /// Length of a transient outage.
+    /// Length of a transient outage. No caller sets it; it stays a field
+    /// only while the benchmark's `ChurnConfig { transient_p, rounds,
+    /// ..ChurnConfig::default() }` literal needs a field it does not
+    /// name (with none left, clippy's `needless_update` flags that
+    /// literal), and becomes a constant with the next benchmark change.
     pub outage: SimDuration,
     /// Transient outage+recovery episodes each affected instance
     /// suffers (default 1 — the historical behaviour; event-flood
@@ -40,7 +46,6 @@ pub struct ChurnConfig {
 impl Default for ChurnConfig {
     fn default() -> Self {
         ChurnConfig {
-            ramp: SimDuration::days(4),
             transient_p: 0.05,
             outage: SimDuration::hours(12),
             rounds: 1,
@@ -102,7 +107,7 @@ impl Scenario for ChurnScenario {
         self.permanent_deaths = doomed.len() as u64;
         let n = doomed.len().max(1) as u64;
         for (pos, (i, mode)) in doomed.into_iter().enumerate() {
-            let at = start + SimDuration(self.config.ramp.0 * pos as u64 / n);
+            let at = start + SimDuration(RAMP.0 * pos as u64 / n);
             queue.schedule(at, Event::GoDown { instance: i, mode });
         }
         // Transient outages on the survivors: 502/503 with recovery,
@@ -121,7 +126,7 @@ impl Scenario for ChurnScenario {
                 } else {
                     FailureMode::Unavailable
                 };
-                let offset = SimDuration(rng.gen_range(0..self.config.ramp.0.max(1)));
+                let offset = SimDuration(rng.gen_range(0..RAMP.0));
                 let down_at = start + offset;
                 queue.schedule(
                     down_at,

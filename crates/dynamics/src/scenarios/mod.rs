@@ -110,7 +110,7 @@ fn delta_writers() -> [Box<dyn Scenario>; 4] {
             imitation_p: 0.9,
             ..CascadeConfig::default()
         })),
-        Box::new(PolicyRolloutScenario::new(RolloutConfig::default())),
+        Box::new(PolicyRolloutScenario::default()),
     ]
 }
 
@@ -123,7 +123,7 @@ static REGISTRY: [Entry; 15] = [
     Entry {
         name: "rollout",
         about: "staged MRF rollout from the fresh install",
-        build: || Box::new(PolicyRolloutScenario::new(RolloutConfig::default())),
+        build: || Box::new(PolicyRolloutScenario::default()),
     },
     Entry {
         name: "cascade",
@@ -148,9 +148,7 @@ static REGISTRY: [Entry; 15] = [
                 Composite::new()
                     .with(Box::new(ToxicityStormScenario::new(StormConfig::default())))
                     .with(Box::new(ChurnScenario::new(ChurnConfig::default())))
-                    .with(Box::new(PolicyRolloutScenario::new(
-                        RolloutConfig::default(),
-                    ))),
+                    .with(Box::new(PolicyRolloutScenario::default())),
             )
         },
     },

@@ -30,9 +30,6 @@ use std::sync::Arc;
 /// "known" and the "accepted" half of a verdict word.
 const MAX_TEMPLATES: usize = 32;
 
-/// Configuration of the delivery-reliability layer: how a retry-enabled
-/// run redelivers batches lost to transient failures.
-///
 /// Multiply-xor hasher for the retry ledger's dense `(sender, receiver)`
 /// edge keys. The keys are small engine-internal integers, never
 /// attacker-controlled, and the ledger is probed on every retry-chain
@@ -59,43 +56,30 @@ impl std::hash::Hasher for EdgeHasher {
     }
 }
 
-/// Attempt `n` (1-based) fires `base_backoff · 2^(n-1)` plus a jitter in
-/// `[0, base_backoff)` after the previous failure — the classic
+/// Redelivery attempts per batch before it dead-letters. Five attempts
+/// on the 1-hour [`RETRY_BASE_BACKOFF`] reach ≈ 1+2+4+8+16 = 31–36 h,
+/// enough to straddle the churn scenario's 12 h outages.
+pub(crate) const MAX_RETRY_ATTEMPTS: u32 = 5;
+
+/// Base backoff delay of the retry schedule (doubles each attempt).
+pub(crate) const RETRY_BASE_BACKOFF: SimDuration = SimDuration::hours(1);
+
+/// Delay before retry attempt `attempt` (1-based):
+/// `RETRY_BASE_BACKOFF · 2^(attempt-1)` plus a jitter in
+/// `[0, RETRY_BASE_BACKOFF)` after the previous failure — the classic
 /// exponential-backoff-with-full-jitter schedule Pleroma's federator
-/// publisher uses, with the jitter drawn from a per-`(seed, sender,
-/// attempt)` stream so the schedule is a pure function of the run seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Redelivery attempts per batch before it dead-letters.
-    pub max_attempts: u32,
-    /// Base backoff delay (doubles each attempt).
-    pub base_backoff: SimDuration,
-}
-
-impl Default for RetryPolicy {
-    /// Five attempts on a 1-hour base: cumulative reach ≈ 1+2+4+8+16 =
-    /// 31–36 h, enough to straddle the churn scenario's 12 h outages.
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 5,
-            base_backoff: SimDuration::hours(1),
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Delay before attempt `attempt` (1-based). `jitter` must already
-    /// be reduced to `[0, base_backoff)` by the caller's deterministic
-    /// stream. The exponential term saturates instead of overflowing.
-    pub fn backoff(&self, attempt: u32, jitter_secs: u64) -> SimDuration {
-        let doublings = attempt.saturating_sub(1).min(20);
-        SimDuration(
-            self.base_backoff
-                .0
-                .saturating_mul(1u64 << doublings)
-                .saturating_add(jitter_secs),
-        )
-    }
+/// publisher uses. The caller draws `jitter_secs` from a per-`(seed,
+/// sender, attempt)` stream, so the schedule is a pure function of the
+/// run seed. The exponential term stops doubling after 20 steps and
+/// the sum saturates instead of overflowing.
+pub(crate) fn retry_backoff(attempt: u32, jitter_secs: u64) -> SimDuration {
+    let doublings = attempt.saturating_sub(1).min(20);
+    SimDuration(
+        RETRY_BASE_BACKOFF
+            .0
+            .saturating_mul(1u64 << doublings)
+            .saturating_add(jitter_secs),
+    )
 }
 
 /// A reusable inbound post: the pre-built `Create` activity, the raw
@@ -159,16 +143,6 @@ pub struct InstanceState {
     pub users: u32,
     /// Ground truth: instances rejecting this one.
     pub rejects_received: u32,
-    /// Delivery batches redelivered to this instance after it recovered
-    /// from a transient outage (retry-enabled runs only).
-    pub recovered_batches: u64,
-    /// Posts riding in those recovered batches.
-    pub recovered_posts: u64,
-    /// Outbound batches this instance gave up on (budget exhausted,
-    /// permanent receiver death, or mid-retry defederation).
-    pub dead_letter_batches: u64,
-    /// Posts riding in those dead-lettered batches.
-    pub dead_letter_posts: u64,
 }
 
 impl InstanceState {
@@ -226,13 +200,13 @@ pub struct NetworkState {
     /// Down instances by §3 failure-taxonomy slot
     /// ([`failure_mix_index`]): `[404, 403, 502, 503, 410]`.
     failure_mix: [u64; 5],
-    /// Reliability layer: `None` (the default) means failed deliveries
+    /// Reliability layer: off (the default) means failed deliveries
     /// are terminal, exactly the pre-retry engine behaviour. A scenario
     /// opts in via [`enable_retries`](Self::enable_retries) — enablement
     /// lives on the state, not the engine config, so paired experiment
     /// arms can differ on it while sharing one `DynamicsConfig`
     /// (zero-drift contract).
-    retry: Option<RetryPolicy>,
+    retries: bool,
     /// Open retry chains: `(sender, receiver) → last scheduled attempt`.
     /// At most one chain per directed edge; re-failures while a chain is
     /// open fold into it instead of double-scheduling. Keyed with
@@ -490,10 +464,6 @@ impl NetworkState {
                     templates,
                     users: seeds.users[i],
                     rejects_received: seeds.rejects_received[i],
-                    recovered_batches: 0,
-                    recovered_posts: 0,
-                    dead_letter_batches: 0,
-                    dead_letter_posts: 0,
                 }
             })
             .collect();
@@ -535,7 +505,7 @@ impl NetworkState {
             up_count,
             adopted_count: 0,
             failure_mix,
-            retry: None,
+            retries: false,
             pending_retries: HashMap::default(),
             recovered_total: 0,
             dead_letter_total: 0,
@@ -629,30 +599,24 @@ impl NetworkState {
     }
 
     /// Turns the delivery-reliability layer on. Called from a scenario's
-    /// `init`; the engine consults the policy when instances go down.
-    pub fn enable_retries(&mut self, policy: RetryPolicy) {
-        self.retry = Some(policy);
+    /// `init`; the engine then opens retry chains when instances go down.
+    pub fn enable_retries(&mut self) {
+        self.retries = true;
     }
 
-    /// The active retry policy, if the run opted in.
-    pub fn retry_policy(&self) -> Option<RetryPolicy> {
-        self.retry
+    /// Whether the run opted in to retries.
+    pub fn retries_enabled(&self) -> bool {
+        self.retries
     }
 
-    /// Clears every trace of the reliability layer: policy, open chains
-    /// and all counters. The engine calls this at `begin()` so a reused
-    /// engine never leaks retry state (or enablement) across runs.
+    /// Clears every trace of the reliability layer: enablement, open
+    /// chains and both totals. The engine calls this at `begin()` so a
+    /// reused engine never leaks retry state (or enablement) across runs.
     pub fn reset_reliability(&mut self) {
-        self.retry = None;
+        self.retries = false;
         self.pending_retries.clear();
         self.recovered_total = 0;
         self.dead_letter_total = 0;
-        for inst in &mut self.instances {
-            inst.recovered_batches = 0;
-            inst.recovered_posts = 0;
-            inst.dead_letter_batches = 0;
-            inst.dead_letter_posts = 0;
-        }
     }
 
     /// Opens a retry chain for the directed edge `sender → receiver`,
@@ -675,23 +639,16 @@ impl NetworkState {
         self.pending_retries.insert((sender, receiver), attempt);
     }
 
-    /// Closes the chain with a successful redelivery, crediting the
-    /// recovered batch to the receiver.
-    pub fn settle_recovered(&mut self, sender: u32, receiver: u32, posts: u64) {
+    /// Closes the chain with a successful redelivery.
+    pub fn settle_recovered(&mut self, sender: u32, receiver: u32) {
         self.pending_retries.remove(&(sender, receiver));
-        let inst = &mut self.instances[receiver as usize];
-        inst.recovered_batches += 1;
-        inst.recovered_posts += posts;
         self.recovered_total += 1;
     }
 
     /// Closes the chain by giving up, parking the batch in the sender's
     /// dead-letter queue.
-    pub fn settle_dead_letter(&mut self, sender: u32, receiver: u32, posts: u64) {
+    pub fn settle_dead_letter(&mut self, sender: u32, receiver: u32) {
         self.pending_retries.remove(&(sender, receiver));
-        let inst = &mut self.instances[sender as usize];
-        inst.dead_letter_batches += 1;
-        inst.dead_letter_posts += posts;
         self.dead_letter_total += 1;
     }
 
@@ -1045,49 +1002,41 @@ mod tests {
     fn reliability_counters_stay_in_step() {
         let s = seeds();
         let mut state = NetworkState::from_seeds(s);
-        assert!(state.retry_policy().is_none(), "retries default off");
-        state.enable_retries(RetryPolicy::default());
-        assert!(state.retry_policy().is_some());
+        assert!(!state.retries_enabled(), "retries default off");
+        state.enable_retries();
+        assert!(state.retries_enabled());
         assert!(state.open_retry_chain(0, 1));
         assert!(!state.open_retry_chain(0, 1), "one chain per directed edge");
         assert!(state.open_retry_chain(2, 1));
+        assert!(state.open_retry_chain(3, 1));
         state.bump_retry_attempt(0, 1, 2);
-        assert_eq!(state.pending_retry_count(), 2);
-        state.settle_recovered(0, 1, 7);
-        state.settle_dead_letter(2, 1, 3);
+        assert_eq!(state.pending_retry_count(), 3);
+        state.settle_recovered(0, 1);
+        state.settle_dead_letter(2, 1);
+        state.settle_dead_letter(3, 1);
         assert_eq!(state.pending_retry_count(), 0);
+        assert!(!state.retry_pending(0, 1), "a settled chain closes");
         assert_eq!(state.recovered_total(), 1);
-        assert_eq!(state.dead_letter_total(), 1);
-        // Recovered batches land on the receiver, dead letters on the
-        // sender — and the O(1) totals agree with a recount.
-        assert_eq!(state.instances[1].recovered_batches, 1);
-        assert_eq!(state.instances[1].recovered_posts, 7);
-        assert_eq!(state.instances[2].dead_letter_batches, 1);
-        assert_eq!(state.instances[2].dead_letter_posts, 3);
-        let recovered: u64 = state.instances.iter().map(|i| i.recovered_batches).sum();
-        let dead: u64 = state.instances.iter().map(|i| i.dead_letter_batches).sum();
-        assert_eq!(recovered, state.recovered_total());
-        assert_eq!(dead, state.dead_letter_total());
+        assert_eq!(state.dead_letter_total(), 2);
         state.reset_reliability();
-        assert!(state.retry_policy().is_none());
+        assert!(!state.retries_enabled());
         assert_eq!(state.recovered_total() + state.dead_letter_total(), 0);
-        assert_eq!(state.instances[1].recovered_batches, 0);
     }
 
     #[test]
     fn backoff_schedule_doubles_and_never_overflows() {
-        let p = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: SimDuration::hours(1),
-        };
-        assert_eq!(p.backoff(1, 0), SimDuration(3600));
-        assert_eq!(p.backoff(2, 10), SimDuration(7210));
-        assert_eq!(p.backoff(3, 0), SimDuration(14_400));
-        let huge = RetryPolicy {
-            max_attempts: u32::MAX,
-            base_backoff: SimDuration(u64::MAX / 2),
-        };
-        assert!(huge.backoff(u32::MAX, u64::MAX) >= huge.backoff(1, 0));
+        // A 1-hour base, doubling per attempt; the 5th attempt is the
+        // last before a batch dead-letters.
+        assert_eq!(RETRY_BASE_BACKOFF, SimDuration::hours(1));
+        assert_eq!(MAX_RETRY_ATTEMPTS, 5);
+        assert_eq!(retry_backoff(1, 0), SimDuration(3600));
+        assert_eq!(retry_backoff(2, 10), SimDuration(7210));
+        assert_eq!(retry_backoff(3, 0), SimDuration(14_400));
+        assert_eq!(retry_backoff(MAX_RETRY_ATTEMPTS, 0), SimDuration::hours(16));
+        // Attempt `u32::MAX` stops doubling after 20 steps, and the sum
+        // saturates instead of overflowing.
+        assert_eq!(retry_backoff(u32::MAX, 0), SimDuration(3600 << 20));
+        assert_eq!(retry_backoff(u32::MAX, u64::MAX), SimDuration(u64::MAX));
     }
 
     #[test]

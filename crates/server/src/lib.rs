@@ -19,6 +19,9 @@
 //!
 //! [`Federator`] glues servers to `fediscope-simnet`: it fans out published
 //! activities to follower instances' inboxes over the simulated network.
+//! A server keeps no inbox or outbox log: it remembers only the ids of
+//! the remote activities it ingested, since delivery is at-least-once
+//! and a replayed id must be an accepted no-op.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

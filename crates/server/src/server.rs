@@ -1,6 +1,6 @@
 //! The instance server: state, ingestion, publication.
 
-use fediscope_activitypub::{FollowGraph, Inbox, Outbox, Timelines};
+use fediscope_activitypub::{FollowGraph, Timelines};
 use fediscope_core::config::InstanceModerationConfig;
 use fediscope_core::id::{ActivityId, Domain, UserId, UserRef};
 use fediscope_core::model::{Activity, ActivityKind, ActivityPayload, InstanceProfile, Post, User};
@@ -72,8 +72,9 @@ struct State {
     pipeline: MrfPipeline,
     graph: FollowGraph,
     timelines: Timelines,
-    inbox: Inbox,
-    outbox: Outbox,
+    /// Ids of the remote activities already ingested: federation
+    /// delivery is at-least-once, so a replayed id is an accepted no-op.
+    seen: HashSet<ActivityId>,
     clock: SimTime,
     next_activity: u64,
     /// When each remote domain first reached this server's inbox: the
@@ -103,8 +104,7 @@ impl InstanceServer {
                 pipeline,
                 graph: FollowGraph::new(),
                 timelines: Timelines::new(),
-                inbox: Inbox::new(),
-                outbox: Outbox::new(),
+                seen: HashSet::new(),
                 clock: fediscope_core::time::CAMPAIGN_START,
                 next_activity: 1,
                 first_contact: HashMap::new(),
@@ -233,8 +233,7 @@ impl InstanceServer {
 
     /// Publishes a post by a local user: runs the *local* pipeline (Pleroma
     /// filters outbound too — `NoEmptyPolicy` etc. act here), stores it on
-    /// local timelines, appends to the outbox, and returns the `Create`
-    /// activity for delivery.
+    /// local timelines, and returns the `Create` activity for delivery.
     pub fn publish(&self, post: Post) -> Result<Activity, PublishError> {
         let mut st = self.state.write();
         if !st.users.contains_key(&post.author.user) {
@@ -261,7 +260,6 @@ impl InstanceServer {
                     .cloned()
                     .collect();
                 st.timelines.ingest_local(post, &followers);
-                st.outbox.push(activity.clone());
                 self.stats.accepted.fetch_add(1, Ordering::Relaxed);
                 Ok(activity)
             }
@@ -272,7 +270,7 @@ impl InstanceServer {
     /// federation moderation. Returns the filter outcome.
     pub fn ingest_remote(&self, activity: Activity) -> FilterOutcome {
         let mut st = self.state.write();
-        if !st.inbox.receive(activity.clone()) {
+        if !st.seen.insert(activity.id) {
             // Duplicate delivery: treat as accepted no-op.
             return FilterOutcome {
                 verdict: fediscope_core::mrf::PolicyVerdict::Pass(activity),
@@ -413,21 +411,6 @@ impl InstanceServer {
         f(&self.state.read().graph)
     }
 
-    /// Read access to the inbox (tests).
-    pub fn with_inbox<R>(&self, f: impl FnOnce(&Inbox) -> R) -> R {
-        f(&self.state.read().inbox)
-    }
-
-    /// Read access to the outbox (tests).
-    pub fn with_outbox<R>(&self, f: impl FnOnce(&Outbox) -> R) -> R {
-        f(&self.state.read().outbox)
-    }
-
-    /// Iterates local users (snapshot).
-    pub fn users_snapshot(&self) -> Vec<User> {
-        self.state.read().users.values().cloned().collect()
-    }
-
     /// Applies an MRF tag to a local user (admin action; `TagPolicy`).
     pub fn tag_user(&self, id: UserId, tag: &str) -> bool {
         let mut st = self.state.write();
@@ -558,7 +541,6 @@ mod tests {
                 1
             );
         });
-        assert_eq!(s.with_outbox(|o| o.len()), 1);
     }
 
     #[test]
@@ -609,11 +591,20 @@ mod tests {
 
     #[test]
     fn duplicate_deliveries_are_idempotent() {
+        // At-least-once delivery: a replayed id passes without reaching
+        // the pipeline, and another id still ingests.
         let s = make_server("home.example");
         let act = remote_create(1, "remote.example", "once");
-        assert!(s.ingest_remote(act.clone()).accepted());
-        assert!(s.ingest_remote(act).accepted());
+        let first = s.ingest_remote(act.clone());
+        assert!(first.accepted() && !first.trace.is_empty());
+        let replay = s.ingest_remote(act);
+        assert!(replay.accepted() && replay.trace.is_empty());
         assert_eq!(s.post_count(), 1, "replay must not duplicate the post");
+        assert_eq!(s.stats().accepted.load(Ordering::Relaxed), 1);
+        assert!(s
+            .ingest_remote(remote_create(2, "remote.example", "once"))
+            .accepted());
+        assert_eq!(s.post_count(), 2);
     }
 
     #[test]

@@ -33,23 +33,19 @@ use fediscope_simnet::FailureMode;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Knobs for seed extraction.
+/// Knobs for seed extraction. Every world instance joins the seed set:
+/// non-Pleroma instances carry no posts or policies but are needed as
+/// resolvable reject targets.
 #[derive(Debug, Clone)]
 pub struct SeedKnobs {
     /// Per-instance cap on post templates (the dynamics engine cycles
     /// through them; a handful is enough to reproduce the harm mix).
     pub max_templates: usize,
-    /// Whether non-Pleroma instances join the seed set. They carry no
-    /// posts or policies but are needed as resolvable reject targets.
-    pub include_non_pleroma: bool,
 }
 
 impl Default for SeedKnobs {
     fn default() -> Self {
-        SeedKnobs {
-            max_templates: 32,
-            include_non_pleroma: true,
-        }
+        SeedKnobs { max_templates: 32 }
     }
 }
 
@@ -67,8 +63,7 @@ pub struct PostSeed {
 
 /// The dynamics-facing extract of a generated world, struct-of-arrays:
 /// every `Vec` below is one column indexed by instance (index order
-/// matches the world's instance order, filtered by
-/// [`SeedKnobs::include_non_pleroma`]).
+/// matches the world's instance order).
 #[derive(Debug, Clone)]
 pub struct ScenarioSeeds {
     /// The world seed (scenario RNG streams derive from it).
@@ -103,7 +98,7 @@ pub struct ScenarioSeeds {
 /// [`World::generate_streamed`] the full users/posts of an instance die
 /// with its chunk.
 struct SeedExtractor {
-    knobs: SeedKnobs,
+    max_templates: usize,
     seeds: ScenarioSeeds,
     peers: Vec<Arc<[Domain]>>,
 }
@@ -111,7 +106,7 @@ struct SeedExtractor {
 impl SeedExtractor {
     fn new(knobs: &SeedKnobs, seed: u64) -> SeedExtractor {
         SeedExtractor {
-            knobs: knobs.clone(),
+            max_templates: knobs.max_templates,
             seeds: ScenarioSeeds {
                 seed,
                 domains: Vec::new(),
@@ -134,7 +129,7 @@ impl SeedExtractor {
         let mut templates = Vec::new();
         'outer: for user in users {
             for post in &user.posts {
-                if templates.len() >= self.knobs.max_templates {
+                if templates.len() >= self.max_templates {
                     break 'outer;
                 }
                 if !post.content.is_empty() {
@@ -148,16 +143,9 @@ impl SeedExtractor {
         Arc::from(templates)
     }
 
-    fn keeps(&self, inst: &GeneratedInstance) -> bool {
-        self.knobs.include_non_pleroma || inst.profile.is_pleroma()
-    }
-
     /// Column push for a borrowed instance (the `from_world` path; the
     /// moderation config is cloned because the world keeps its copy).
     fn push(&mut self, inst: &GeneratedInstance) {
-        if !self.keeps(inst) {
-            return;
-        }
         let templates = self.templates_of(&inst.users);
         self.seeds.domains.push(inst.profile.domain.clone());
         self.seeds.pleroma.push(inst.profile.is_pleroma());
@@ -205,9 +193,6 @@ impl WorldSink for SeedExtractor {
         // The owned path: moderation configs (with their SimplePolicy
         // target lists) move into the column instead of being cloned;
         // users and posts drop right here, bounding the resident set.
-        if !self.keeps(&instance) {
-            return;
-        }
         let templates = self.templates_of(&instance.users);
         self.seeds.domains.push(instance.profile.domain.clone());
         self.seeds.pleroma.push(instance.profile.is_pleroma());
@@ -224,7 +209,7 @@ impl WorldSink for SeedExtractor {
     /// `max_templates` non-empty bodies, and composed bodies are never
     /// empty, so no later post is read.
     fn post_budget(&self) -> usize {
-        self.knobs.max_templates
+        self.max_templates
     }
 }
 
@@ -373,11 +358,6 @@ impl ScenarioSeeds {
             .filter(|&(_, n)| n > 0)
             .collect()
     }
-
-    /// Looks up an instance index by domain.
-    pub fn index_of(&self, domain: &str) -> Option<usize> {
-        self.domains.iter().position(|d| d.as_str() == domain)
-    }
 }
 
 #[cfg(test)]
@@ -416,10 +396,7 @@ mod tests {
             };
             let world = World::generate(config.clone());
             for max_templates in [1, 5, 32] {
-                let knobs = SeedKnobs {
-                    max_templates,
-                    ..SeedKnobs::default()
-                };
+                let knobs = SeedKnobs { max_templates };
                 // Precondition: the budget must cut some instance short.
                 let cut = world
                     .instances
@@ -509,12 +486,8 @@ mod tests {
     fn templates_respect_the_cap_and_carry_text() {
         let s = ScenarioSeeds::from_world_with(
             &World::generate(WorldConfig::test_small()),
-            &SeedKnobs {
-                max_templates: 5,
-                include_non_pleroma: false,
-            },
+            &SeedKnobs { max_templates: 5 },
         );
-        assert!(s.pleroma.iter().all(|&p| p));
         for templates in &s.templates {
             assert!(templates.len() <= 5);
             for t in templates.iter() {

@@ -10,7 +10,6 @@
 use fediscope::dynamics::scenarios::{CascadeConfig, DefederationCascadeScenario};
 use fediscope::dynamics::{exposure_score, DynamicsConfig, DynamicsEngine};
 use fediscope::prelude::*;
-use fediscope_core::time::SimDuration;
 
 fn main() {
     // A tenth-scale world keeps the run instant; the dynamics are the
@@ -37,8 +36,7 @@ fn main() {
         let mut engine = DynamicsEngine::new(engine_config, &seeds);
         let mut scenario = DefederationCascadeScenario::new(CascadeConfig {
             imitation_p,
-            imitation_delay: SimDuration::hours(8),
-            seed_window: SimDuration::days(1),
+            ..CascadeConfig::default()
         });
         let trace = engine.run(&mut scenario);
         let summary = fediscope::analysis::dynamics::prevention_summary(&trace);

@@ -258,7 +258,7 @@ mod tests {
         // exactly once (those statuses only ever come from failure
         // injection and are never retried), while transient 502 / 503
         // probes land exactly twice — the probe plus its single
-        // `CrawlerConfig::transient_retries` re-probe against a failure
+        // transient re-probe (the crawler grants one) against a failure
         // injection that holds for the whole (quiescent) census. 403 is
         // a superset at the request level — healthy closed-timeline
         // instances answer real 403s too.

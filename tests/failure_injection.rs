@@ -188,7 +188,7 @@ mod delivery_reliability {
     use fediscope::dynamics::scenarios::lookup;
     use fediscope::dynamics::{
         DynamicsConfig, DynamicsEngine, DynamicsTrace, Event, EventQueue, LiveNetBridge,
-        NetworkState, RetryPolicy, Scenario,
+        NetworkState, Scenario,
     };
     use fediscope::simnet::{FailureMode, SimNet};
     use fediscope::synthgen::{ScenarioSeeds, World, WorldConfig};
@@ -229,7 +229,7 @@ mod delivery_reliability {
             queue: &mut EventQueue,
             _rng: &mut SmallRng,
         ) {
-            state.enable_retries(RetryPolicy::default());
+            state.enable_retries();
             self.target = (0..state.len())
                 .find(|&i| !state.neighbors(i).is_empty())
                 .expect("the test world has linked instances") as u32;
@@ -252,7 +252,7 @@ mod delivery_reliability {
         }
     }
 
-    fn run_at(threads: usize, mode: FailureMode) -> (DynamicsTrace, Vec<u64>, u64) {
+    fn run_at(threads: usize, mode: FailureMode) -> (DynamicsTrace, u64, u64) {
         // The shim rayon allows re-sizing the global pool; real rayon
         // would degrade the sweep to same-size repeats.
         let _ = rayon::ThreadPoolBuilder::new()
@@ -265,14 +265,9 @@ mod delivery_reliability {
         let mut engine = DynamicsEngine::new(config, seeds());
         let mut scenario = OneOutage::new(mode);
         let trace = engine.run(&mut scenario);
-        let per_instance_dead: Vec<u64> = engine
-            .state()
-            .instances
-            .iter()
-            .map(|i| i.dead_letter_batches)
-            .collect();
+        let dead = engine.state().dead_letter_total();
         let pending = engine.state().pending_retry_count() as u64;
-        (trace, per_instance_dead, pending)
+        (trace, dead, pending)
     }
 
     #[test]
@@ -291,7 +286,7 @@ mod delivery_reliability {
                 "recovery lands on attempt 2: one reschedule per chain"
             );
             assert_eq!(trace.total_dead_lettered(), 0);
-            assert_eq!(dead.iter().sum::<u64>(), 0);
+            assert_eq!(dead, 0);
             assert_eq!(pending, 0, "no chain is left open");
             assert_eq!(
                 trace, transient_ref,
@@ -305,9 +300,9 @@ mod delivery_reliability {
             assert_eq!(trace.total_retried(), 0, "permanent failures never retry");
             assert_eq!(trace.total_recovered(), 0);
             assert_eq!(
-                dead.iter().sum::<u64>(),
+                dead,
                 trace.total_dead_lettered(),
-                "per-sender dead-letter counters add up to the trace total"
+                "the state's dead-letter total equals the trace total"
             );
             assert_eq!(pending, 0);
             assert_eq!(

@@ -120,10 +120,7 @@ fn budgeted_streamed_seeds_equal_the_materialised_extract() {
         };
         let world = World::generate(config.clone());
         for max_templates in [1, SeedKnobs::default().max_templates] {
-            let knobs = SeedKnobs {
-                max_templates,
-                ..SeedKnobs::default()
-            };
+            let knobs = SeedKnobs { max_templates };
             assert!(
                 world
                     .instances
