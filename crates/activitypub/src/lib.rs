@@ -16,6 +16,8 @@
 //!   crawler used for discovery;
 //! * [`Timelines`] — the three timelines of §3: *home*, *public* (local)
 //!   and the *whole known network* (federated);
+//! * [`Inbox`] — the ids of received activities, so that replays are
+//!   dropped (delivery is at-least-once);
 //! * [`Mailman`] — pure fan-out logic computing which instances must
 //!   receive a given activity.
 //!
@@ -30,5 +32,5 @@ mod mailbox;
 mod timeline;
 
 pub use follow::{FollowGraph, FollowOutcome};
-pub use mailbox::Mailman;
+pub use mailbox::{Inbox, Mailman};
 pub use timeline::{TimelineKind, Timelines};

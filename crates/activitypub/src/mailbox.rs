@@ -1,9 +1,44 @@
-//! Delivery fan-out.
+//! Replay deduplication and delivery fan-out.
 
 use crate::follow::FollowGraph;
-use fediscope_core::id::Domain;
+use fediscope_core::id::{ActivityId, Domain};
 use fediscope_core::model::{Activity, ActivityKind, ActivityPayload, Visibility};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+
+/// The ids of the activities received from remote instances: ingestion is
+/// idempotent, since federation delivery is at-least-once and a replay of
+/// the same `ActivityId` must be dropped. No log of the activities is kept.
+#[derive(Debug, Default)]
+pub struct Inbox {
+    seen: HashSet<ActivityId>,
+}
+
+impl Inbox {
+    /// Empty inbox.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records an activity's id; returns `false` if it was a duplicate.
+    pub fn receive(&mut self, activity: &Activity) -> bool {
+        self.seen.insert(activity.id)
+    }
+
+    /// Number of accepted activities.
+    pub fn len(&self) -> usize {
+        self.seen.len()
+    }
+
+    /// Whether the inbox is empty.
+    pub fn is_empty(&self) -> bool {
+        self.seen.is_empty()
+    }
+
+    /// Whether an activity id has been seen.
+    pub fn has_seen(&self, id: ActivityId) -> bool {
+        self.seen.contains(&id)
+    }
+}
 
 /// Pure fan-out logic: which remote domains must receive an activity.
 ///
@@ -68,7 +103,7 @@ impl Mailman {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fediscope_core::id::{ActivityId, PostId, UserId, UserRef};
+    use fediscope_core::id::{PostId, UserId, UserRef};
     use fediscope_core::model::Post;
     use fediscope_core::time::SimTime;
 
@@ -81,6 +116,17 @@ mod tests {
             ActivityId(id),
             Post::stub(PostId(id), author.clone(), SimTime(0), "hello"),
         )
+    }
+
+    #[test]
+    fn inbox_deduplicates_replays() {
+        let mut inbox = Inbox::new();
+        let a = create(1, &user(1, "r.example"));
+        assert!(inbox.receive(&a));
+        assert!(!inbox.receive(&a), "at-least-once delivery must be deduped");
+        assert_eq!(inbox.len(), 1);
+        assert!(inbox.has_seen(ActivityId(1)));
+        assert!(!inbox.has_seen(ActivityId(2)));
     }
 
     #[test]

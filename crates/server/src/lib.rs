@@ -19,8 +19,8 @@
 //!
 //! [`Federator`] glues servers to `fediscope-simnet`: it fans out published
 //! activities to follower instances' inboxes over the simulated network.
-//! A server keeps no inbox or outbox log: it remembers only the ids of
-//! the remote activities it ingested, since delivery is at-least-once
+//! A server keeps no inbox or outbox log: its inbox remembers only the ids
+//! of the remote activities it ingested, since delivery is at-least-once
 //! and a replayed id must be an accepted no-op.
 
 #![warn(missing_docs)]

@@ -1,6 +1,6 @@
 //! The instance server: state, ingestion, publication.
 
-use fediscope_activitypub::{FollowGraph, Timelines};
+use fediscope_activitypub::{FollowGraph, Inbox, Timelines};
 use fediscope_core::config::InstanceModerationConfig;
 use fediscope_core::id::{ActivityId, Domain, UserId, UserRef};
 use fediscope_core::model::{Activity, ActivityKind, ActivityPayload, InstanceProfile, Post, User};
@@ -74,7 +74,7 @@ struct State {
     timelines: Timelines,
     /// Ids of the remote activities already ingested: federation
     /// delivery is at-least-once, so a replayed id is an accepted no-op.
-    seen: HashSet<ActivityId>,
+    inbox: Inbox,
     clock: SimTime,
     next_activity: u64,
     /// When each remote domain first reached this server's inbox: the
@@ -104,7 +104,7 @@ impl InstanceServer {
                 pipeline,
                 graph: FollowGraph::new(),
                 timelines: Timelines::new(),
-                seen: HashSet::new(),
+                inbox: Inbox::new(),
                 clock: fediscope_core::time::CAMPAIGN_START,
                 next_activity: 1,
                 first_contact: HashMap::new(),
@@ -270,7 +270,7 @@ impl InstanceServer {
     /// federation moderation. Returns the filter outcome.
     pub fn ingest_remote(&self, activity: Activity) -> FilterOutcome {
         let mut st = self.state.write();
-        if !st.seen.insert(activity.id) {
+        if !st.inbox.receive(&activity) {
             // Duplicate delivery: treat as accepted no-op.
             return FilterOutcome {
                 verdict: fediscope_core::mrf::PolicyVerdict::Pass(activity),
