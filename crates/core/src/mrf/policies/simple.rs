@@ -372,13 +372,70 @@ impl<'de> Deserialize<'de> for TargetList {
     }
 }
 
+/// The per-action target lists of a [`SimplePolicy`], sorted by action:
+/// one entry per action that was ever given a list, even if that list
+/// has since been emptied. A policy typically uses one or two of the ten
+/// actions, so the entries sit in an exactly sized vector.
+///
+/// Serializes as the object a `BTreeMap<SimpleAction, TargetList>` gives.
+#[derive(Debug, Clone, Default)]
+struct ActionLists(Vec<(SimpleAction, TargetList)>);
+
+impl ActionLists {
+    fn get(&self, action: SimpleAction) -> Option<&TargetList> {
+        let i = self.0.binary_search_by_key(&action, |(a, _)| *a).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    fn get_mut(&mut self, action: SimpleAction) -> Option<&mut TargetList> {
+        let i = self.0.binary_search_by_key(&action, |(a, _)| *a).ok()?;
+        Some(&mut self.0[i].1)
+    }
+
+    /// `action`'s list, inserting `make()` first if it has none.
+    fn entry(
+        &mut self,
+        action: SimpleAction,
+        make: impl FnOnce() -> TargetList,
+    ) -> &mut TargetList {
+        let i = match self.0.binary_search_by_key(&action, |(a, _)| *a) {
+            Ok(i) => i,
+            Err(i) => {
+                self.0.reserve_exact(1);
+                self.0.insert(i, (action, make()));
+                i
+            }
+        };
+        &mut self.0[i].1
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (SimpleAction, &TargetList)> {
+        self.0.iter().map(|(a, list)| (*a, list))
+    }
+}
+
+impl Serialize for ActionLists {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        self.iter()
+            .collect::<BTreeMap<_, _>>()
+            .serialize(serializer)
+    }
+}
+
+impl<'de> Deserialize<'de> for ActionLists {
+    fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        let lists = BTreeMap::<SimpleAction, TargetList>::deserialize(deserializer)?;
+        Ok(ActionLists(lists.into_iter().collect()))
+    }
+}
+
 /// Per-instance `SimplePolicy` configuration: which domains each action
 /// targets. This is both an executable MRF filter and the *data* the
 /// instance publishes through its metadata API — which is precisely what
 /// the paper's crawler collected.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SimplePolicy {
-    targets: BTreeMap<SimpleAction, TargetList>,
+    targets: ActionLists,
 }
 
 impl SimplePolicy {
@@ -391,7 +448,7 @@ impl SimplePolicy {
     /// membership index — O(1) amortized, which is what keeps heavy
     /// blocklist imports O(delta) end to end).
     pub fn add_target(&mut self, action: SimpleAction, domain: Domain) {
-        self.targets.entry(action).or_default().add(domain);
+        self.targets.entry(action, TargetList::default).add(domain);
     }
 
     /// Builder-style [`add_target`](Self::add_target).
@@ -404,7 +461,7 @@ impl SimplePolicy {
     /// was present.
     pub fn remove_target(&mut self, action: SimpleAction, domain: &Domain) -> bool {
         self.targets
-            .get_mut(&action)
+            .get_mut(action)
             .map(|list| list.remove(domain))
             .unwrap_or(false)
     }
@@ -412,7 +469,7 @@ impl SimplePolicy {
     /// Target list for one action, in insertion order.
     pub fn targets(&self, action: SimpleAction) -> &[Domain] {
         self.targets
-            .get(&action)
+            .get(action)
             .map(|l| l.ordered.as_slice())
             .unwrap_or(&[])
     }
@@ -428,7 +485,7 @@ impl SimplePolicy {
     ) -> SimplePolicy {
         let mut policy = SimplePolicy::new();
         if !domains.is_empty() {
-            let list = policy.targets.entry(action).or_default();
+            let list = policy.targets.entry(action, TargetList::default);
             list.attach(targets);
             for domain in domains {
                 list.add(domain.clone());
@@ -445,13 +502,12 @@ impl SimplePolicy {
         mut keep: impl FnMut(SimpleAction, &Domain) -> bool,
     ) -> Option<SimplePolicy> {
         let mut sub: Option<SimplePolicy> = None;
-        for (&action, list) in &self.targets {
+        for (action, list) in self.targets.iter() {
             for domain in &list.ordered {
                 if keep(action, domain) {
                     sub.get_or_insert_with(SimplePolicy::new)
                         .targets
-                        .entry(action)
-                        .or_insert_with(|| list.emptied())
+                        .entry(action, || list.emptied())
                         .add(domain.clone());
                 }
             }
@@ -468,9 +524,9 @@ impl SimplePolicy {
     /// index attaches the one of the first merged list that carries one
     /// (see [`from_shared`](Self::from_shared)).
     pub fn merge(&mut self, other: &SimplePolicy) {
-        for (&action, list) in &other.targets {
+        for (action, list) in other.targets.iter() {
             if !list.ordered.is_empty() {
-                self.targets.entry(action).or_default().merge(list);
+                self.targets.entry(action, TargetList::default).merge(list);
             }
         }
     }
@@ -480,7 +536,7 @@ impl SimplePolicy {
     pub fn events(&self) -> impl Iterator<Item = (SimpleAction, &Domain)> {
         self.targets
             .iter()
-            .flat_map(|(a, list)| list.ordered.iter().map(move |d| (*a, d)))
+            .flat_map(|(a, list)| list.ordered.iter().map(move |d| (a, d)))
     }
 
     /// Actions with at least one target.
@@ -488,7 +544,7 @@ impl SimplePolicy {
         self.targets
             .iter()
             .filter(|(_, list)| !list.ordered.is_empty())
-            .map(|(a, _)| *a)
+            .map(|(a, _)| a)
             .collect()
     }
 
@@ -497,7 +553,7 @@ impl SimplePolicy {
     /// parent labels — O(labels), never O(targets).
     pub fn matches(&self, action: SimpleAction, domain: &Domain) -> bool {
         self.targets
-            .get(&action)
+            .get(action)
             .map(|list| list.matches(domain))
             .unwrap_or(false)
     }
@@ -824,6 +880,10 @@ mod tests {
         assert!(!p.matches(SimpleAction::Reject, &Domain::new("example")));
     }
 
+    fn reject_list(p: &SimplePolicy) -> &TargetList {
+        p.targets.get(SimpleAction::Reject).expect("a reject list")
+    }
+
     fn union(names: &[&str]) -> Arc<SharedTargets> {
         let mut index = SharedTargets::default();
         for name in names {
@@ -869,7 +929,7 @@ mod tests {
             names,
             ["b.example", "own.example", "a.example", "c.example"]
         );
-        let list = &p.targets[&SimpleAction::Reject];
+        let list = reject_list(&p);
         // The seed's shared name moved to a bit on attach; the private
         // index keeps only the name the shared one lacks.
         assert_eq!(list.shared.as_ref().unwrap().bits, [0b111]);
@@ -897,10 +957,10 @@ mod tests {
         };
         let subset = parent.subset_simple(|_, d| d.as_str() != "b.example");
         let sub = subset.simple.as_ref().unwrap();
-        assert!(sub.targets[&SimpleAction::Reject].shared.is_some());
+        assert!(reject_list(sub).shared.is_some());
         let mut adopter = SimplePolicy::new();
         adopter.merge(sub);
-        assert!(adopter.targets[&SimpleAction::Reject].shared.is_some());
+        assert!(reject_list(&adopter).shared.is_some());
         assert!(adopter.matches(SimpleAction::Reject, &Domain::new("m.a.example")));
         assert!(!adopter.matches(SimpleAction::Reject, &Domain::new("b.example")));
         // The subset again adds nothing; the parent adds only the name
@@ -914,7 +974,39 @@ mod tests {
             .map(Domain::as_str)
             .collect();
         assert_eq!(names, ["a.example", "c.example", "d.example", "b.example"]);
-        assert_eq!(adopter.targets[&SimpleAction::Reject].index.len(), 0);
+        assert_eq!(reject_list(&adopter).index.len(), 0);
+    }
+
+    #[test]
+    fn the_wire_shape_keeps_emptied_lists_and_key_order() {
+        let mut p = SimplePolicy::new()
+            .with_target(SimpleAction::Reject, Domain::new("bad.example"))
+            .with_target(SimpleAction::MediaNsfw, Domain::new("lewd.example"))
+            .with_target(SimpleAction::Accept, Domain::new("friend.example"))
+            .with_target(SimpleAction::FollowersOnly, Domain::new("spam.example"));
+        assert!(p.remove_target(SimpleAction::Accept, &Domain::new("friend.example")));
+        let json = serde_json::to_string(&p).unwrap();
+        assert_eq!(
+            json,
+            r#"{"targets":{"Accept":[],"FollowersOnly":["spam.example"],"MediaNsfw":["lewd.example"],"Reject":["bad.example"]}}"#
+        );
+        let back: SimplePolicy = serde_json::from_str(&json).unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        // Events and the summary walk the actions in declaration order.
+        let events: Vec<(SimpleAction, &str)> =
+            back.events().map(|(a, d)| (a, d.as_str())).collect();
+        assert_eq!(
+            events,
+            [
+                (SimpleAction::Reject, "bad.example"),
+                (SimpleAction::MediaNsfw, "lewd.example"),
+                (SimpleAction::FollowersOnly, "spam.example"),
+            ]
+        );
+        assert_eq!(
+            back.describe(),
+            "SimplePolicy(reject:1,nsfw:1,followers_only:1)"
+        );
     }
 
     #[test]

@@ -23,21 +23,31 @@
 //! measurement path ([`MeasureMode::Batched`]) exploits that:
 //!
 //! - **Stage 1 — parallel over senders.** Each sender's tick emissions
-//!   are drawn exactly once into a [`SenderBatch`]: one (template, draw
-//!   count) pair per *distinct* template. Stage 1 only draws: every
-//!   template was scored once, when its column was built
+//!   are drawn exactly once, counted on the stack, and folded into a
+//!   fixed-size [`SenderBatch`]: the mask of drawn templates, the draw
+//!   total, the toxic mass (Σ count · toxicity) and the number of
+//!   distinct authors among the drawn templates. Each drawn template is
+//!   read once per sender-tick, and stage 1 allocates nothing. It only
+//!   draws: every template was scored once, when its column was built
 //!   ([`PostTemplate::toxic`]), so a run makes one scorer call per
 //!   template whatever its tick count.
 //! - **Stage 2 — parallel over receivers.** Each up receiver reads one
 //!   verdict word per neighbor ([`NetworkState::verdict_row`]): a bit per
 //!   template says whether its pipeline has judged that neighbor's
-//!   template, and another whether it accepted it. Only a template the
-//!   word does not know yet is judged, with
-//!   [`MrfPipeline::filter_inbound`] on the borrowed template (a stage
-//!   that actually rewrites *this* activity clones it once, and the walk
-//!   continues from the clone); the word is stored back once if it
+//!   template, and another whether it accepted it. Only the drawn
+//!   templates the word does not know yet are judged, in index order,
+//!   with [`MrfPipeline::filter_inbound`] on the borrowed template (a
+//!   stage that actually rewrites *this* activity clones it once, and the
+//!   walk continues from the clone); the word is stored back once if it
 //!   changed. A steady run therefore makes one filter call per (receiver,
-//!   neighbor, template) it ever draws, not one per tick.
+//!   neighbor, template) it ever draws, not one per tick. The edge is
+//!   then credited in O(1) from the summary: whole-instance policies make
+//!   a word accept every drawn template or reject every one, and the
+//!   summary's totals go to one side. Only a *mixed* edge replays the
+//!   sender's [`delivery_seed`] stream for per-template counts and
+//!   de-duplicates its rejected authors. Since a receiver's neighbor
+//!   list holds each sender once, de-duplicating per edge counts exactly
+//!   the `(sender, author)` pairs the per-post path counts per receiver.
 //!
 //! A stored verdict is sound because every verdict is a pure function:
 //! no policy keeps mutable memory, and under the engine's context (a
@@ -66,7 +76,8 @@ use crate::event::{Event, EventQueue};
 use crate::scenario::Scenario;
 use crate::sink::EventSink;
 use crate::state::{
-    retry_backoff, NetworkState, SharedColumns, MAX_RETRY_ATTEMPTS, RETRY_BASE_BACKOFF,
+    retry_backoff, NetworkState, SharedColumns, MAX_RETRY_ATTEMPTS, MAX_TEMPLATES,
+    RETRY_BASE_BACKOFF,
 };
 use fediscope_simnet::FailureClass;
 
@@ -79,7 +90,6 @@ use fediscope_telemetry::{GaugeId, HotCounter, Phase, PhaseTimer, Telemetry};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -91,10 +101,11 @@ use std::sync::Arc;
 /// oracle the tests select explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MeasureMode {
-    /// Two-stage sender-majorized batching: draw each sender's emissions
-    /// once, read each template's stored score, and read each `(receiver,
+    /// Two-stage sender-majorized batching: summarise each sender's
+    /// emissions once into a fixed-size summary, read each `(receiver,
     /// sender, template)` MRF verdict from the per-edge table, judging it
-    /// only the first time it is drawn.
+    /// only the first time it is drawn, and credit each edge from the
+    /// summary.
     Batched,
     /// The original per-post path: every `(receiver, sender)` edge
     /// replays the sender's draws and clones + filters every emission.
@@ -536,27 +547,16 @@ impl DynamicsEngine {
                     .map(|r| measure_receiver_reference(state, config, &self.scorer, tick, now, r))
                     .collect(),
                 MeasureMode::Batched => {
-                    // Stage 1: one batch per sender — its draws, once.
+                    // Stage 1: one summary per sender — its draws, once.
                     let emissions = state.emissions_col();
                     let batches: Vec<SenderBatch> = (0..state.len())
                         .into_par_iter()
                         .map(|s| build_sender_batch(state, config, tick, s, emissions[s]))
                         .collect();
-                    // Stage 2: receivers consume the shared batches.
+                    // Stage 2: receivers credit each edge from the summaries.
                     (0..state.len())
                         .into_par_iter()
-                        .map(|r| {
-                            MEASURE_SCRATCH.with(|scratch| {
-                                measure_receiver_batched(
-                                    state,
-                                    &batches,
-                                    emissions,
-                                    now,
-                                    r,
-                                    &mut scratch.borrow_mut(),
-                                )
-                            })
-                        })
+                        .map(|r| measure_receiver_batched(state, &batches, config, tick, now, r))
                         .collect()
                 }
             }
@@ -765,17 +765,70 @@ fn measure_receiver_reference(
     m
 }
 
-/// One sender's pre-drawn tick emissions (stage 1 of the batched
-/// measurement phase), shared read-only by every receiver in stage 2:
-/// one `(template index, draw count)` pair per distinct template drawn
-/// this tick, in first-draw order.
-type SenderBatch = Vec<(u32, u64)>;
+/// One sender's tick, summarised once (stage 1 of the batched
+/// measurement phase) and shared read-only by every receiver in stage 2.
+/// A fixed-size `Copy` value: a silent sender's summary is all zeros.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct SenderBatch {
+    /// Bit `t` is set if template `t` was drawn at least once.
+    drawn: u32,
+    /// The draw total: the sender's emissions this tick.
+    draws: u64,
+    /// The toxic mass, Σ count · [`toxic`](crate::PostTemplate::toxic)
+    /// over the drawn templates.
+    mass: u64,
+    /// The number of distinct authors among the drawn templates.
+    authors: u64,
+}
 
-/// Draws sender `s`'s emissions for `tick` once, counting each distinct
-/// template's draws. The RNG stream is exactly the one every receiver
-/// replays in the reference path. A silent sender's batch allocates
-/// nothing; an emitting one's allocates once, since it can hold at most
-/// `min(emissions, templates)` pairs.
+/// The indices of `mask`'s set bits, lowest first.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let t = mask.trailing_zeros() as usize;
+        mask &= mask.wrapping_sub(1);
+        (t < 64).then_some(t)
+    })
+}
+
+/// Per-template draw counts of sender `s`'s tick: the [`delivery_seed`]
+/// stream every receiver of the reference path replays, counted on the
+/// stack. `templates` is the sender's template count (at most
+/// [`MAX_TEMPLATES`], asserted when the state is built).
+fn draw_counts(
+    config: &DynamicsConfig,
+    tick: u64,
+    s: usize,
+    templates: usize,
+    draws: u64,
+) -> [u64; MAX_TEMPLATES] {
+    let mut counts = [0u64; MAX_TEMPLATES];
+    let mut rng = SmallRng::seed_from_u64(delivery_seed(config.seed, tick, s as u64));
+    for _ in 0..draws {
+        counts[rng.gen_range(0..templates)] += 1;
+    }
+    counts
+}
+
+/// The distinct authors of at most [`MAX_TEMPLATES`] templates, kept on
+/// the stack.
+#[derive(Default)]
+struct AuthorSet {
+    seen: [u64; MAX_TEMPLATES],
+    len: usize,
+}
+
+impl AuthorSet {
+    fn insert(&mut self, author: u64) {
+        if !self.seen[..self.len].contains(&author) {
+            self.seen[self.len] = author;
+            self.len += 1;
+        }
+    }
+}
+
+/// Draws sender `s`'s emissions for `tick` once and summarises them. The
+/// RNG stream is exactly the one every receiver replays in the reference
+/// path; each drawn template is read once, and nothing is allocated.
 fn build_sender_batch(
     state: &NetworkState,
     config: &DynamicsConfig,
@@ -784,45 +837,40 @@ fn build_sender_batch(
     emissions: u64,
 ) -> SenderBatch {
     if emissions == 0 {
-        return SenderBatch::new();
+        return SenderBatch::default();
     }
-    let templates = state.instances[s].templates.len();
-    let mut batch = SenderBatch::with_capacity((emissions as usize).min(templates));
-    let mut draws = SmallRng::seed_from_u64(delivery_seed(config.seed, tick, s as u64));
-    for _ in 0..emissions {
-        let t = draws.gen_range(0..templates) as u32;
-        // Linear scan: the distinct set is bounded by the emission cap
-        // (default 64) and is usually far smaller.
-        match batch.iter_mut().find(|(d, _)| *d == t) {
-            Some((_, count)) => *count += 1,
-            None => batch.push((t, 1)),
+    let templates = &state.instances[s].templates;
+    let counts = draw_counts(config, tick, s, templates.len(), emissions);
+    let mut batch = SenderBatch {
+        draws: emissions,
+        ..SenderBatch::default()
+    };
+    let mut authors = AuthorSet::default();
+    for (t, (&count, template)) in counts.iter().zip(templates.iter()).enumerate() {
+        if count != 0 {
+            batch.drawn |= 1 << t;
+            batch.mass += count * template.toxic;
+            authors.insert(template.author);
         }
     }
+    batch.authors = authors.len as u64;
     batch
-}
-
-thread_local! {
-    /// Per-thread reusable set of the `(sender, author)` pairs one
-    /// receiver rejected this tick — cleared, never reallocated, between
-    /// the receivers one thread measures. The rayon shim spawns scoped
-    /// worker threads per parallel call, so a worker's set lives for one
-    /// tick's stage 2; only the calling thread's persists across ticks.
-    static MEASURE_SCRATCH: RefCell<HashSet<(u32, u64)>> = RefCell::new(HashSet::new());
 }
 
 /// One receiver's tick, batched path (stage 2). Per neighbor it loads
 /// the verdict word once ([`NetworkState::verdict_row`]), judges only the
 /// drawn templates the word does not know yet (on the borrowed template,
-/// cloned only if a stage rewrites it, in the order the per-post path
-/// first meets them), credits each template's whole draw count from its
-/// "accepted" bit, and stores the word back once if it changed.
+/// cloned only if a stage rewrites it), stores the word back once if it
+/// changed, and credits the edge from the sender's summary — or, for the
+/// rare word that accepts some drawn templates and rejects others, from
+/// a replay of the sender's draws.
 fn measure_receiver_batched(
     state: &NetworkState,
     batches: &[SenderBatch],
-    emissions: &[u64],
+    config: &DynamicsConfig,
+    tick: u64,
     now: SimTime,
     r: usize,
-    rejected_authors: &mut HashSet<(u32, u64)>,
 ) -> InstanceTick {
     let mut m = InstanceTick::default();
     let receiver = &state.instances[r];
@@ -830,52 +878,61 @@ fn measure_receiver_batched(
         // A down receiver loses every inbound delivery; senders keep
         // POSTing (they cannot know) and the mass lands in `failed`.
         for &s in state.neighbors(r) {
-            m.failed += emissions[s as usize];
+            m.failed += batches[s as usize].draws;
         }
         observe_receiver(&m);
         return m;
     }
     let actors = NullActorDirectory;
     let ctx = PolicyContext::new(&receiver.domain, now, &actors);
-    rejected_authors.clear();
     for (&s, word) in state.neighbors(r).iter().zip(state.verdict_row(r)) {
-        let batch = &batches[s as usize];
-        if batch.is_empty() {
+        let batch = batches[s as usize];
+        if batch.draws == 0 {
             continue;
         }
-        let sender = &state.instances[s as usize];
+        let templates = &state.instances[s as usize].templates;
+        let drawn = u64::from(batch.drawn);
         let stored = word.load(Ordering::Relaxed);
         let mut verdicts = stored;
-        for &(t, count) in batch {
-            let template = &sender.templates[t as usize];
-            let known = 1u64 << t;
-            let accepted = known << 32;
-            if verdicts & known == 0 {
-                let mut activity = Inbound::borrowed(&template.activity, now);
-                m.filter_calls += 1;
-                verdicts |= known;
-                if receiver
-                    .pipeline
-                    .filter_inbound(&ctx, &mut activity)
-                    .is_ok()
-                {
-                    verdicts |= accepted;
-                }
-            }
-            m.delivered += count;
-            if verdicts & accepted != 0 {
-                m.accepted += count;
-                m.exposure += count * template.toxic;
-            } else {
-                m.rejected += count;
-                m.prevented += count * template.toxic;
-                if rejected_authors.insert((s, template.author)) {
-                    m.rejected_authors += 1;
-                }
+        for t in bits(drawn & !verdicts) {
+            let mut activity = Inbound::borrowed(&templates[t].activity, now);
+            m.filter_calls += 1;
+            verdicts |= 1 << t;
+            if receiver
+                .pipeline
+                .filter_inbound(&ctx, &mut activity)
+                .is_ok()
+            {
+                verdicts |= 1 << (32 + t);
             }
         }
         if verdicts != stored {
             word.store(verdicts, Ordering::Relaxed);
+        }
+        m.delivered += batch.draws;
+        let accepted = (verdicts >> 32) & drawn;
+        if accepted == drawn {
+            m.accepted += batch.draws;
+            m.exposure += batch.mass;
+        } else if accepted == 0 {
+            m.rejected += batch.draws;
+            m.prevented += batch.mass;
+            m.rejected_authors += batch.authors;
+        } else {
+            let counts = draw_counts(config, tick, s as usize, templates.len(), batch.draws);
+            let mut authors = AuthorSet::default();
+            for t in bits(drawn) {
+                let (count, template) = (counts[t], &templates[t]);
+                if accepted & (1 << t) != 0 {
+                    m.accepted += count;
+                    m.exposure += count * template.toxic;
+                } else {
+                    m.rejected += count;
+                    m.prevented += count * template.toxic;
+                    authors.insert(template.author);
+                }
+            }
+            m.rejected_authors += authors.len as u64;
         }
     }
     // Side effects are intentionally dropped with the context, exactly
@@ -1212,6 +1269,114 @@ mod tests {
             0,
             "an empty pipeline rejects nothing"
         );
+    }
+
+    #[test]
+    fn sender_summaries_match_a_direct_replay() {
+        let mut state = NetworkState::from_seeds(seeds());
+        let config = DynamicsConfig::default();
+        state.refresh_emissions(config.emission_cap);
+        let emissions = state.emissions_col();
+        let mut total = 0;
+        for tick in 0..4 {
+            for (s, &emitted) in emissions.iter().enumerate() {
+                let templates = &state.instances[s].templates;
+                let mut replay = SenderBatch {
+                    draws: emitted,
+                    ..SenderBatch::default()
+                };
+                let mut authors = Vec::new();
+                let mut rng = SmallRng::seed_from_u64(delivery_seed(config.seed, tick, s as u64));
+                for _ in 0..emitted {
+                    let t = rng.gen_range(0..templates.len());
+                    let template = &templates[t];
+                    replay.drawn |= 1 << t;
+                    replay.mass += template.toxic;
+                    authors.push(template.author);
+                }
+                authors.sort_unstable();
+                authors.dedup();
+                replay.authors = authors.len() as u64;
+                let batch = build_sender_batch(&state, &config, tick, s, emitted);
+                assert_eq!(batch, replay, "sender {s}, tick {tick}");
+                total += batch.draws;
+            }
+        }
+        assert!(total > 0, "the seed world emits");
+    }
+
+    #[test]
+    fn a_mixed_edge_replays_its_draws_and_dedups_its_rejected_authors() {
+        use fediscope_core::catalog::PolicyKind;
+        use fediscope_core::config::PolicyConfig;
+        use fediscope_core::mrf::policies::{KeywordAction, KeywordPolicy, KeywordRule};
+        use fediscope_core::rollout::RolloutWave;
+        const MARKER: &str = "mixededgemarker";
+        let state = NetworkState::from_seeds(seeds());
+        // A receiver without a keyword policy that accepts template 2 of
+        // a neighbor with at least three templates.
+        let (r, s) = (0..state.len())
+            .filter(|&r| {
+                state.instances[r].up()
+                    && !state.instances[r].enabled().contains(&PolicyKind::Keyword)
+            })
+            .find_map(|r| {
+                let s = *state.neighbors(r).iter().find(|&&s| {
+                    emitter(&state, s)
+                        && state.instances[s as usize].templates.len() >= 3
+                        && accepts(&state, r, s, 2)
+                })?;
+                Some((r, s))
+            })
+            .expect("some receiver accepts template 2 of a three-template neighbor");
+        let init = move |_: SimTime, state: &mut NetworkState, _: &mut EventQueue| {
+            // Templates 0 and 1 carry the marker and one author; template
+            // 2 has another author and no marker.
+            let mut templates = state.instances[s as usize].templates.to_vec();
+            let author = templates[0].author;
+            for template in &mut templates[..2] {
+                template.author = author;
+                let post = template.activity.note_mut().expect("templates are notes");
+                post.content = format!("{} {MARKER}", post.content).into();
+            }
+            if templates[2].author == author {
+                templates[2].author = author + 1;
+            }
+            state.instances[s as usize].templates = Arc::from(templates);
+            state.set_rate(s, 64.0);
+            // r rejects the marked templates from the first tick on.
+            let inst = &mut state.instances[r];
+            let mut knobs = (*inst.moderation).clone();
+            knobs.configs.retain(|c| c.kind() != PolicyKind::Keyword);
+            knobs
+                .configs
+                .push(PolicyConfig::Keyword(KeywordPolicy::new(vec![
+                    KeywordRule::new(MARKER, KeywordAction::Reject),
+                ])));
+            inst.moderation = Arc::new(knobs);
+            state.apply_wave(
+                r as u32,
+                &RolloutWave {
+                    enable: vec![PolicyKind::Keyword],
+                    ..RolloutWave::default()
+                },
+            );
+        };
+        batched_matches_reference(init);
+        // The edge r ← s was mixed on some tick that drew both marked
+        // templates, so both the replay and the de-duplication were used.
+        let mut state = NetworkState::from_seeds(seeds());
+        init(START, &mut state, &mut EventQueue::new());
+        let config = config(MeasureMode::Batched);
+        let emitted = state.instances[s as usize].emissions(config.emission_cap);
+        let mixed = (0..config.ticks).any(|tick| {
+            let drawn = build_sender_batch(&state, &config, tick, s as usize, emitted).drawn;
+            let accepted = bits(drawn.into())
+                .filter(|&t| accepts(&state, r, s, t))
+                .fold(0u32, |mask, t| mask | 1 << t);
+            drawn & 0b111 == 0b111 && accepted & 0b11 == 0 && accepted & 0b100 != 0
+        });
+        assert!(mixed, "no tick credited a mixed word");
     }
 
     #[test]

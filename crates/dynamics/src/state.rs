@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 /// The most templates an instance may carry: one bit per template in the
 /// "known" and the "accepted" half of a verdict word.
-const MAX_TEMPLATES: usize = 32;
+pub(crate) const MAX_TEMPLATES: usize = 32;
 
 /// Multiply-xor hasher for the retry ledger's dense `(sender, receiver)`
 /// edge keys. The keys are small engine-internal integers, never
