@@ -72,7 +72,7 @@
 //! [`MrfPipeline::filter_inbound`]: fediscope_core::mrf::MrfPipeline::filter_inbound
 //! [`begin`]: DynamicsEngine::begin
 
-use crate::event::{Event, EventQueue};
+use crate::event::{Due, Event, EventQueue};
 use crate::scenario::Scenario;
 use crate::sink::EventSink;
 use crate::state::{
@@ -501,7 +501,30 @@ impl DynamicsEngine {
         self.tick_dead_lettered = 0;
         {
             let _control = PhaseTimer::start_on(telemetry, Phase::Control);
-            while let Some(scheduled) = self.queue.pop_due(now) {
+            // An import run is one act: unless the scenario reads
+            // adoptions in `after_event`, a due run comes off the queue
+            // whole and its adoptions apply back to back, in seq order.
+            // Each still reaches the sink and counts as an event; nothing
+            // can be scheduled between them, since applying an adoption
+            // schedules nothing.
+            let whole_runs = !scenario.observes_adoptions();
+            loop {
+                let due = if whole_runs {
+                    self.queue.pop_due_run(now)
+                } else {
+                    self.queue.pop_due(now).map(Due::One)
+                };
+                let scheduled = match due {
+                    None => break,
+                    Some(Due::Run(at, run)) => {
+                        for (_, adoption) in run {
+                            self.apply(&adoption, at);
+                            events += 1;
+                        }
+                        continue;
+                    }
+                    Some(Due::One(scheduled)) => scheduled,
+                };
                 // Retry-chain events get their own sub-span: the drain is
                 // the reliability layer's share of the control phase.
                 let _retry = matches!(scheduled.event, Event::RetryDelivery { .. })

@@ -1,4 +1,4 @@
-//! The event queue: a time-bucketed calendar over logical time.
+//! The event queue: a calendar of fixed-width buckets over logical time.
 //!
 //! Events are ordered by `(time, sequence)` — the sequence number is
 //! assigned at scheduling time, so two events scheduled for the same tick
@@ -7,25 +7,38 @@
 //! and consumes events in exactly this order, regardless of how the
 //! measurement phase fans out.
 //!
-//! The queue is a calendar: a `BTreeMap` from fire time to the bucket
-//! of entries due at that instant. An entry is either one event or a
-//! [`Run`] — one blocklist import's `AdoptWave` adoptions at that
-//! instant, in pop order. A run reserves its sequence numbers when it is
-//! scheduled and is expanded lazily: `pop_due` takes one adoption off
-//! the run at the bucket's front, and the run keeps its place until it
-//! is used up. A paper-scale import is therefore ~1,200 entries, not
-//! 1.8 M. Appends within a bucket arrive in ascending sequence order by
-//! construction (the counter is monotone and a run's numbers are taken
-//! before anything scheduled after it), so a bucket is popped front to
-//! back — O(1) per event — and the map keeps buckets time-ordered.
-//! Scheduling into an *earlier* due bucket mid-drain (a zero-delay
-//! follow-up) stays correct because every pop re-reads the first bucket;
-//! a same-instant follow-up lands behind any run still expanding there.
+//! The calendar keys its buckets by `at >> BUCKET_SHIFT`, so each bucket
+//! covers 1,024 s of logical time whatever the tick length, and a
+//! `BTreeMap` keeps the buckets in time order. A bucket is an unsorted
+//! `Vec` while it only receives entries: scheduling appends, and many
+//! distinct instants share one allocation (backoff jitter spreads a
+//! retry storm's reschedules over many distinct instants). The first
+//! pop that reaches a bucket turns it into a binary heap ordered by
+//! `(time, sequence)`, and every later pop or push there costs
+//! O(log n) in that one bucket's size. Narrow buckets keep that size
+//! small: one global heap, or 16,384 s buckets, drained a retry storm
+//! more slowly.
+//!
+//! An entry is either one event or a [`Run`]: one blocklist import's
+//! `AdoptWave` adoptions at one instant, in pop order. A run reserves
+//! its sequence numbers when it is scheduled and sits in its bucket
+//! keyed by the sequence number of its next adoption, so an import is
+//! one entry per instant its waves land at, not one per adoption.
+//! [`EventQueue::pop_due_run`] hands a due run over whole;
+//! [`EventQueue::pop_due`] takes one adoption off it and puts the rest
+//! back, keyed by its next adoption. Both keep the exact
+//! `(time, sequence)` order, because no other entry at a run's instant
+//! has a sequence number inside the run's range: the import reserves
+//! its numbers in one block, and anything scheduled later takes a
+//! higher one. A
+//! zero-delay follow-up scheduled mid-drain — into an earlier instant,
+//! or behind a run still expanding at the same instant — stays in order
+//! because every pop re-reads the first bucket.
 
 use fediscope_core::rollout::RolloutWave;
 use fediscope_core::time::SimTime;
 use fediscope_simnet::FailureMode;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 /// A state transition the engine knows how to apply.
@@ -107,7 +120,8 @@ pub struct Scheduled {
 /// Each adoption carries a sequence *offset* into the block of numbers
 /// the import reserves; the queue adds the block's base when the runs
 /// are scheduled. Offsets ascend through a run, so a run pops in the
-/// same order its adoptions would have popped as separate events.
+/// same order its adoptions would have popped as separate events. As an
+/// iterator it yields the remaining adoptions as `(seq, event)`.
 #[derive(Debug)]
 pub(crate) struct Run {
     base: u64,
@@ -177,13 +191,43 @@ impl Run {
         }
     }
 
-    /// True when every adoption has been popped.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
+    /// The sequence number of the next adoption, if any is left.
+    fn next_seq(&self) -> Option<u64> {
+        let offset = match &self.items {
+            RunItems::Shared {
+                instances,
+                waves,
+                first,
+                stride,
+                k,
+                j,
+            } => (*k < instances.len() && !waves.is_empty())
+                .then(|| first + *k as u64 * stride + *j as u64)?,
+            RunItems::Listed(items) => items.as_slice().first()?.0,
+        };
+        Some(self.base + offset)
     }
 
-    /// The next adoption as `(seq, event)`.
-    fn pop(&mut self) -> Option<(u64, Event)> {
+    /// The sequence number of the last adoption (of a non-empty run).
+    fn last_seq(&self) -> u64 {
+        let offset = match &self.items {
+            RunItems::Shared {
+                instances,
+                waves,
+                first,
+                stride,
+                ..
+            } => first + (instances.len() as u64 - 1) * stride + waves.len() as u64 - 1,
+            RunItems::Listed(items) => items.as_slice().last().map_or(0, |item| item.0),
+        };
+        self.base + offset
+    }
+}
+
+impl Iterator for Run {
+    type Item = (u64, Event);
+
+    fn next(&mut self) -> Option<(u64, Event)> {
         let (offset, instance, wave) = match &mut self.items {
             RunItems::Shared {
                 instances,
@@ -197,7 +241,7 @@ impl Run {
                 let item = (
                     *first + *k as u64 * *stride + *j as u64,
                     instance,
-                    Arc::clone(&waves[*j]),
+                    Arc::clone(waves.get(*j)?),
                 );
                 *j += 1;
                 if *j == waves.len() {
@@ -211,20 +255,100 @@ impl Run {
     }
 }
 
-/// A bucket entry: one event, or a run expanded in place.
+/// Bucket `b` holds the entries due in `[b << BUCKET_SHIFT, (b + 1) <<
+/// BUCKET_SHIFT)`: 1,024 s of logical time.
+const BUCKET_SHIFT: u32 = 10;
+
+/// A bucket entry: one event, or a run expanded in place, keyed by the
+/// `(at, seq)` it pops at next (a run's key is its next adoption's).
 #[derive(Debug)]
-enum Entry {
-    One(u64, Event),
+struct Entry {
+    at: SimTime,
+    seq: u64,
+    item: Item,
+}
+
+#[derive(Debug)]
+enum Item {
+    One(Event),
     Run(Box<Run>),
 }
 
-/// A deterministic future-event list: a calendar of per-instant buckets,
-/// consumed in exact `(time, sequence)` order.
+/// Reversed `(at, seq)` order: `BinaryHeap` is a max-heap, and the
+/// queue pops the least key first. Sequence numbers are unique, so
+/// equal keys mean the same entry.
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl Eq for Entry {}
+
+/// One calendar bucket: unsorted until a pop first reaches it.
+#[derive(Debug)]
+enum Bucket {
+    Filling(Vec<Entry>),
+    Draining(BinaryHeap<Entry>),
+}
+
+impl Bucket {
+    fn push(&mut self, entry: Entry) {
+        match self {
+            Bucket::Filling(entries) => entries.push(entry),
+            Bucket::Draining(heap) => heap.push(entry),
+        }
+    }
+
+    /// The bucket as a heap, heapifying it on first use.
+    fn heap(&mut self) -> &mut BinaryHeap<Entry> {
+        if let Bucket::Filling(entries) = self {
+            *self = Bucket::Draining(BinaryHeap::from(std::mem::take(entries)));
+        }
+        match self {
+            Bucket::Draining(heap) => heap,
+            Bucket::Filling(_) => unreachable!("heapified above"),
+        }
+    }
+
+    /// The earliest fire time in the bucket.
+    fn first_at(&self) -> Option<SimTime> {
+        match self {
+            Bucket::Filling(entries) => entries.iter().map(|e| e.at).min(),
+            Bucket::Draining(heap) => heap.peek().map(|e| e.at),
+        }
+    }
+}
+
+/// What [`EventQueue::pop_due_run`] hands back: one event, or a whole
+/// run whose adoptions all fire at the given instant.
+#[derive(Debug)]
+pub(crate) enum Due {
+    /// A single event.
+    One(Scheduled),
+    /// The remaining adoptions of a run, in pop order.
+    Run(SimTime, Box<Run>),
+}
+
+/// A deterministic future-event list: a calendar of fixed-width
+/// buckets, consumed in exact `(time, sequence)` order.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    /// Fire time → entries at that instant, each bucket in ascending
-    /// `seq` order (appends only; the counter is monotone).
-    buckets: BTreeMap<SimTime, VecDeque<Entry>>,
+    /// `at >> BUCKET_SHIFT` → the entries due in that bucket; buckets
+    /// are never left empty.
+    buckets: BTreeMap<u64, Bucket>,
     next_seq: u64,
     pending: usize,
 }
@@ -235,15 +359,23 @@ impl EventQueue {
         EventQueue::default()
     }
 
+    fn push(&mut self, entry: Entry) {
+        self.buckets
+            .entry(entry.at.0 >> BUCKET_SHIFT)
+            .or_insert_with(|| Bucket::Filling(Vec::new()))
+            .push(entry);
+    }
+
     /// Schedules `event` at `at`.
     pub fn schedule(&mut self, at: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pending += 1;
-        self.buckets
-            .entry(at)
-            .or_default()
-            .push_back(Entry::One(seq, event));
+        self.push(Entry {
+            at,
+            seq,
+            item: Item::One(event),
+        });
     }
 
     /// Schedules one import's runs, at most one per instant. The runs'
@@ -256,53 +388,78 @@ impl EventQueue {
         let base = self.next_seq;
         let mut total = 0;
         for (at, mut run) in runs {
-            if run.is_empty() {
+            let Some(seq) = run.next_seq() else {
                 continue;
-            }
+            };
             total += run.len();
             run.base = base;
-            self.buckets
-                .entry(at)
-                .or_default()
-                .push_back(Entry::Run(Box::new(run)));
+            self.push(Entry {
+                at,
+                seq: base + seq,
+                item: Item::Run(Box::new(run)),
+            });
         }
         self.next_seq += total as u64;
         self.pending += total;
     }
 
-    /// Pops the earliest event due at or before `now`, if any — O(1)
-    /// per event plus amortised bucket bookkeeping.
+    /// Pops the earliest event due at or before `now`, if any. A run
+    /// gives up one adoption and goes back in, keyed by its next one.
     pub fn pop_due(&mut self, now: SimTime) -> Option<Scheduled> {
-        let mut entry = self.buckets.first_entry()?;
-        let at = *entry.key();
-        if at > now {
+        match self.pop_due_run(now)? {
+            Due::One(scheduled) => Some(scheduled),
+            Due::Run(at, mut run) => {
+                let (seq, event) = run.next().expect("runs are never left empty");
+                if let Some(next) = run.next_seq() {
+                    self.pending += run.len();
+                    self.push(Entry {
+                        at,
+                        seq: next,
+                        item: Item::Run(run),
+                    });
+                }
+                Some(Scheduled { at, seq, event })
+            }
+        }
+    }
+
+    /// Pops the earliest entry due at or before `now`, if any, taking a
+    /// run whole: its adoptions are the next ones in `(time, sequence)`
+    /// order, with nothing else between them.
+    pub(crate) fn pop_due_run(&mut self, now: SimTime) -> Option<Due> {
+        let mut bucket = self.buckets.first_entry()?;
+        let heap = bucket.get_mut().heap();
+        if heap.peek().expect("buckets are never left empty").at > now {
             return None;
         }
-        let bucket = entry.get_mut();
-        let front = bucket.front_mut().expect("buckets are never left empty");
-        let (seq, event) = match front {
-            Entry::Run(run) => {
-                let item = run.pop().expect("runs are never left empty");
-                if run.is_empty() {
-                    bucket.pop_front();
-                }
-                item
+        let Entry { at, seq, item } = heap.pop().expect("peeked above");
+        let due = match item {
+            Item::One(event) => {
+                self.pending -= 1;
+                Due::One(Scheduled { at, seq, event })
             }
-            Entry::One(..) => match bucket.pop_front() {
-                Some(Entry::One(seq, event)) => (seq, event),
-                _ => unreachable!("the front entry is a single event"),
-            },
+            Item::Run(run) => {
+                // The heap's new top is the least entry left; if it shares
+                // the run's instant it must come after the run's last
+                // adoption, or popping the run whole would reorder them.
+                debug_assert!(
+                    heap.peek()
+                        .is_none_or(|next| next.at != at || next.seq > run.last_seq()),
+                    "an entry at {at:?} falls inside a run's sequence range"
+                );
+                self.pending -= run.len();
+                Due::Run(at, run)
+            }
         };
-        if bucket.is_empty() {
-            entry.remove();
+        if heap.is_empty() {
+            bucket.remove();
         }
-        self.pending -= 1;
-        Some(Scheduled { at, seq, event })
+        Some(due)
     }
 
     /// When the next event fires, if any are pending.
     pub fn next_at(&self) -> Option<SimTime> {
-        self.buckets.keys().next().copied()
+        self.buckets.values().next().and_then(Bucket::first_at)
     }
 
     /// Pending events (each run counts its unpopped adoptions).

@@ -8,12 +8,13 @@
 //! fragments the network, how much toxic exposure a rollout actually
 //! prevents — are dynamic. This crate adds the missing layer:
 //!
-//! * [`EventQueue`] — a time-bucketed calendar future-event list over
-//!   logical [`fediscope_core::time::SimTime`] ticks (no wall clock
-//!   anywhere; O(1) pops in exact `(time, seq)` order). A bucket holds
+//! * [`EventQueue`] — a calendar future-event list over logical
+//!   [`fediscope_core::time::SimTime`] ticks (no wall clock anywhere;
+//!   pops in exact `(time, seq)` order), in fixed-width 1,024 s buckets
+//!   that are heapified when a pop first reaches them. A bucket holds
 //!   single events and runs: a run is one blocklist import's adoptions
 //!   at one instant, scheduled as one entry with its sequence numbers
-//!   reserved, and expanded one event per pop;
+//!   reserved, and applied whole unless the scenario reads adoptions;
 //! * [`NetworkState`] — the mutable network (per-instance moderation
 //!   configs with compiled [`fediscope_core::mrf::MrfPipeline`]s,
 //!   federation links, §3 failure modes, post templates), built from
@@ -151,6 +152,7 @@ mod delta;
 mod engine;
 mod event;
 mod experiment;
+mod queue_model;
 mod scenario;
 mod sink;
 mod state;

@@ -184,6 +184,11 @@ impl Scenario for DefederationCascadeScenario {
             }
         }
     }
+
+    /// Reacts to `Defederate` only.
+    fn observes_adoptions(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

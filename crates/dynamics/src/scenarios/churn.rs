@@ -142,6 +142,10 @@ impl Scenario for ChurnScenario {
             }
         }
     }
+
+    fn observes_adoptions(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

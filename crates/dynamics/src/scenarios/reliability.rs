@@ -55,6 +55,10 @@ impl Scenario for ReliabilityScenario {
     ) {
         state.enable_retries();
     }
+
+    fn observes_adoptions(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]

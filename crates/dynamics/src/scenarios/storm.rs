@@ -95,6 +95,10 @@ impl Scenario for ToxicityStormScenario {
             );
         }
     }
+
+    fn observes_adoptions(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
