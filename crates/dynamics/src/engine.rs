@@ -501,29 +501,22 @@ impl DynamicsEngine {
         self.tick_dead_lettered = 0;
         {
             let _control = PhaseTimer::start_on(telemetry, Phase::Control);
-            // An import run is one act: unless the scenario reads
-            // adoptions in `after_event`, a due run comes off the queue
+            // An import run is one act: a due run comes off the queue
             // whole and its adoptions apply back to back, in seq order.
-            // Each still reaches the sink and counts as an event; nothing
-            // can be scheduled between them, since applying an adoption
+            // Each still reaches the sink and counts as an event, but
+            // `after_event` does not see it (see `Scenario`); nothing can
+            // be scheduled between them, since applying an adoption
             // schedules nothing.
-            let whole_runs = !scenario.observes_adoptions();
-            loop {
-                let due = if whole_runs {
-                    self.queue.pop_due_run(now)
-                } else {
-                    self.queue.pop_due(now).map(Due::One)
-                };
+            while let Some(due) = self.queue.pop_due_run(now) {
                 let scheduled = match due {
-                    None => break,
-                    Some(Due::Run(at, run)) => {
+                    Due::Run(at, run) => {
                         for (_, adoption) in run {
                             self.apply(&adoption, at);
                             events += 1;
                         }
                         continue;
                     }
-                    Some(Due::One(scheduled)) => scheduled,
+                    Due::One(scheduled) => scheduled,
                 };
                 // Retry-chain events get their own sub-span: the drain is
                 // the reliability layer's share of the control phase.

@@ -9,31 +9,28 @@
 //!
 //! The calendar keys its buckets by `at >> BUCKET_SHIFT`, so each bucket
 //! covers 1,024 s of logical time whatever the tick length, and a
-//! `BTreeMap` keeps the buckets in time order. A bucket is an unsorted
-//! `Vec` while it only receives entries: scheduling appends, and many
-//! distinct instants share one allocation (backoff jitter spreads a
-//! retry storm's reschedules over many distinct instants). The first
-//! pop that reaches a bucket turns it into a binary heap ordered by
-//! `(time, sequence)`, and every later pop or push there costs
-//! O(log n) in that one bucket's size. Narrow buckets keep that size
-//! small: one global heap, or 16,384 s buckets, drained a retry storm
-//! more slowly.
+//! `BTreeMap` keeps the buckets in time order. Each bucket is a binary
+//! heap ordered by `(time, sequence)`, so a push or pop costs O(log n)
+//! in that one bucket's size, and many distinct instants share one
+//! allocation (backoff jitter spreads a retry storm's reschedules over
+//! many distinct instants). Narrow buckets keep that size small: one
+//! global heap, or 16,384 s buckets, drained a retry storm more slowly.
 //!
 //! An entry is either one event or a [`Run`]: one blocklist import's
 //! `AdoptWave` adoptions at one instant, in pop order. A run reserves
 //! its sequence numbers when it is scheduled and sits in its bucket
 //! keyed by the sequence number of its next adoption, so an import is
 //! one entry per instant its waves land at, not one per adoption.
-//! [`EventQueue::pop_due_run`] hands a due run over whole;
-//! [`EventQueue::pop_due`] takes one adoption off it and puts the rest
-//! back, keyed by its next adoption. Both keep the exact
+//! [`EventQueue::pop_due_run`], the engine's pop, hands a due run over
+//! whole; [`EventQueue::pop_due`] takes one adoption off it and puts the
+//! rest back, keyed by its next adoption. Both keep the exact
 //! `(time, sequence)` order, because no other entry at a run's instant
 //! has a sequence number inside the run's range: the import reserves
 //! its numbers in one block, and anything scheduled later takes a
-//! higher one. A
-//! zero-delay follow-up scheduled mid-drain — into an earlier instant,
-//! or behind a run still expanding at the same instant — stays in order
-//! because every pop re-reads the first bucket.
+//! higher one. A zero-delay follow-up scheduled mid-drain — into an
+//! earlier instant, or behind a run still expanding at the same
+//! instant — stays in order because every pop re-reads the first
+//! bucket.
 
 use fediscope_core::rollout::RolloutWave;
 use fediscope_core::time::SimTime;
@@ -297,41 +294,6 @@ impl PartialEq for Entry {
 
 impl Eq for Entry {}
 
-/// One calendar bucket: unsorted until a pop first reaches it.
-#[derive(Debug)]
-enum Bucket {
-    Filling(Vec<Entry>),
-    Draining(BinaryHeap<Entry>),
-}
-
-impl Bucket {
-    fn push(&mut self, entry: Entry) {
-        match self {
-            Bucket::Filling(entries) => entries.push(entry),
-            Bucket::Draining(heap) => heap.push(entry),
-        }
-    }
-
-    /// The bucket as a heap, heapifying it on first use.
-    fn heap(&mut self) -> &mut BinaryHeap<Entry> {
-        if let Bucket::Filling(entries) = self {
-            *self = Bucket::Draining(BinaryHeap::from(std::mem::take(entries)));
-        }
-        match self {
-            Bucket::Draining(heap) => heap,
-            Bucket::Filling(_) => unreachable!("heapified above"),
-        }
-    }
-
-    /// The earliest fire time in the bucket.
-    fn first_at(&self) -> Option<SimTime> {
-        match self {
-            Bucket::Filling(entries) => entries.iter().map(|e| e.at).min(),
-            Bucket::Draining(heap) => heap.peek().map(|e| e.at),
-        }
-    }
-}
-
 /// What [`EventQueue::pop_due_run`] hands back: one event, or a whole
 /// run whose adoptions all fire at the given instant.
 #[derive(Debug)]
@@ -348,7 +310,7 @@ pub(crate) enum Due {
 pub struct EventQueue {
     /// `at >> BUCKET_SHIFT` → the entries due in that bucket; buckets
     /// are never left empty.
-    buckets: BTreeMap<u64, Bucket>,
+    buckets: BTreeMap<u64, BinaryHeap<Entry>>,
     next_seq: u64,
     pending: usize,
 }
@@ -362,7 +324,7 @@ impl EventQueue {
     fn push(&mut self, entry: Entry) {
         self.buckets
             .entry(entry.at.0 >> BUCKET_SHIFT)
-            .or_insert_with(|| Bucket::Filling(Vec::new()))
+            .or_default()
             .push(entry);
     }
 
@@ -428,7 +390,7 @@ impl EventQueue {
     /// order, with nothing else between them.
     pub(crate) fn pop_due_run(&mut self, now: SimTime) -> Option<Due> {
         let mut bucket = self.buckets.first_entry()?;
-        let heap = bucket.get_mut().heap();
+        let heap = bucket.get_mut();
         if heap.peek().expect("buckets are never left empty").at > now {
             return None;
         }
@@ -459,7 +421,7 @@ impl EventQueue {
 
     /// When the next event fires, if any are pending.
     pub fn next_at(&self) -> Option<SimTime> {
-        self.buckets.values().next().and_then(Bucket::first_at)
+        Some(self.buckets.values().next()?.peek()?.at)
     }
 
     /// Pending events (each run counts its unpopped adoptions).

@@ -10,11 +10,11 @@
 //!
 //! * [`EventQueue`] — a calendar future-event list over logical
 //!   [`fediscope_core::time::SimTime`] ticks (no wall clock anywhere;
-//!   pops in exact `(time, seq)` order), in fixed-width 1,024 s buckets
-//!   that are heapified when a pop first reaches them. A bucket holds
+//!   pops in exact `(time, seq)` order), in fixed-width 1,024 s buckets,
+//!   each a binary heap. A bucket holds
 //!   single events and runs: a run is one blocklist import's adoptions
 //!   at one instant, scheduled as one entry with its sequence numbers
-//!   reserved, and applied whole unless the scenario reads adoptions;
+//!   reserved, and applied whole when it falls due;
 //! * [`NetworkState`] — the mutable network (per-instance moderation
 //!   configs with compiled [`fediscope_core::mrf::MrfPipeline`]s,
 //!   federation links, §3 failure modes, post templates), built from

@@ -20,18 +20,14 @@ use rand::rngs::SmallRng;
 /// # Import runs and `after_event`
 ///
 /// A blocklist import schedules its adoptions as runs, one per instant
-/// (see [`crate::EventQueue`]). A scenario declares through
-/// [`Self::observes_adoptions`] whether its `after_event` reads an
-/// `AdoptWave`. If it does not, the engine takes each due run off the
-/// queue whole and applies its adoptions in sequence order without
-/// calling `after_event` for them. Every adoption still passes through
-/// the engine's apply step, reaches the attached
-/// [`crate::EventSink`] and counts in the tick's `events`, so traces
-/// and sinks see the same stream either way. A scenario that does read
-/// adoptions keeps the one-pop-per-adoption path and sees every
-/// adoption in order, as it would without runs. The declaration is
-/// per scenario rather than per event kind because only adoptions
-/// arrive in runs.
+/// (see [`crate::EventQueue`]). The engine takes each due run off the
+/// queue whole and applies its adoptions in sequence order, and it does
+/// not call `after_event` for them: an import is one act, and no
+/// scenario reacts to the single adoptions of one. Every such adoption
+/// still passes through the engine's apply step, reaches the attached
+/// [`crate::EventSink`] and counts in the tick's `events`. An
+/// `AdoptWave` scheduled on its own (a staged rollout's wave) is an
+/// ordinary event and does reach `after_event`.
 pub trait Scenario {
     /// Display name (lands in the trace).
     fn name(&self) -> &'static str;
@@ -59,13 +55,5 @@ pub trait Scenario {
         rng: &mut SmallRng,
     ) {
         let _ = (event, applied, state, queue, rng);
-    }
-
-    /// Whether [`Self::after_event`] may read an `AdoptWave` event. When
-    /// false, the engine applies each import run whole and skips
-    /// `after_event` for the run's adoptions (see the trait doc).
-    /// Default: true, the safe answer for a scenario that does not say.
-    fn observes_adoptions(&self) -> bool {
-        true
     }
 }

@@ -184,11 +184,6 @@ impl Scenario for DefederationCascadeScenario {
             }
         }
     }
-
-    /// Reacts to `Defederate` only.
-    fn observes_adoptions(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -142,10 +142,6 @@ impl Scenario for ChurnScenario {
             }
         }
     }
-
-    fn observes_adoptions(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -152,11 +152,6 @@ impl Scenario for Composite {
                 .after_event(event, applied, state, queue, stream);
         }
     }
-
-    /// Forwarding reaches every sub, so one observing sub is enough.
-    fn observes_adoptions(&self) -> bool {
-        self.subs.iter().any(|s| s.scenario.observes_adoptions())
-    }
 }
 
 #[cfg(test)]

@@ -17,13 +17,12 @@
 //! index instead of each hashing the same names into a private one.
 //!
 //! Each import schedules one [`Run`] per instant its chunks land at:
-//! the ordered `AdoptWave` adoptions of that instant. The engine
-//! applies a due run whole, one adoption after another, unless the
-//! scenario reads adoptions in `after_event` (see [`Scenario`]); then
-//! the queue hands the run out one adoption per pop. A full import's
-//! run is the instant's shared [`RolloutWave`]s over the shared importer
-//! list (`Arc` refcount bumps), so scheduling costs O(importers + union),
-//! not one queue entry per adoption. A partial import's run lists the
+//! the ordered `AdoptWave` adoptions of that instant, which the engine
+//! applies whole, one adoption after another, when the run falls due
+//! (see [`Scenario`]). A full import's run is the instant's shared
+//! [`RolloutWave`]s over the shared importer list (`Arc` refcount
+//! bumps), so scheduling costs O(importers + union), not one queue
+//! entry per adoption. A partial import's run lists the
 //! instant's kept `(importer, wave)` pairs, cloning per-adopter subset
 //! waves through [`RolloutWave::subset_simple`], the core-side
 //! counterfactual-arm primitive; the subsets stay attached to the
@@ -292,10 +291,6 @@ impl Scenario for BlocklistImportScenario {
                 .zip(runs)
                 .map(|((at, _), items)| (at, Run::listed(items))),
         );
-    }
-
-    fn observes_adoptions(&self) -> bool {
-        false
     }
 }
 

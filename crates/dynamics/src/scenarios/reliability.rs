@@ -55,10 +55,6 @@ impl Scenario for ReliabilityScenario {
     ) {
         state.enable_retries();
     }
-
-    fn observes_adoptions(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -93,10 +93,6 @@ impl Scenario for PolicyRolloutScenario {
             }
         }
     }
-
-    fn observes_adoptions(&self) -> bool {
-        false
-    }
 }
 
 /// The counterfactual null arm: every instance is stripped to the
@@ -125,10 +121,6 @@ impl Scenario for InactionScenario {
         for i in 0..state.len() {
             state.reset_moderation_default(i);
         }
-    }
-
-    fn observes_adoptions(&self) -> bool {
-        false
     }
 }
 

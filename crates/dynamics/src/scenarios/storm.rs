@@ -95,10 +95,6 @@ impl Scenario for ToxicityStormScenario {
             );
         }
     }
-
-    fn observes_adoptions(&self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]
